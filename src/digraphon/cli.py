@@ -77,7 +77,8 @@ def _host_json(host) -> dict:
 def _report_json(report: sidorenko.CheckReport) -> dict:
     out = {"property": report.property_name,
            "verdict": report.verdict,
-           "instances_checked": report.instances_checked}
+           "instances_checked": report.instances_checked,
+           "complete": report.complete}
     if report.witness is not None:
         wit = report.witness
         out["witness"] = {

@@ -79,9 +79,7 @@ def _oriented_masks(g: OrientedGraph) -> tuple[list[int], list[int]]:
     return out_mask, in_mask
 
 
-def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
-    """Number of maps f with (x,y) an edge of the pattern implying
-    (f(x),f(y)) an edge of the host."""
+def _count_oriented(pattern: OrientedGraph, host: OrientedGraph, injective: bool) -> int:
     n = pattern.vertex_count
     adj = {v: pattern.out_neighbors(v) | pattern.in_neighbors(v) for v in range(n)}
     order = _search_order(n, pattern.degree, lambda v: adj[v])
@@ -96,26 +94,20 @@ def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
             constraints[pos[u]].append((pos[v], 1))
     out_mask, in_mask = _oriented_masks(host)
     full = (1 << host.vertex_count) - 1
-    return _count_maps(order, constraints, [full] * n, [out_mask, in_mask], injective=False)
+    return _count_maps(order, constraints, [full] * n, [out_mask, in_mask], injective)
+
+
+def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
+    """Number of maps f with (x,y) an edge of the pattern implying
+    (f(x),f(y)) an edge of the host."""
+    return _count_oriented(pattern, host, injective=False)
 
 
 def labeled_copies(pattern: OrientedGraph, host: OrientedGraph) -> int:
     """Injective edge-preserving maps (labeled copies of the pattern)."""
-    n = pattern.vertex_count
-    if n > host.vertex_count:
+    if pattern.vertex_count > host.vertex_count:
         return 0
-    adj = {v: pattern.out_neighbors(v) | pattern.in_neighbors(v) for v in range(n)}
-    order = _search_order(n, pattern.degree, lambda v: adj[v])
-    pos = {v: i for i, v in enumerate(order)}
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in pattern.edges:
-        if pos[u] < pos[v]:
-            constraints[pos[v]].append((pos[u], 0))
-        else:
-            constraints[pos[u]].append((pos[v], 1))
-    out_mask, in_mask = _oriented_masks(host)
-    full = (1 << host.vertex_count) - 1
-    return _count_maps(order, constraints, [full] * n, [out_mask, in_mask], injective=True)
+    return _count_oriented(pattern, host, injective=True)
 
 
 def t_directed(pattern: OrientedGraph, host: OrientedGraph) -> Fraction:

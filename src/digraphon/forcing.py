@@ -20,6 +20,8 @@ import numpy as np
 from .graphs import OrientedGraph, hom_to_edge_bipartition, underlying_has_cycle
 from .stepgraphon import (
     StepGraphon,
+    _map_sum,
+    _numerators,
     cut_norm_centered,
     from_oriented,
     t_step,
@@ -232,41 +234,29 @@ def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
     return x
 
 
-def _exact_t_equal_parts(cells: list[list[tuple[int, int]]],
-                         values: list[list[Fraction]], parts: int,
-                         v: int) -> Fraction:
-    total = _ZERO
-    for cell_list in cells:
-        term = _ONE
-        for a, b in cell_list:
-            val = values[a][b]
-            if not val:
-                term = _ZERO
-                break
-            term = term * val
-        total += term
-    return total / parts ** v
+def _exact_density(pattern: OrientedGraph, values: list[list[Fraction]]) -> Fraction:
+    """t(B, W) for the step graphon W on len(values) equal parts."""
+    parts, v, edges = len(values), pattern.vertex_count, pattern.sorted_edges()
+    num, d = _numerators(values)
+    return Fraction(_map_sum(v, edges, [1] * parts, num), d ** len(edges) * parts ** v)
 
 
-def _exact_gradient(cells: list[list[tuple[int, int]]],
-                    values: list[list[Fraction]], parts: int,
-                    v: int) -> dict[tuple[int, int], Fraction]:
-    grad: dict[tuple[int, int], Fraction] = {}
-    for cell_list in cells:
-        e = len(cell_list)
-        vals = [values[a][b] for a, b in cell_list]
-        pre = [_ONE] * e
-        for i in range(1, e):
-            pre[i] = pre[i - 1] * vals[i - 1]
-        suf = [_ONE] * e
-        for i in range(e - 2, -1, -1):
-            suf[i] = suf[i + 1] * vals[i + 1]
-        for i, cell in enumerate(cell_list):
-            contribution = pre[i] * suf[i]
-            if contribution:
-                grad[cell] = grad.get(cell, _ZERO) + contribution
-    scale = Fraction(1, parts ** v)
-    return {cell: g * scale for cell, g in grad.items() if g}
+def _exact_density_gradient(pattern: OrientedGraph,
+                            values: list[list[Fraction]]) -> dict[tuple[int, int], Fraction]:
+    """Nonzero partial derivatives of ``_exact_density`` in the cell values.
+
+    The derivative in a cell sums, over the edges, the density sum with that
+    edge left out and its two endpoints mapped onto the cell.
+    """
+    parts, v, edges = len(values), pattern.vertex_count, pattern.sorted_edges()
+    num, d = _numerators(values)
+    sums: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        for cell, sub in _map_sum(v, rest, [1] * parts, num, free=(a, b)).items():
+            sums[cell] = sums.get(cell, 0) + sub
+    scale = d ** (len(edges) - 1) * parts ** v
+    return {cell: Fraction(sub, scale) for cell, sub in sums.items()}
 
 
 def _rationalize(x: np.ndarray, denom: int) -> list[list[Fraction]]:
@@ -295,7 +285,7 @@ def _repair_mean(values: list[list[Fraction]], target_sum: Fraction) -> bool:
     return deficit == 0
 
 
-def _polish_density(cells, values: list[list[Fraction]], parts: int, v: int,
+def _polish_density(pattern: OrientedGraph, values: list[list[Fraction]],
                     target_t: Fraction, tol: Fraction, denom: int,
                     rounds: int = 60) -> bool:
     """Drive the exact density residual below ``tol`` with mean-preserving
@@ -308,13 +298,14 @@ def _polish_density(cells, values: list[list[Fraction]], parts: int, v: int,
     knobs, which is what lets the residual cross the tolerance despite the
     grid quantization.
     """
+    parts = len(values)
     step = Fraction(1, denom)
     all_cells = [(i, j) for i in range(parts) for j in range(parts)]
-    residual = _exact_t_equal_parts(cells, values, parts, v) - target_t
+    residual = _exact_density(pattern, values) - target_t
     for _ in range(rounds):
         if abs(residual) <= tol:
             return True
-        grad = _exact_gradient(cells, values, parts, v)
+        grad = _exact_density_gradient(pattern, values)
         candidates = []
         for c_up in all_cells:
             g_up = grad.get(c_up, _ZERO)
@@ -343,7 +334,7 @@ def _polish_density(cells, values: list[list[Fraction]], parts: int, v: int,
         for _, c_up, c_down, delta in candidates[:12]:
             values[c_up[0]][c_up[1]] += delta
             values[c_down[0]][c_down[1]] -= delta
-            new_residual = _exact_t_equal_parts(cells, values, parts, v) - target_t
+            new_residual = _exact_density(pattern, values) - target_t
             if abs(new_residual) < abs(residual):
                 residual = new_residual
                 improved = True
@@ -371,7 +362,10 @@ def forcing_witness_search(
 
     Pipeline per restart: a projected-gradient descent on the squared float
     residuals, rationalization of the candidate to the 1/2^16 grid, an exact
-    mean repair, and an exact polish of the density residual.  A candidate
+    mean repair, and an exact polish of the density residual by moves on the
+    grid.  Every cell of a witness lies on the 1/2^16 grid except at most
+    one, which absorbs the exact mean remainder: when p * parts^2 is not a
+    multiple of 1/2^16, no matrix on the grid has mean exactly p.  A candidate
     counts as a witness only if, after rationalization, |t(B,W) - p^e| <= tol,
     |mean(W) - p| <= tol, and the centered cut norm is at least 10*tol, all
     verified with rationals.  Returns the lexicographically smallest certified
@@ -387,9 +381,6 @@ def forcing_witness_search(
     if v == 0 or e == 0:
         raise ValueError("pattern must have at least one edge")
 
-    edges = pattern.sorted_edges()
-    cells = [[(g[u], g[w]) for u, w in edges]
-             for g in product(range(parts), repeat=v)]
     target_t = p_exact ** e
     target_sum = p_exact * parts * parts
     separation_floor = 10 * tol_exact
@@ -401,7 +392,7 @@ def forcing_witness_search(
         values = _rationalize(x, RATIONALIZE_DENOMINATOR)
         if not _repair_mean(values, target_sum):
             continue
-        if not _polish_density(cells, values, parts, v, target_t, tol_exact,
+        if not _polish_density(pattern, values, target_t, tol_exact,
                                RATIONALIZE_DENOMINATOR):
             continue
         w = StepGraphon([Fraction(1, parts)] * parts, values)

@@ -7,6 +7,7 @@ always be recomputed from its witness.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -53,20 +54,22 @@ class CheckReport:
     verdict: str
     witness: Optional[CheckWitness]
     instances_checked: int
+    complete: bool = True  # False when a cap cut the family short
 
     @property
     def violated(self) -> bool:
         return self.verdict == VIOLATED
 
 
-def _report(name: str, min_margin: Optional[Fraction],
-            witness: Optional[CheckWitness], checked: int) -> CheckReport:
+def _report(name: str, min_margin: Optional[Fraction], witness: Optional[CheckWitness],
+            checked: int, complete: bool = True) -> CheckReport:
     violated = min_margin is not None and min_margin < 0
     return CheckReport(
         property_name=name,
         verdict=VIOLATED if violated else HOLDS,
         witness=witness if violated else None,
         instances_checked=checked,
+        complete=complete,
     )
 
 
@@ -104,7 +107,8 @@ def check_directed_sidorenko_exhaustive(
     workers: Optional[int] = None,
 ) -> CheckReport:
     """Test t(B,G) >= t(edge,G)^e(B) over all labeled oriented hosts with
-    at most ``n_max`` vertices (up to ``instance_cap`` hosts).
+    at most ``n_max`` vertices (up to ``instance_cap`` hosts; the report is
+    marked incomplete when the cap cuts the scan short).
 
     The reported witness is the host with the most negative margin, scanning
     hosts by vertex count and then by enumeration index; ties keep the
@@ -133,15 +137,34 @@ def check_directed_sidorenko_exhaustive(
         if margin is not None and (best_margin is None or margin < best_margin):
             best_margin = margin
             best_witness = witness
-    return _report("directed-sidorenko", best_margin, best_witness, checked)
+    complete = sum(oriented_graph_count(n) for n in range(1, n_max + 1)) <= instance_cap
+    return _report("directed-sidorenko", best_margin, best_witness, checked, complete)
+
+
+def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:
+    lhs = density(pattern, w)
+    rhs = w.integral() ** pattern.edge_count
+    return CheckWitness(w, lhs, rhs, lhs - rhs)
 
 
 def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
     """Test t(B, W) >= (integral W)^e(B) for a single step graphon."""
-    lhs = t_step(pattern, w)
-    rhs = w.integral() ** pattern.edge_count
-    wit = CheckWitness(w, lhs, rhs, lhs - rhs)
+    wit = _graphon_witness(t_step, pattern, w)
     return _report("directed-sidorenko-graphon", wit.margin, wit, 1)
+
+
+def _random_batch(name: str, density, pattern, instances: int, parts: int,
+                  seed: int, denominator: int) -> CheckReport:
+    """The graphon check over seeded random rational graphons, reporting
+    the minimal margin (earliest graphon on ties)."""
+    rng = random.Random(seed)
+    best: Optional[CheckWitness] = None
+    for _ in range(instances):
+        w = random_graphon(parts, rng=rng, denominator=denominator)
+        wit = _graphon_witness(density, pattern, w)
+        if best is None or wit.margin < best.margin:
+            best = wit
+    return _report(name, None if best is None else best.margin, best, instances)
 
 
 def check_directed_sidorenko_random(
@@ -153,20 +176,8 @@ def check_directed_sidorenko_random(
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
     """Batch the graphon check over seeded random rational graphons."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    best_margin: Optional[Fraction] = None
-    best_witness: Optional[CheckWitness] = None
-    for _ in range(instances):
-        w = random_graphon(parts, rng=rng, denominator=denominator)
-        lhs = t_step(pattern, w)
-        rhs = w.integral() ** pattern.edge_count
-        margin = lhs - rhs
-        if best_margin is None or margin < best_margin:
-            best_margin = margin
-            best_witness = CheckWitness(w, lhs, rhs, margin)
-    return _report("directed-sidorenko-random", best_margin, best_witness, instances)
+    return _random_batch("directed-sidorenko-random", t_step, pattern, instances,
+                         parts, seed, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +185,7 @@ def check_directed_sidorenko_random(
 # ---------------------------------------------------------------------------
 
 def check_asym_sidorenko(pattern: BipartiteGraph, w: StepGraphon) -> CheckReport:
-    lhs = t_bip_step(pattern, w)
-    rhs = w.integral() ** pattern.edge_count
-    wit = CheckWitness(w, lhs, rhs, lhs - rhs)
+    wit = _graphon_witness(t_bip_step, pattern, w)
     return _report("asymmetric-sidorenko", wit.margin, wit, 1)
 
 
@@ -188,20 +197,8 @@ def check_asym_sidorenko_random(
     seed: int = DEFAULT_SEED,
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
-    import random as _random
-
-    rng = _random.Random(seed)
-    best_margin: Optional[Fraction] = None
-    best_witness: Optional[CheckWitness] = None
-    for _ in range(instances):
-        w = random_graphon(parts, rng=rng, denominator=denominator)
-        lhs = t_bip_step(pattern, w)
-        rhs = w.integral() ** pattern.edge_count
-        margin = lhs - rhs
-        if best_margin is None or margin < best_margin:
-            best_margin = margin
-            best_witness = CheckWitness(w, lhs, rhs, margin)
-    return _report("asymmetric-sidorenko-random", best_margin, best_witness, instances)
+    return _random_batch("asymmetric-sidorenko-random", t_bip_step, pattern, instances,
+                         parts, seed, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +209,9 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     """Assert the directed check on the part-oriented pattern and the
     bipartite check on the pattern itself produce identical margins on W.
 
-    The two sides evaluate through independent code paths (vertex maps with
-    directed edge cells vs. row/column coordinate maps), so equality is a
-    real cross-check rather than a tautology.
+    This evaluates the paper's margin identity on W.  Both sides run through
+    the same exact map-sum engine, so it is not a cross-check of two
+    implementations: the brute-force sums in ``tests/oracles.py`` check each.
     """
     bound = w.integral() ** pattern.edge_count
     d_margin = t_step(to_part_oriented(pattern), w) - bound

@@ -1,9 +1,10 @@
 """Step graphons: piecewise-constant [0,1]^2 -> [0,1] functions on a common
 interval partition, with exact density functionals and cut norms.
 
-All arithmetic is rational.  Density sums run over every assignment of
-pattern vertices to parts, which costs (#parts)^v(pattern) terms; the sums
-are accumulated as integers over a common denominator and reduced once.
+All arithmetic is rational.  Every density is one depth-first sum over the
+maps of pattern vertices to parts, pruned at zero cell values, so it visits
+at most (#parts)^v(pattern) leaves; it is accumulated as integers over a
+common denominator and reduced once.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import floor, lcm
 from typing import Iterable, Optional, Sequence
 
-from .graphs import BipartiteGraph, OrientedGraph
+from .counting import _search_order
+from .graphs import BipartiteGraph, OrientedGraph, to_part_oriented
 
 TERM_WARNING_THRESHOLD = 10**7
 EXACT_CUT_NORM_CAP = 20
@@ -132,12 +134,11 @@ def from_bipartite(graph: BipartiteGraph) -> StepGraphon:
 # Densities
 # ---------------------------------------------------------------------------
 
-def _integer_arrays(w: StepGraphon) -> tuple[list[int], int, list[list[int]], int]:
-    dl = lcm(*(l.denominator for l in w.part_lengths)) if w.num_parts else 1
-    lnum = [int(l * dl) for l in w.part_lengths]
-    dv = lcm(*(x.denominator for row in w.values for x in row))
-    vnum = [[int(x * dv) for x in row] for row in w.values]
-    return lnum, dl, vnum, dv
+def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer numerators of a rational matrix over its least common
+    denominator, and that denominator."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def _warn_if_large(terms: int) -> None:
@@ -145,8 +146,80 @@ def _warn_if_large(terms: int) -> None:
         warnings.warn(
             f"density sum has {terms} terms; expect a long exact computation",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
+             values: Sequence[Sequence[int]], free: Sequence[int] = ()):
+    """Sum, over all maps g of the vertices 0..v-1 to parts, of
+    prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
+
+    A depth-first search places one vertex at a time, carrying the product of
+    part weights and of edge values back to placed vertices, and drops a
+    branch at its first zero factor.  The ``free`` vertices are placed first;
+    with ``free`` given, the result maps each tuple of their images (in
+    ``free`` order) to its nonzero subtotal, else it is the total.
+    """
+    if v == 0:
+        return 1
+    adj: list[list[int]] = [[] for _ in range(v)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = list(free) + [x for x in _search_order(v, lambda x: len(adj[x]), adj.__getitem__)
+                          if x not in free]
+    pos = {x: i for i, x in enumerate(order)}
+    # An edge is checked when its later endpoint is placed: it reads the
+    # value matrix at (earlier image, new image), or the transpose there.
+    matrices = (values, [list(col) for col in zip(*values)])
+    back: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        back[max(i, j)].append((min(i, j), int(i > j)))
+    # The first back edge of a position selects a row of nonzero
+    # (part, weight * value) pairs; the other back edges multiply in.
+    parts = range(len(weights))
+    tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
+              for m in matrices]
+    plan = [(bk[0][0], tables[bk[0][1]], [(j, matrices[t]) for j, t in bk[1:]]) if bk
+            else (-1, [(c, weights[c]) for c in parts], ()) for bk in back]
+    img = [0] * v
+    last = v - 1
+    m = len(free)
+    out: dict[tuple[int, ...], int] = {}
+
+    def rec(i: int, acc: int) -> int:
+        j0, table, rest = plan[i]
+        rows = [mat[img[j]] for j, mat in rest]
+        leaf = i == last and i >= m
+        total = 0
+        for c, f in table[img[j0]] if j0 >= 0 else table:
+            for row in rows:
+                f *= row[c]
+                if not f:
+                    break
+            if leaf or not f:
+                total += f
+                continue
+            img[i] = c
+            sub = rec(i + 1, acc * f) if i < last else acc * f
+            if i == m - 1 and sub:
+                out[tuple(img[:m])] = sub
+            total += sub
+        return acc * total if leaf else total
+
+    total = rec(0, 1)
+    return out if free else total
+
+
+def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
+    v = pattern.vertex_count
+    _warn_if_large(w.num_parts ** v)
+    (lnum,), dl = _numerators([w.part_lengths])
+    vnum, dv = _numerators(w.values)
+    total = _map_sum(v, pattern.sorted_edges(), lnum, vnum)
+    return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
 
 def t_step(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
@@ -155,33 +228,7 @@ def t_step(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     Sums, over all maps g of pattern vertices to parts, the product of the
     part lengths of the images times the product of W over the edge cells.
     """
-    v = pattern.vertex_count
-    e = pattern.edge_count
-    k = w.num_parts
-    if v == 0:
-        return _ONE
-    _warn_if_large(k ** v)
-    lnum, dl, vnum, dv = _integer_arrays(w)
-    edges = pattern.sorted_edges()
-    equal = len(set(lnum)) == 1
-    total = 0
-    for g in product(range(k), repeat=v):
-        term = 1
-        for u, x in edges:
-            val = vnum[g[u]][g[x]]
-            if not val:
-                term = 0
-                break
-            term *= val
-        if not term:
-            continue
-        if not equal:
-            for i in g:
-                term *= lnum[i]
-        total += term
-    if equal:
-        total *= lnum[0] ** v
-    return Fraction(total, dl ** v * dv ** e)
+    return _density(pattern, w)
 
 
 def t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
@@ -189,37 +236,10 @@ def t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
 
     Part-1 vertices pick x-coordinate parts and part-2 vertices pick
     y-coordinate parts; each edge (i,j) contributes the value of W at the
-    cell (image of i, image of j).
+    cell (image of i, image of j).  That is the density of the pattern with
+    every edge directed from part 1 to part 2.
     """
-    a1, a2 = pattern.part1_count, pattern.part2_count
-    e = pattern.edge_count
-    k = w.num_parts
-    if a1 + a2 == 0:
-        return _ONE
-    _warn_if_large(k ** (a1 + a2))
-    lnum, dl, vnum, dv = _integer_arrays(w)
-    edges = pattern.sorted_edges()
-    total = 0
-    for gx in product(range(k), repeat=a1):
-        xweight = 1
-        for i in gx:
-            xweight *= lnum[i]
-        if not xweight:
-            continue
-        for gy in product(range(k), repeat=a2):
-            term = 1
-            for i, j in edges:
-                val = vnum[gx[i]][gy[j]]
-                if not val:
-                    term = 0
-                    break
-                term *= val
-            if not term:
-                continue
-            for j in gy:
-                term *= lnum[j]
-            total += term * xweight
-    return Fraction(total, dl ** (a1 + a2) * dv ** e)
+    return _density(to_part_oriented(pattern), w)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +369,11 @@ def _heuristic_bilinear_max(mass: list[list[int]], seed: int,
 def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int]:
     """Integer numerators of (W - center) * length_i * length_j and their
     common positive denominator."""
-    lnum, dl, _, _ = _integer_arrays(w)
-    dv = lcm(center.denominator,
-             lcm(*(x.denominator for row in w.values for x in row)))
-    k = w.num_parts
-    cnum = int(center * dv)
-    mass = [[(int(w.values[i][j] * dv) - cnum) * lnum[i] * lnum[j]
-             for j in range(k)] for i in range(k)]
+    (lnum,), dl = _numerators([w.part_lengths])
+    vnum, dv = _numerators([*w.values, (center,)])
+    cnum = vnum.pop()[0]
+    mass = [[(x - cnum) * li * lj for x, lj in zip(row, lnum)]
+            for row, li in zip(vnum, lnum)]
     return mass, dv * dl * dl
 
 
@@ -455,9 +473,8 @@ def cut_distance_upper(w: StepGraphon, u: StepGraphon, *,
             f"{max_refined_parts}")
     wv = _refine_equal(w, parts)
     uv = _refine_equal(u, parts)
-    dv = lcm(*(x.denominator for grid in (wv, uv) for row in grid for x in row))
-    wn = [[int(x * dv) for x in row] for row in wv]
-    un = [[int(x * dv) for x in row] for row in uv]
+    num, dv = _numerators(wv + uv)
+    wn, un = num[:parts], num[parts:]
     denom = dv * parts * parts
     best: Optional[Fraction] = None
     for perm in permutations(range(parts)):

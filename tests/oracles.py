@@ -63,6 +63,25 @@ def brute_t_step(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     return total
 
 
+def brute_t_gradient(pattern: OrientedGraph, w: StepGraphon) -> dict[tuple[int, int], Fraction]:
+    """Partial derivative of t(pattern, W) in every cell value W[a][b]: over
+    all maps and all edges landing on the cell, the term without that edge."""
+    k = w.num_parts
+    edges = list(pattern.edges)
+    grad = {(a, b): Fraction(0) for a in range(k) for b in range(k)}
+    for g in product(range(k), repeat=pattern.vertex_count):
+        weight = Fraction(1)
+        for i in g:
+            weight *= w.part_lengths[i]
+        for skip, (u, v) in enumerate(edges):
+            term = weight
+            for other, (x, y) in enumerate(edges):
+                if other != skip:
+                    term *= w.values[g[x]][g[y]]
+            grad[(g[u], g[v])] += term
+    return grad
+
+
 def brute_t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
     k = w.num_parts
     total = Fraction(0)

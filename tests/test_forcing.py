@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraphon import (
     OrientedGraph,
+    StepGraphon,
     cut_norm_centered,
     find_lambda0,
     forcing_witness_search,
@@ -14,6 +17,9 @@ from digraphon import (
     t_step,
     w_lambda,
 )
+from digraphon.forcing import _exact_density, _exact_density_gradient
+
+from oracles import brute_t_gradient, brute_t_step
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -217,10 +223,16 @@ class TestWitnessSearch:
         assert a == b
 
     def test_rationalized_denominators_bounded(self):
+        # All cells lie on the 1/2^16 grid but the one that absorbs the mean
+        # remainder, which exists exactly when p * parts^2 is off the grid.
         tol = Fraction(1, 10**6)
-        w = forcing_witness_search(TRIANGLE, SIXTEENTH, 4, tol, seed=0, restarts=2)
-        assert w is not None
-        assert all(x.denominator <= 2**16 for row in w.values for x in row)
+        for p in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
+                  Fraction(1, 2)):
+            w = forcing_witness_search(TRIANGLE, p, 4, tol, seed=0, restarts=2)
+            assert w is not None
+            assert w.integral() == p
+            off_grid = sum(x.denominator > 2**16 for row in w.values for x in row)
+            assert off_grid == (0 if (p * 16 * 2**16).denominator == 1 else 1)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -229,3 +241,36 @@ class TestWitnessSearch:
             forcing_witness_search(TRIANGLE, Fraction(1, 2), 9, Fraction(1, 100), 0)
         with pytest.raises(ValueError):
             forcing_witness_search(OrientedGraph(2), Fraction(1, 2), 4, Fraction(1, 100), 0)
+
+
+@st.composite
+def grid_instances(draw, max_n=4, max_parts=3, denominator=16):
+    """An oriented pattern and the cell values of an equal-part graphon on
+    the 1/denominator grid."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+    parts = draw(st.integers(1, max_parts))
+    nums = draw(st.lists(st.integers(0, denominator), min_size=parts * parts,
+                         max_size=parts * parts))
+    values = [[Fraction(nums[i * parts + j], denominator) for j in range(parts)]
+              for i in range(parts)]
+    return OrientedGraph(n, edges), values
+
+
+class TestExactPolishSums:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_instances())
+    def test_density_matches_brute_force(self, instance):
+        pattern, values = instance
+        w = StepGraphon([Fraction(1, len(values))] * len(values), values)
+        assert _exact_density(pattern, values) == brute_t_step(pattern, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_instances())
+    def test_gradient_matches_brute_force(self, instance):
+        pattern, values = instance
+        w = StepGraphon([Fraction(1, len(values))] * len(values), values)
+        brute = {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
+        assert _exact_density_gradient(pattern, values) == brute

@@ -176,6 +176,7 @@ class TestCli:
         code, lines = run_cli(capsys, "check-sidorenko", files["edge.graph"], "--nmax", "2")
         assert code == 0
         assert lines[0]["verdict"] == "holds-on-family"
+        assert lines[0]["complete"] is True
 
     def test_check_sidorenko_second(self, capsys, files, tmp_path):
         tt = tmp_path / "tt.graph"

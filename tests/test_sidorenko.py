@@ -66,10 +66,12 @@ class TestExhaustive:
         report = check_directed_sidorenko_exhaustive(ALT_C4, 4)
         assert report.verdict == HOLDS
         assert report.instances_checked == 1 + 3 + 27 + 729
+        assert report.complete is True
 
     def test_instance_cap(self):
         report = check_directed_sidorenko_exhaustive(EDGE, 4, instance_cap=10)
         assert report.instances_checked == 10
+        assert report.complete is False
 
     def test_workers_agree_with_sequential(self):
         seq = check_directed_sidorenko_exhaustive(PATH3, 3, workers=1)

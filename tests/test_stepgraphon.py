@@ -152,6 +152,9 @@ class TestDensities:
         w = StepGraphon.constant(p, parts=2)
         assert t_step(EDGE, w) == p
         assert t_step(TRIANGLE, w) == p ** 3
+        # 12 vertices and 66 edges: more operands than numpy's einsum takes.
+        tt12 = OrientedGraph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+        assert t_step(tt12, w) == p ** 66
 
     def test_empty_pattern(self):
         assert t_step(OrientedGraph(0), random_graphon(2, seed=3)) == 1
