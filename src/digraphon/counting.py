@@ -2,57 +2,95 @@
 
 Counts are plain Python integers (arbitrary precision); densities are
 `fractions.Fraction`, so every equality downstream can be asserted exactly.
-The search core is a masked backtracking over a fixed pattern-vertex
-ordering: descending degree with connectivity-first tie-breaking by index,
-which prunes early and is deterministic.
+Every count here, and the step-graphon density sum in `stepgraphon`, follows
+one cached plan per pattern (`_plan`): a fixed vertex order (vertices
+adjacent to the placed prefix first, then descending degree, ties broken by
+smallest index), which prunes early and is deterministic, and each
+position's edges back to earlier positions.  One masked backtracking kernel
+counts maps into a host given as out- and in-neighbour bitmasks: directed
+counts and labeled copies use the host's masks, undirected counts use the
+adjacency mask for both, and part-respecting bipartite counts are the
+directed counts of the part-oriented pattern in the part-oriented host, with
+each pattern vertex kept to its host part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from typing import Optional, Sequence
 
-from .graphs import BipartiteGraph, OrientedGraph, UndirectedGraph
+from .graphs import BipartiteGraph, OrientedGraph, UndirectedGraph, to_part_oriented
 
-
-def _search_order(n: int, degree, adjacent) -> list[int]:
-    """Order pattern vertices: vertices adjacent to the prefix first, then by
-    descending degree, ties broken by smallest index."""
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < n:
-        frontier = [v for v in range(n) if v not in placed and any(w in placed for w in adjacent(v))]
-        pool = frontier or [v for v in range(n) if v not in placed]
-        best = max(pool, key=lambda v: (degree(v), -v))
-        order.append(best)
-        placed.add(best)
-    return order
+_PLAN_CACHE_SIZE = 4096
 
 
-def _count_maps(
-    order: list[int],
-    constraints: list[list[tuple[int, int]]],
-    allowed: list[int],
-    masks: list[list[int]],
-    injective: bool,
-) -> int:
-    """Count maps of the ordered pattern vertices into a masked host.
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...] = ()
+          ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Placement order of the vertices 0..v-1 and the back edges of each
+    position.
 
-    ``constraints[i]`` lists ``(j, kind)`` pairs: the image of position ``i``
-    must lie in ``masks[kind][image_of_position_j]``.  ``allowed[i]`` is the
-    host-vertex bitmask position ``i`` may use at all.
+    The ``free`` vertices take the first positions, in order.  ``back[i]``
+    holds ``(j, t)`` for every edge between position i and an earlier
+    position j: t is 0 when the edge runs from j to i and 1 when it runs the
+    other way.  Callers pass ``edges`` sorted so that equal patterns share a
+    cache entry.
     """
-    n = len(order)
-    if n == 0:
+    adj: list[set[int]] = [set() for _ in range(v)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    order = list(free)
+    rest = [x for x in range(v) if x not in free]
+    while rest:
+        frontier = [x for x in rest if not adj[x].isdisjoint(order)]
+        best = max(frontier or rest, key=lambda x: (len(adj[x]), -x))
+        order.append(best)
+        rest.remove(best)
+    pos = {x: i for i, x in enumerate(order)}
+    back: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        back[max(i, j)].append((min(i, j), int(i > j)))
+    return tuple(order), tuple(tuple(bk) for bk in back)
+
+
+def _masks(host: OrientedGraph | UndirectedGraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of every host vertex."""
+    out_mask = [0] * host.vertex_count
+    in_mask = [0] * host.vertex_count
+    for u, v in host.edges:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    return out_mask, in_mask
+
+
+def _count_maps(pattern: OrientedGraph | UndirectedGraph, out_mask: Sequence[int],
+                in_mask: Sequence[int], allowed: Optional[Sequence[int]] = None,
+                injective: bool = False) -> int:
+    """Count maps f of the pattern vertices into a host with every pattern
+    edge (a, b) sent into the host's edges: f(b) in ``out_mask[f(a)]``,
+    equivalently f(a) in ``in_mask[f(b)]``.  ``allowed[x]`` is the
+    host-vertex bitmask pattern vertex x may use at all (default: any).
+    """
+    v = pattern.vertex_count
+    if v == 0:
         return 1
-    images = [0] * n
-    last = n - 1
+    order, back = _plan(v, tuple(pattern.sorted_edges()))
+    if allowed is None:
+        allowed = [(1 << len(out_mask)) - 1] * v
+    masks = (out_mask, in_mask)
+    steps = [(allowed[x], [(j, masks[t]) for j, t in bk]) for x, bk in zip(order, back)]
+    images = [0] * v
+    last = v - 1
 
     def rec(i: int, used: int) -> int:
-        cand = allowed[i]
+        cand, checks = steps[i]
         if injective:
             cand &= ~used
-        for j, kind in constraints[i]:
-            cand &= masks[kind][images[j]]
+        for j, mask in checks:
+            cand &= mask[images[j]]
             if not cand:
                 return 0
         if i == last:
@@ -70,44 +108,17 @@ def _count_maps(
     return rec(0, 0)
 
 
-def _oriented_masks(g: OrientedGraph) -> tuple[list[int], list[int]]:
-    out_mask = [0] * g.vertex_count
-    in_mask = [0] * g.vertex_count
-    for u, v in g.edges:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
-    return out_mask, in_mask
-
-
-def _count_oriented(pattern: OrientedGraph, host: OrientedGraph, injective: bool) -> int:
-    n = pattern.vertex_count
-    adj = {v: pattern.out_neighbors(v) | pattern.in_neighbors(v) for v in range(n)}
-    order = _search_order(n, pattern.degree, lambda v: adj[v])
-    pos = {v: i for i, v in enumerate(order)}
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in pattern.edges:
-        # kind 0: image must be an out-neighbor of the earlier image;
-        # kind 1: an in-neighbor.
-        if pos[u] < pos[v]:
-            constraints[pos[v]].append((pos[u], 0))
-        else:
-            constraints[pos[u]].append((pos[v], 1))
-    out_mask, in_mask = _oriented_masks(host)
-    full = (1 << host.vertex_count) - 1
-    return _count_maps(order, constraints, [full] * n, [out_mask, in_mask], injective)
-
-
 def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
     """Number of maps f with (x,y) an edge of the pattern implying
     (f(x),f(y)) an edge of the host."""
-    return _count_oriented(pattern, host, injective=False)
+    return _count_maps(pattern, *_masks(host))
 
 
 def labeled_copies(pattern: OrientedGraph, host: OrientedGraph) -> int:
     """Injective edge-preserving maps (labeled copies of the pattern)."""
     if pattern.vertex_count > host.vertex_count:
         return 0
-    return _count_oriented(pattern, host, injective=True)
+    return _count_maps(pattern, *_masks(host), injective=True)
 
 
 def t_directed(pattern: OrientedGraph, host: OrientedGraph) -> Fraction:
@@ -119,19 +130,8 @@ def t_directed(pattern: OrientedGraph, host: OrientedGraph) -> Fraction:
 
 
 def hom_count_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> int:
-    n = pattern.vertex_count
-    adj_mask = [0] * host.vertex_count
-    for u, v in host.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    order = _search_order(n, pattern.degree, pattern.neighbors)
-    pos = {v: i for i, v in enumerate(order)}
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in pattern.edges:
-        i, j = pos[u], pos[v]
-        constraints[max(i, j)].append((min(i, j), 0))
-    full = (1 << host.vertex_count) - 1
-    return _count_maps(order, constraints, [full] * n, [adj_mask], injective=False)
+    adj_mask = [out | into for out, into in zip(*_masks(host))]
+    return _count_maps(pattern, adj_mask, adj_mask)
 
 
 def t_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> Fraction:
@@ -144,32 +144,11 @@ def t_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> Fraction:
 def hom_count_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> int:
     """Part-respecting homomorphisms: part-1 vertices land in the host's
     part 1, part-2 vertices in part 2, edges on edges."""
-    a1, a2 = pattern.part1_count, pattern.part2_count
-    h1, h2 = host.part1_count, host.part2_count
-    n = a1 + a2
     # Host vertices share one index space: part 1 first, then part 2.
-    adj_mask = [0] * (h1 + h2)
-    for i, j in host.edges:
-        adj_mask[i] |= 1 << (h1 + j)
-        adj_mask[h1 + j] |= 1 << i
-    part1_mask = (1 << h1) - 1
-    part2_mask = ((1 << (h1 + h2)) - 1) ^ part1_mask
-
-    deg = [0] * n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pattern.edges:
-        adj[i].add(a1 + j)
-        adj[a1 + j].add(i)
-        deg[i] += 1
-        deg[a1 + j] += 1
-    order = _search_order(n, lambda v: deg[v], lambda v: adj[v])
-    pos = {v: i for i, v in enumerate(order)}
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j in pattern.edges:
-        u, w = pos[i], pos[a1 + j]
-        constraints[max(u, w)].append((min(u, w), 0))
-    allowed = [part1_mask if order[i] < a1 else part2_mask for i in range(n)]
-    return _count_maps(order, constraints, allowed, [adj_mask], injective=False)
+    part1_mask = (1 << host.part1_count) - 1
+    part2_mask = ((1 << host.vertex_count) - 1) ^ part1_mask
+    allowed = [part1_mask] * pattern.part1_count + [part2_mask] * pattern.part2_count
+    return _count_maps(to_part_oriented(pattern), *_masks(to_part_oriented(host)), allowed)
 
 
 def t_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> Fraction:

@@ -374,8 +374,8 @@ def forcing_witness_search(
     p_exact = _as_fraction(p)
     if not 0 < p_exact < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    if parts > 8:
-        raise ValueError("witness search is capped at 8 parts")
+    if not 1 <= parts <= 8:
+        raise ValueError(f"witness search needs 1..8 parts (got {parts})")
     tol_exact = _as_fraction(tol)
     v, e = pattern.vertex_count, pattern.edge_count
     if v == 0 or e == 0:

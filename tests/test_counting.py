@@ -8,10 +8,12 @@ from digraphon import (
     BipartiteGraph,
     OrientedGraph,
     UndirectedGraph,
+    check_directed_sidorenko_exhaustive,
     disjoint_union,
     hom_count_bip,
     hom_count_directed,
     hom_count_undirected,
+    impartiality_check,
     labeled_copies,
     oriented_knn,
     t_bip,
@@ -19,6 +21,7 @@ from digraphon import (
     t_undirected,
     to_part_oriented,
 )
+from digraphon.counting import _plan
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import (
@@ -49,9 +52,9 @@ def oriented_graphs(draw, min_n=1, max_n=4):
 
 
 @st.composite
-def bipartite_graphs(draw, max_part=3):
-    n1 = draw(st.integers(1, max_part))
-    n2 = draw(st.integers(1, max_part))
+def bipartite_graphs(draw, min_part=0, max_part=3):
+    n1 = draw(st.integers(min_part, max_part))
+    n2 = draw(st.integers(min_part, max_part))
     cells = [(i, j) for i in range(n1) for j in range(n2)]
     mask = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
     return BipartiteGraph(n1, n2, [c for c, keep in zip(cells, mask) if keep])
@@ -215,3 +218,32 @@ class TestDensityInvariants:
         for p in patterns:
             for h in hosts:
                 assert hom_count_directed(p, h) == brute_hom_directed(p, h)
+
+
+class TestSharedPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(oriented_graphs(min_n=0, max_n=5), st.randoms(use_true_random=False))
+    def test_back_edges_and_free_prefix(self, pattern, rng):
+        v = pattern.vertex_count
+        free = tuple(rng.sample(range(v), rng.randint(0, v)))
+        edges = tuple(pattern.sorted_edges())
+        order, back = _plan(v, edges, free)
+        assert isinstance(order, tuple) and all(isinstance(bk, tuple) for bk in back)
+        assert sorted(order) == list(range(v))
+        assert order[:len(free)] == free
+        assert len(back) == v
+        seen = []
+        for i, bk in enumerate(back):
+            for j, t in bk:
+                assert 0 <= j < i
+                earlier, later = order[j], order[i]
+                seen.append((earlier, later) if t == 0 else (later, earlier))
+        assert sorted(seen) == list(edges)
+
+    def test_scans_compile_the_pattern_once(self):
+        c4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        _plan.cache_clear()
+        check_directed_sidorenko_exhaustive(c4, 4, workers=1)
+        assert _plan.cache_info().misses == 1
+        impartiality_check(TRIANGLE, 5, workers=1)
+        assert _plan.cache_info().misses == 2

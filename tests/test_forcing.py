@@ -237,8 +237,9 @@ class TestWitnessSearch:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             forcing_witness_search(TRIANGLE, 0, 4, Fraction(1, 100), 0)
-        with pytest.raises(ValueError):
-            forcing_witness_search(TRIANGLE, Fraction(1, 2), 9, Fraction(1, 100), 0)
+        for parts in (0, 9):
+            with pytest.raises(ValueError, match=r"1\.\.8 parts"):
+                forcing_witness_search(TRIANGLE, Fraction(1, 2), parts, Fraction(1, 100), 0)
         with pytest.raises(ValueError):
             forcing_witness_search(OrientedGraph(2), Fraction(1, 2), 4, Fraction(1, 100), 0)
 

@@ -229,6 +229,12 @@ class TestCli:
         emitted = parse_graphon(out.read_text())
         assert emitted.integral() == Fraction(1, 16)
 
+    def test_search_witness_zero_parts_is_input_error(self, capsys, files):
+        code, lines = run_cli(capsys, "search-witness", files["tri.graph"],
+                              "--p", "1/16", "--parts", "0")
+        assert code == 2
+        assert lines == []
+
     def test_impartial(self, capsys, files, tmp_path):
         imp = tmp_path / "imp.graph"
         imp.write_text("D 4 3\n0 1\n2 3\n0 2\n")

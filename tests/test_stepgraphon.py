@@ -21,6 +21,7 @@ from digraphon import (
     t_step,
     to_part_oriented,
 )
+from digraphon import stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import (
@@ -328,6 +329,16 @@ class TestCutDistanceUpper:
         w = StepGraphon([Fraction(1, 7)] * 7, [[0] * 7 for _ in range(7)])
         u = StepGraphon([Fraction(1, 5)] * 5, [[0] * 5 for _ in range(5)])
         with pytest.raises(ValueError):
+            cut_distance_upper(w, u)
+
+    def test_default_cap_rejects_eight_parts_before_searching(self, monkeypatch):
+        def never(mass):
+            raise AssertionError("the subset search ran")
+
+        monkeypatch.setattr(stepgraphon, "_exact_bilinear_max", never)
+        w = StepGraphon([Fraction(1, 8)] * 8, [[Fraction(1, 2)] * 8 for _ in range(8)])
+        u = StepGraphon.constant(Fraction(1, 2))
+        with pytest.raises(ValueError, match="8 equal parts"):
             cut_distance_upper(w, u)
 
     @settings(max_examples=20, deadline=None)
