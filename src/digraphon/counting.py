@@ -6,12 +6,15 @@ Every count here, and the step-graphon density sum in `stepgraphon`, follows
 one cached plan per pattern (`_plan`): a fixed vertex order (vertices
 adjacent to the placed prefix first, then descending degree, ties broken by
 smallest index), which prunes early and is deterministic, and each
-position's edges back to earlier positions.  One masked backtracking kernel
-counts maps into a host given as out- and in-neighbour bitmasks: directed
-counts and labeled copies use the host's masks, undirected counts use the
-adjacency mask for both, and part-respecting bipartite counts are the
-directed counts of the part-oriented pattern in the part-oriented host, with
-each pattern vertex kept to its host part.
+position's edges back to earlier positions.  One masked backtracking kernel,
+`_count_maps`, counts maps of a compiled pattern (`_compile`: the plan as
+per-position steps) into a host given as out- and in-neighbour bitmasks:
+directed counts and labeled copies use the host's masks, undirected counts
+use the adjacency mask for both, and part-respecting bipartite counts are
+the directed counts of the part-oriented pattern in the part-oriented host,
+with each pattern vertex kept to its host part.  The exhaustive scans in
+`sidorenko` and `tournaments` compile a pattern once per chunk of hosts and
+feed the kernel masks decoded straight from host indices.
 """
 
 from __future__ import annotations
@@ -66,42 +69,48 @@ def _masks(host: OrientedGraph | UndirectedGraph) -> tuple[list[int], list[int]]
     return out_mask, in_mask
 
 
-def _count_maps(pattern: OrientedGraph | UndirectedGraph, out_mask: Sequence[int],
-                in_mask: Sequence[int], allowed: Optional[Sequence[int]] = None,
-                injective: bool = False) -> int:
-    """Count maps f of the pattern vertices into a host with every pattern
-    edge (a, b) sent into the host's edges: f(b) in ``out_mask[f(a)]``,
-    equivalently f(a) in ``in_mask[f(b)]``.  ``allowed[x]`` is the
-    host-vertex bitmask pattern vertex x may use at all (default: any).
+def _compile(pattern: OrientedGraph | UndirectedGraph
+             ) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The pattern's steps for `_count_maps`: per position of its plan, the
+    pattern vertex placed there and its back edges ``(j, t)``.  Scans
+    compile once and count many hosts."""
+    order, back = _plan(pattern.vertex_count, tuple(pattern.sorted_edges()))
+    return tuple(zip(order, back))
+
+
+def _count_maps(steps: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+                out_mask: Sequence[int], in_mask: Sequence[int],
+                allowed: Optional[Sequence[int]] = None, injective: bool = False) -> int:
+    """Count maps f of a compiled pattern (``_compile``) into a host with
+    every pattern edge (a, b) sent into the host's edges: f(b) in
+    ``out_mask[f(a)]``, equivalently f(a) in ``in_mask[f(b)]``.
+    ``allowed[x]`` is the host-vertex bitmask pattern vertex x may use at
+    all (default: any).
     """
-    v = pattern.vertex_count
+    v = len(steps)
     if v == 0:
         return 1
-    order, back = _plan(v, tuple(pattern.sorted_edges()))
-    if allowed is None:
-        allowed = [(1 << len(out_mask)) - 1] * v
+    full = (1 << len(out_mask)) - 1
     masks = (out_mask, in_mask)
-    steps = [(allowed[x], [(j, masks[t]) for j, t in bk]) for x, bk in zip(order, back)]
     images = [0] * v
     last = v - 1
 
     def rec(i: int, used: int) -> int:
-        cand, checks = steps[i]
+        x, checks = steps[i]
+        cand = full if allowed is None else allowed[x]
         if injective:
             cand &= ~used
-        for j, mask in checks:
-            cand &= mask[images[j]]
+        for j, t in checks:
+            cand &= masks[t][images[j]]
             if not cand:
                 return 0
         if i == last:
             return cand.bit_count()
         total = 0
-        m = cand
-        while m:
-            bit = m & -m
-            m ^= bit
-            w = bit.bit_length() - 1
-            images[i] = w
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            images[i] = bit.bit_length() - 1
             total += rec(i + 1, used | bit)
         return total
 
@@ -111,14 +120,14 @@ def _count_maps(pattern: OrientedGraph | UndirectedGraph, out_mask: Sequence[int
 def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
     """Number of maps f with (x,y) an edge of the pattern implying
     (f(x),f(y)) an edge of the host."""
-    return _count_maps(pattern, *_masks(host))
+    return _count_maps(_compile(pattern), *_masks(host))
 
 
 def labeled_copies(pattern: OrientedGraph, host: OrientedGraph) -> int:
     """Injective edge-preserving maps (labeled copies of the pattern)."""
     if pattern.vertex_count > host.vertex_count:
         return 0
-    return _count_maps(pattern, *_masks(host), injective=True)
+    return _count_maps(_compile(pattern), *_masks(host), injective=True)
 
 
 def t_directed(pattern: OrientedGraph, host: OrientedGraph) -> Fraction:
@@ -131,7 +140,7 @@ def t_directed(pattern: OrientedGraph, host: OrientedGraph) -> Fraction:
 
 def hom_count_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> int:
     adj_mask = [out | into for out, into in zip(*_masks(host))]
-    return _count_maps(pattern, adj_mask, adj_mask)
+    return _count_maps(_compile(pattern), adj_mask, adj_mask)
 
 
 def t_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> Fraction:
@@ -148,7 +157,8 @@ def hom_count_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> int:
     part1_mask = (1 << host.part1_count) - 1
     part2_mask = ((1 << host.vertex_count) - 1) ^ part1_mask
     allowed = [part1_mask] * pattern.part1_count + [part2_mask] * pattern.part2_count
-    return _count_maps(to_part_oriented(pattern), *_masks(to_part_oriented(host)), allowed)
+    return _count_maps(_compile(to_part_oriented(pattern)),
+                       *_masks(to_part_oriented(host)), allowed)
 
 
 def t_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_ORIENTED_ENUM_CAP = 6
 DEFAULT_TOURNAMENT_ENUM_CAP = 7
@@ -298,6 +298,75 @@ def tournament_from_index(n: int, index: int) -> Tournament:
     return Tournament.from_bits(n, index)
 
 
+# Pair states of the two index encodings, as (u->v present, v->u present)
+# for the pair u < v; the state is the pair's digit of the index.
+_ORIENTED_STATES = ((0, 0), (1, 0), (0, 1))
+_TOURNAMENT_STATES = ((1, 0), (0, 1))
+# (out-neighbour masks, in-neighbour masks, edge count) per host of a range.
+_Masks = Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]
+
+
+def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -> _Masks:
+    """Yield ``(out_masks, in_masks, edge_count)`` for the indices lo..hi-1 of
+    the encoding whose k-th digit, base ``len(states)``, is the state of the
+    k-th vertex pair in lexicographic order.
+
+    No graph object is built.  Consecutive indices differ only in their low
+    digits, so each step toggles the edges of the pairs whose digit changed
+    (at most two pairs per step on average).
+    """
+    base = len(states)
+    pairs = list(combinations(range(n), 2))
+    # moves[k][s]: the bits that take pair k from state s to state s+1 mod base.
+    moves = []
+    for u, v in pairs:
+        row = []
+        for s in range(base):
+            (f0, b0), (f1, b1) = states[s], states[(s + 1) % base]
+            df, db = f0 ^ f1, b0 ^ b1
+            row.append((u, v, df << v, df << u, db << u, db << v, f1 + b1 - f0 - b0))
+        moves.append(row)
+    out = [0] * n
+    inn = [0] * n
+    edges = 0
+    digits = []
+    index = lo
+    for u, v in pairs:
+        index, s = divmod(index, base)
+        digits.append(s)
+        forward, backward = states[s]
+        if forward:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        if backward:
+            out[v] |= 1 << u
+            inn[u] |= 1 << v
+        edges += forward + backward
+    for _ in range(lo, hi):
+        yield tuple(out), tuple(inn), edges
+        for k, s in enumerate(digits):
+            u, v, out_u, in_v, out_v, in_u, delta = moves[k][s]
+            out[u] ^= out_u
+            inn[v] ^= in_v
+            out[v] ^= out_v
+            inn[u] ^= in_u
+            edges += delta
+            if s + 1 < base:
+                digits[k] = s + 1
+                break
+            digits[k] = 0
+
+
+def _oriented_mask_range(n: int, lo: int, hi: int) -> _Masks:
+    """Masks and edge counts of ``oriented_graph_from_index(n, i)``, lo <= i < hi."""
+    return _mask_range(n, lo, hi, _ORIENTED_STATES)
+
+
+def _tournament_mask_range(n: int, lo: int, hi: int) -> _Masks:
+    """Masks and edge counts of ``tournament_from_index(n, i)``, lo <= i < hi."""
+    return _mask_range(n, lo, hi, _TOURNAMENT_STATES)
+
+
 def oriented_graph_count(n: int) -> int:
     return 3 ** comb(n, 2)
 
@@ -322,12 +391,15 @@ def enumerate_oriented_graphs(
     the visit to an index sub-range so callers may shard the space across
     workers.  With ``dedup=True`` only one representative per isomorphism
     class is visited (canonical-form filter; off by default since labeled
-    enumeration is what the density definitions count).
+    enumeration is what the density definitions count).  With neither a
+    callback nor ``dedup`` nothing is decoded: the range size is returned.
     """
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
     total = oriented_graph_count(n)
     stop = total if stop is None else min(stop, total)
+    if callback is None and not dedup:
+        return len(range(start, stop))
     seen: set = set()
     visits = 0
     for index in range(start, stop):
@@ -351,18 +423,17 @@ def enumerate_tournaments(
     start: int = 0,
     stop: Optional[int] = None,
 ) -> int:
-    """Visit all 2^C(n,2) labeled tournaments on ``n`` vertices."""
+    """Visit all 2^C(n,2) labeled tournaments on ``n`` vertices (or the
+    index sub-range ``start``/``stop``); return the visit count.  Without a
+    callback nothing is decoded."""
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
     total = tournament_count(n)
     stop = total if stop is None else min(stop, total)
-    visits = 0
-    for index in range(start, stop):
-        t = Tournament.from_bits(n, index)
-        visits += 1
-        if callback is not None:
-            callback(t)
-    return visits
+    if callback is not None:
+        for index in range(start, stop):
+            callback(Tournament.from_bits(n, index))
+    return len(range(start, stop))
 
 
 # ---------------------------------------------------------------------------

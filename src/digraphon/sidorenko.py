@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import parallel
-from .counting import t_directed, t_undirected
+from .counting import _compile, _count_maps, t_directed, t_undirected
 from .graphs import (
     BipartiteGraph,
     OrientedGraph,
+    _oriented_mask_range,
     oriented_graph_count,
     oriented_graph_from_index,
     to_part_oriented,
@@ -86,17 +87,28 @@ def directed_sidorenko_margin(pattern: OrientedGraph, host: OrientedGraph) -> Ch
 
 def _scan_host_range(task) -> tuple[Optional[Fraction], Optional[CheckWitness], int]:
     """Scan labeled hosts on n vertices with indices in [lo, hi); return the
-    minimal margin (earliest host on ties), its witness, and the count."""
+    minimal margin (earliest host on ties), its witness, and the count.
+
+    Every host of the range shares the denominator n^(v+2e) of the margin
+    t(B,G) - (e_G/n^2)^e, so margins are compared by their integer
+    numerators hom*n^(2e) - e_G^e*n^v; only the winner is built as a graph.
+    """
     pattern, n, lo, hi = task
-    best_margin: Optional[Fraction] = None
-    best_witness: Optional[CheckWitness] = None
-    for index in range(lo, hi):
-        host = oriented_graph_from_index(n, index)
-        wit = directed_sidorenko_margin(pattern, host)
-        if best_margin is None or wit.margin < best_margin:
-            best_margin = wit.margin
-            best_witness = wit
-    return best_margin, best_witness, hi - lo
+    steps = _compile(pattern)
+    hom_scale = n ** (2 * pattern.edge_count)
+    edge_term = [e ** pattern.edge_count * n ** pattern.vertex_count
+                 for e in range(n * (n - 1) // 2 + 1)]
+    best: Optional[int] = None
+    best_index = lo
+    for index, (out_mask, in_mask, edges) in enumerate(_oriented_mask_range(n, lo, hi), lo):
+        numerator = _count_maps(steps, out_mask, in_mask) * hom_scale - edge_term[edges]
+        if best is None or numerator < best:
+            best = numerator
+            best_index = index
+    if best is None:
+        return None, None, 0
+    witness = directed_sidorenko_margin(pattern, oriented_graph_from_index(n, best_index))
+    return witness.margin, witness, hi - lo
 
 
 def check_directed_sidorenko_exhaustive(
@@ -107,23 +119,29 @@ def check_directed_sidorenko_exhaustive(
     workers: Optional[int] = None,
 ) -> CheckReport:
     """Test t(B,G) >= t(edge,G)^e(B) over all labeled oriented hosts with
-    at most ``n_max`` vertices (up to ``instance_cap`` hosts; the report is
+    1..``n_max`` vertices (up to ``instance_cap`` hosts; the report is
     marked incomplete when the cap cuts the scan short).
 
     The reported witness is the host with the most negative margin, scanning
     hosts by vertex count and then by enumeration index; ties keep the
     earliest host, so results do not depend on the worker count.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     workers = parallel.resolve_workers(workers)
     remaining = instance_cap
+    complete = True
     tasks = []
     for n in range(1, n_max + 1):
-        if remaining <= 0:
-            break
-        count = min(oriented_graph_count(n), remaining)
+        total = oriented_graph_count(n)
+        count = min(total, remaining)
         remaining -= count
         for lo, hi in parallel.split_range(0, count, workers * 4):
             tasks.append((pattern, n, lo, hi))
+        if count < total:
+            # The cap cut this size short; larger sizes are not even counted.
+            complete = False
+            break
     results = parallel.map_tasks(_scan_host_range, tasks, workers)
 
     best_margin: Optional[Fraction] = None
@@ -137,7 +155,6 @@ def check_directed_sidorenko_exhaustive(
         if margin is not None and (best_margin is None or margin < best_margin):
             best_margin = margin
             best_witness = witness
-    complete = sum(oriented_graph_count(n) for n in range(1, n_max + 1)) <= instance_cap
     return _report("directed-sidorenko", best_margin, best_witness, checked, complete)
 
 

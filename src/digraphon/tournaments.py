@@ -12,11 +12,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import parallel
-from .counting import hom_count_directed, labeled_copies
+from .counting import _compile, _count_maps, labeled_copies
 from .graphs import (
     EnumerationCapExceeded,
     OrientedGraph,
     Tournament,
+    _tournament_mask_range,
     tournament_count,
     tournament_from_index,
 )
@@ -51,11 +52,13 @@ class TournamentStats:
 
 
 def _impartiality_chunk(task) -> dict[int, int]:
+    """Copy-count histogram of the tournaments with indices in [lo, hi),
+    counted on their decoded masks."""
     pattern, n, lo, hi = task
+    steps = _compile(pattern)
     hist: dict[int, int] = {}
-    for index in range(lo, hi):
-        t = tournament_from_index(n, index)
-        c = copies_in_tournament(pattern, t)
+    for out_mask, in_mask, _ in _tournament_mask_range(n, lo, hi):
+        c = _count_maps(steps, out_mask, in_mask, injective=True)
         hist[c] = hist.get(c, 0) + 1
     return hist
 
@@ -86,11 +89,11 @@ def impartiality_check(
 def _anti_sidorenko_chunk(task) -> tuple[int, int]:
     """Return (max hom count, index of the first maximizer) over a range."""
     pattern, n, lo, hi = task
+    steps = _compile(pattern)
     best = -1
     best_index = -1
-    for index in range(lo, hi):
-        t = tournament_from_index(n, index)
-        c = hom_count_directed(pattern, t.as_oriented())
+    for index, (out_mask, in_mask, _) in enumerate(_tournament_mask_range(n, lo, hi), lo):
+        c = _count_maps(steps, out_mask, in_mask)
         if c > best:
             best = c
             best_index = index

@@ -20,7 +20,13 @@ from digraphon import (
     underlying,
     underlying_has_cycle,
 )
-from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
+from digraphon.graphs import (
+    _oriented_mask_range,
+    _tournament_mask_range,
+    oriented_graph_count,
+    oriented_graph_from_index,
+    tournament_count,
+)
 
 from oracles import iso_class_count
 
@@ -248,12 +254,64 @@ class TestEnumeration:
                 3, lambda g: pieces.append(g.sorted_edges()), start=lo, stop=hi)
         assert pieces == whole
 
+    def test_count_only_does_not_decode(self, monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("a count-only enumeration decoded a graph")
+
+        monkeypatch.setattr("digraphon.graphs.oriented_graph_from_index", no_decode)
+        monkeypatch.setattr(Tournament, "from_bits", classmethod(no_decode))
+        assert enumerate_oriented_graphs(6) == 3 ** 15
+        assert enumerate_oriented_graphs(4, start=700, stop=10**6) == 29
+        assert enumerate_tournaments(7) == 2 ** 21
+        assert enumerate_tournaments(3, start=5, stop=2) == 0
+
     def test_tournament_bits_round_trip(self):
         ts = set()
         enumerate_tournaments(3, lambda t: ts.add(tuple(sorted(t.edges))))
         assert len(ts) == 8
         for t in map(Tournament.from_bits, [3] * 8, range(8)):
             assert tuple(sorted(t.edges)) in ts
+
+
+def _reference_masks(graph):
+    out_mask = [0] * graph.vertex_count
+    in_mask = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    return tuple(out_mask), tuple(in_mask), len(graph.edges)
+
+
+class TestMaskDecoders:
+    """The scans' range decoders against the graph-building decoders."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_oriented_every_index(self, n):
+        total = oriented_graph_count(n)
+        expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(total)]
+        assert list(_oriented_mask_range(n, 0, total)) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_tournament_every_index(self, n):
+        total = tournament_count(n)
+        expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(total)]
+        assert list(_tournament_mask_range(n, 0, total)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sub_ranges(self, data):
+        tournaments = data.draw(st.booleans())
+        n = data.draw(st.integers(0, 5 if tournaments else 4))
+        total = tournament_count(n) if tournaments else oriented_graph_count(n)
+        lo = data.draw(st.integers(0, total))
+        hi = data.draw(st.integers(lo, total))
+        if tournaments:
+            got = list(_tournament_mask_range(n, lo, hi))
+            expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(lo, hi)]
+        else:
+            got = list(_oriented_mask_range(n, lo, hi))
+            expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(lo, hi)]
+        assert got == expected
 
 
 class TestDegrees:

@@ -235,6 +235,12 @@ class TestCli:
         assert code == 2
         assert lines == []
 
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_check_sidorenko_empty_family_is_input_error(self, capsys, files, nmax):
+        code, lines = run_cli(capsys, "check-sidorenko", files["edge.graph"], "--nmax", nmax)
+        assert code == 2
+        assert lines == []
+
     def test_impartial(self, capsys, files, tmp_path):
         imp = tmp_path / "imp.graph"
         imp.write_text("D 4 3\n0 1\n2 3\n0 2\n")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,9 @@ from digraphon import (
     t_step,
     w_lambda,
 )
+from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
+
+from oracles import brute_hom_directed
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -95,6 +99,66 @@ class TestExhaustive:
         # Hosts with zero edge density contribute margin t(B,G) >= 0.
         report = check_directed_sidorenko_exhaustive(PATH3, 1)
         assert report.verdict == HOLDS
+
+
+@st.composite
+def small_patterns(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return oriented_graph_from_index(n, draw(st.integers(0, oriented_graph_count(n) - 1)))
+
+
+def brute_min_margin(pattern, n_max):
+    """Minimal margin over every labeled host up to n_max (earliest host on
+    ties), each host built and counted by brute force."""
+    best = None
+    for n in range(1, n_max + 1):
+        for index in range(oriented_graph_count(n)):
+            host = oriented_graph_from_index(n, index)
+            margin = (Fraction(brute_hom_directed(pattern, host), n ** pattern.vertex_count)
+                      - Fraction(host.edge_count, n * n) ** pattern.edge_count)
+            if best is None or margin < best[0]:
+                best = (margin, host)
+    return best
+
+
+class TestExhaustiveDifferential:
+    @settings(max_examples=12, deadline=None)
+    @given(small_patterns())
+    def test_margin_and_witness_match_brute_force(self, pattern):
+        margin, host = brute_min_margin(pattern, 3)
+        for workers in (1, 2):
+            report = check_directed_sidorenko_exhaustive(pattern, 3, workers=workers)
+            assert report.instances_checked == 1 + 3 + 27
+            if margin < 0:
+                assert report.verdict == VIOLATED
+                assert report.witness.host == host
+                assert report.witness.margin == margin
+                assert report.witness.lhs - report.witness.rhs == margin
+            else:
+                assert report.verdict == HOLDS and report.witness is None
+
+    def test_cap_bounds_the_sizes_it_counts(self, monkeypatch):
+        asked = []
+
+        def counting(n):
+            asked.append(n)
+            return oriented_graph_count(n)
+
+        monkeypatch.setattr("digraphon.sidorenko.oriented_graph_count", counting)
+        report = check_directed_sidorenko_exhaustive(EDGE, 50, instance_cap=10)
+        assert report.complete is False and report.instances_checked == 10
+        assert asked == [1, 2, 3]
+
+    def test_cap_equal_to_the_family_is_complete(self):
+        report = check_directed_sidorenko_exhaustive(EDGE, 3, instance_cap=31)
+        assert report.complete is True and report.instances_checked == 31
+        report = check_directed_sidorenko_exhaustive(EDGE, 3, instance_cap=30)
+        assert report.complete is False and report.instances_checked == 30
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_empty_family(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            check_directed_sidorenko_exhaustive(EDGE, n_max)
 
 
 class TestGraphonCheck:

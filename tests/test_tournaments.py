@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraphon import (
     HOLDS,
@@ -12,7 +14,14 @@ from digraphon import (
     copies_in_tournament,
     impartiality_check,
 )
-from digraphon.graphs import tournament_count, tournament_from_index
+from digraphon.graphs import (
+    oriented_graph_count,
+    oriented_graph_from_index,
+    tournament_count,
+    tournament_from_index,
+)
+
+from oracles import brute_copies_directed, brute_hom_directed
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -122,3 +131,42 @@ class TestAntiSidorenko:
         par = anti_sidorenko_check(PATH4, 4, workers=2)
         assert seq.witness.lhs == par.witness.lhs
         assert seq.witness.host == par.witness.host
+
+
+@st.composite
+def small_patterns(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return oriented_graph_from_index(n, draw(st.integers(0, oriented_graph_count(n) - 1)))
+
+
+class TestScansAgainstBruteForce:
+    """Both tournament scans against a loop that builds every tournament
+    and counts by brute force, at one and two workers."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(small_patterns())
+    def test_impartiality_histogram(self, pattern):
+        n = 4
+        expected: dict[int, int] = {}
+        for bits in range(tournament_count(n)):
+            c = brute_copies_directed(pattern, Tournament.from_bits(n, bits).as_oriented())
+            expected[c] = expected.get(c, 0) + 1
+        for workers in (1, 2):
+            stats = impartiality_check(pattern, n, workers=workers)
+            assert stats.counts == expected
+            assert (stats.min, stats.max) == (min(expected), max(expected))
+
+    @settings(max_examples=12, deadline=None)
+    @given(small_patterns())
+    def test_anti_sidorenko_maximiser(self, pattern):
+        n = 4
+        best, best_bits = -1, -1
+        for bits in range(tournament_count(n)):
+            c = brute_hom_directed(pattern, Tournament.from_bits(n, bits).as_oriented())
+            if c > best:
+                best, best_bits = c, bits
+        for workers in (1, 2):
+            report = anti_sidorenko_check(pattern, n, workers=workers)
+            assert report.witness.host == Tournament.from_bits(n, best_bits)
+            assert report.witness.lhs == Fraction(best, n ** pattern.vertex_count)
+            assert report.instances_checked == tournament_count(n)
