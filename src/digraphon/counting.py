@@ -13,8 +13,9 @@ directed counts and labeled copies use the host's masks, undirected counts
 use the adjacency mask for both, and part-respecting bipartite counts are
 the directed counts of the part-oriented pattern in the part-oriented host,
 with each pattern vertex kept to its host part.  The exhaustive scans in
-`sidorenko` and `tournaments` compile a pattern once per chunk of hosts and
-feed the kernel masks decoded straight from host indices.
+`sidorenko` and `tournaments` share one tally engine, `_tally`: it counts
+the hosts of an index range on masks decoded straight from the indices and
+tallies them by (count, edge count) with each key's first index.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .graphs import BipartiteGraph, OrientedGraph, UndirectedGraph, to_part_oriented
+from .graphs import BipartiteGraph, OrientedGraph, UndirectedGraph, _mask_range, to_part_oriented
+from .parallel import map_tasks, split_range
 
 _PLAN_CACHE_SIZE = 4096
 
@@ -115,6 +117,36 @@ def _count_maps(steps: Sequence[tuple[int, Sequence[tuple[int, int]]]],
         return total
 
     return rec(0, 0)
+
+
+# (count, edge count) -> [hosts, first index] over a range of host indices.
+_Tally = dict[tuple[int, int], list[int]]
+
+
+def _tally_chunk(task) -> _Tally:
+    """Tally the hosts with indices in [lo, hi) of the ``states`` encoding
+    (see `graphs._mask_range`) by their map count and edge count."""
+    pattern, n, lo, hi, states, injective = task
+    steps = _compile(pattern)
+    tally: _Tally = {}
+    for index, (out_mask, in_mask, edges) in enumerate(_mask_range(n, lo, hi, states), lo):
+        key = (_count_maps(steps, out_mask, in_mask, injective=injective), edges)
+        tally.setdefault(key, [0, index])[0] += 1
+    return tally
+
+
+def _tally(pattern: OrientedGraph, n: int, count: int,
+           states: tuple[tuple[int, int], ...], injective: bool, workers: int) -> _Tally:
+    """Tally of the hosts with indices in [0, count) on n vertices, split
+    over ``workers``.  Chunks are merged in index order, so each key keeps
+    its earliest index whatever the worker count."""
+    tasks = [(pattern, n, lo, hi, states, injective)
+             for lo, hi in split_range(0, count, workers * 4)]
+    merged: _Tally = {}
+    for part in map_tasks(_tally_chunk, tasks, workers):
+        for key, (hosts, first) in part.items():
+            merged.setdefault(key, [0, first])[0] += hosts
+    return merged
 
 
 def hom_count_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:

@@ -80,6 +80,8 @@ def find_lambda0(
     the target.  Returns the smallest root located this way.
     """
     precision = _as_fraction(precision)
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     v, e = pattern.vertex_count, pattern.edge_count
     if v == 0 or e == 0:
         raise ValueError("pattern must have at least one edge")
@@ -95,15 +97,13 @@ def find_lambda0(
     def density(lam: Fraction) -> Fraction:
         return t_step(pattern, w_lambda(lam))
 
-    end0 = density(_ZERO)
-    end1 = density(_ONE)
+    grid_points = tuple(Fraction(i, grid) for i in range(grid + 1))
+    densities = tuple(density(lam) for lam in grid_points)
+    end0, end1 = densities[0], densities[-1]
     if end0 != 0:
         raise AssertionError("density at lambda=0 should vanish")
     if end1 != Fraction(1, 2) ** v * Fraction(1, 4) ** e or end1 < target:
         raise AssertionError("density at lambda=1 should be the closed form above the target")
-
-    grid_points = tuple(Fraction(i, grid) for i in range(grid + 1))
-    densities = tuple(density(lam) for lam in grid_points)
 
     lambda0: Optional[Fraction] = None
     for i, (lam, val) in enumerate(zip(grid_points, densities)):

@@ -299,7 +299,8 @@ def tournament_from_index(n: int, index: int) -> Tournament:
 
 
 # Pair states of the two index encodings, as (u->v present, v->u present)
-# for the pair u < v; the state is the pair's digit of the index.
+# for the pair u < v; the state is the pair's digit of the index.  These are
+# the encodings of `oriented_graph_from_index` and `tournament_from_index`.
 _ORIENTED_STATES = ((0, 0), (1, 0), (0, 1))
 _TOURNAMENT_STATES = ((1, 0), (0, 1))
 # (out-neighbour masks, in-neighbour masks, edge count) per host of a range.
@@ -355,16 +356,6 @@ def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -
                 digits[k] = s + 1
                 break
             digits[k] = 0
-
-
-def _oriented_mask_range(n: int, lo: int, hi: int) -> _Masks:
-    """Masks and edge counts of ``oriented_graph_from_index(n, i)``, lo <= i < hi."""
-    return _mask_range(n, lo, hi, _ORIENTED_STATES)
-
-
-def _tournament_mask_range(n: int, lo: int, hi: int) -> _Masks:
-    """Masks and edge counts of ``tournament_from_index(n, i)``, lo <= i < hi."""
-    return _mask_range(n, lo, hi, _TOURNAMENT_STATES)
 
 
 def oriented_graph_count(n: int) -> int:

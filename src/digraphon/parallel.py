@@ -9,13 +9,21 @@ library calls may override it per invocation.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence, TypeVar
 
 WORKERS_ENV = "DIGRAPHON_WORKERS"
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# The live pool and its worker count; the lock keeps one caller at a time
+# from replacing the pool while another maps over it.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -47,9 +55,22 @@ def map_tasks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]
     """Apply ``fn`` over tasks, in order, optionally in a process pool.
 
     ``fn`` must be a module-level function and the tasks picklable; results
-    come back in task order so merges stay deterministic.
+    come back in task order so merges stay deterministic.  The pool starts
+    on the first pooled call and serves later calls with the same worker
+    count; another count replaces it, and a broken pool is dropped so the
+    next call starts a fresh one.  Workers keep the module state they
+    started with, so a later change to it does not reach them.
     """
+    global _pool, _pool_workers
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        try:
+            return list(_pool.map(fn, tasks))
+        except BrokenProcessPool:
+            _pool = None
+            raise

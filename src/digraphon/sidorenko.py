@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import parallel
-from .counting import _compile, _count_maps, t_directed, t_undirected
+from .counting import _tally, t_directed, t_undirected
 from .graphs import (
+    _ORIENTED_STATES,
     BipartiteGraph,
     OrientedGraph,
-    _oriented_mask_range,
     oriented_graph_count,
     oriented_graph_from_index,
     to_part_oriented,
@@ -85,32 +85,6 @@ def directed_sidorenko_margin(pattern: OrientedGraph, host: OrientedGraph) -> Ch
     return CheckWitness(host, lhs, rhs, lhs - rhs)
 
 
-def _scan_host_range(task) -> tuple[Optional[Fraction], Optional[CheckWitness], int]:
-    """Scan labeled hosts on n vertices with indices in [lo, hi); return the
-    minimal margin (earliest host on ties), its witness, and the count.
-
-    Every host of the range shares the denominator n^(v+2e) of the margin
-    t(B,G) - (e_G/n^2)^e, so margins are compared by their integer
-    numerators hom*n^(2e) - e_G^e*n^v; only the winner is built as a graph.
-    """
-    pattern, n, lo, hi = task
-    steps = _compile(pattern)
-    hom_scale = n ** (2 * pattern.edge_count)
-    edge_term = [e ** pattern.edge_count * n ** pattern.vertex_count
-                 for e in range(n * (n - 1) // 2 + 1)]
-    best: Optional[int] = None
-    best_index = lo
-    for index, (out_mask, in_mask, edges) in enumerate(_oriented_mask_range(n, lo, hi), lo):
-        numerator = _count_maps(steps, out_mask, in_mask) * hom_scale - edge_term[edges]
-        if best is None or numerator < best:
-            best = numerator
-            best_index = index
-    if best is None:
-        return None, None, 0
-    witness = directed_sidorenko_margin(pattern, oriented_graph_from_index(n, best_index))
-    return witness.margin, witness, hi - lo
-
-
 def check_directed_sidorenko_exhaustive(
     pattern: OrientedGraph,
     n_max: int,
@@ -129,33 +103,38 @@ def check_directed_sidorenko_exhaustive(
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     workers = parallel.resolve_workers(workers)
+    v, e = pattern.vertex_count, pattern.edge_count
     remaining = instance_cap
     complete = True
-    tasks = []
+    checked = 0
+    best_margin: Optional[Fraction] = None
+    best_host = (0, 0)
     for n in range(1, n_max + 1):
         total = oriented_graph_count(n)
         count = min(total, remaining)
         remaining -= count
-        for lo, hi in parallel.split_range(0, count, workers * 4):
-            tasks.append((pattern, n, lo, hi))
+        tally = _tally(pattern, n, count, _ORIENTED_STATES, False, workers)
+        if tally:
+            checked += sum(hosts for hosts, _ in tally.values())
+            # Every host on n vertices shares the denominator n^(v+2e) of its
+            # margin t(B,G) - (e_G/n^2)^e, so the minimum is taken over the
+            # integer numerators hom*n^(2e) - e_G^e*n^v; ties keep the
+            # earliest index.
+            hom_scale, edge_scale = n ** (2 * e), n ** v
+            numerator, index = min((hom * hom_scale - edges ** e * edge_scale, first)
+                                   for (hom, edges), (_, first) in tally.items())
+            margin = Fraction(numerator, n ** (v + 2 * e))
+            if best_margin is None or margin < best_margin:
+                best_margin = margin
+                best_host = (n, index)
         if count < total:
             # The cap cut this size short; larger sizes are not even counted.
             complete = False
             break
-    results = parallel.map_tasks(_scan_host_range, tasks, workers)
-
-    best_margin: Optional[Fraction] = None
-    best_witness: Optional[CheckWitness] = None
-    checked = 0
-    # Tasks are ordered by (host size, index range), and only strictly
-    # smaller margins replace the incumbent, so ties keep the earliest host
-    # regardless of the worker count.
-    for margin, witness, count in results:
-        checked += count
-        if margin is not None and (best_margin is None or margin < best_margin):
-            best_margin = margin
-            best_witness = witness
-    return _report("directed-sidorenko", best_margin, best_witness, checked, complete)
+    witness = None
+    if best_margin is not None and best_margin < 0:
+        witness = directed_sidorenko_margin(pattern, oriented_graph_from_index(*best_host))
+    return _report("directed-sidorenko", best_margin, witness, checked, complete)
 
 
 def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:

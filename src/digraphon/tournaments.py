@@ -12,12 +12,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import parallel
-from .counting import _compile, _count_maps, labeled_copies
+from .counting import _tally, labeled_copies
 from .graphs import (
+    _TOURNAMENT_STATES,
     EnumerationCapExceeded,
     OrientedGraph,
     Tournament,
-    _tournament_mask_range,
     tournament_count,
     tournament_from_index,
 )
@@ -51,18 +51,6 @@ class TournamentStats:
         return sum(self.counts.values())
 
 
-def _impartiality_chunk(task) -> dict[int, int]:
-    """Copy-count histogram of the tournaments with indices in [lo, hi),
-    counted on their decoded masks."""
-    pattern, n, lo, hi = task
-    steps = _compile(pattern)
-    hist: dict[int, int] = {}
-    for out_mask, in_mask, _ in _tournament_mask_range(n, lo, hi):
-        c = _count_maps(steps, out_mask, in_mask, injective=True)
-        hist[c] = hist.get(c, 0) + 1
-    return hist
-
-
 def impartiality_check(
     pattern: OrientedGraph,
     n: int,
@@ -74,30 +62,13 @@ def impartiality_check(
     ``constant=True`` certifies impartiality at this n."""
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds impartiality cap {cap}")
-    workers = parallel.resolve_workers(workers)
-    total = tournament_count(n)
-    tasks = [(pattern, n, lo, hi)
-             for lo, hi in parallel.split_range(0, total, workers * 4)]
-    hist: dict[int, int] = {}
-    for part in parallel.map_tasks(_impartiality_chunk, tasks, workers):
-        for value, times in part.items():
-            hist[value] = hist.get(value, 0) + times
+    tally = _tally(pattern, n, tournament_count(n), _TOURNAMENT_STATES, True,
+                   parallel.resolve_workers(workers))
+    # Every tournament on n vertices has the same edge count, so the tally
+    # keys differ only in the copy count.
+    hist = {copies: hosts for (copies, _), (hosts, _) in tally.items()}
     lo, hi = min(hist), max(hist)
     return TournamentStats(n=n, counts=hist, min=lo, max=hi, constant=lo == hi)
-
-
-def _anti_sidorenko_chunk(task) -> tuple[int, int]:
-    """Return (max hom count, index of the first maximizer) over a range."""
-    pattern, n, lo, hi = task
-    steps = _compile(pattern)
-    best = -1
-    best_index = -1
-    for index, (out_mask, in_mask, _) in enumerate(_tournament_mask_range(n, lo, hi), lo):
-        c = _count_maps(steps, out_mask, in_mask)
-        if c > best:
-            best = c
-            best_index = index
-    return best, best_index
 
 
 def anti_sidorenko_check(
@@ -118,16 +89,11 @@ def anti_sidorenko_check(
         raise EnumerationCapExceeded(f"n={n} exceeds anti-Sidorenko cap {cap}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    workers = parallel.resolve_workers(workers)
     total = tournament_count(n)
-    tasks = [(pattern, n, lo, hi)
-             for lo, hi in parallel.split_range(0, total, workers * 4)]
-    best = -1
-    best_index = -1
-    for chunk_best, chunk_index in parallel.map_tasks(_anti_sidorenko_chunk, tasks, workers):
-        if chunk_best > best:
-            best = chunk_best
-            best_index = chunk_index
+    tally = _tally(pattern, n, total, _TOURNAMENT_STATES, False,
+                   parallel.resolve_workers(workers))
+    best = max(hom for hom, _ in tally)
+    best_index = min(first for (hom, _), (_, first) in tally.items() if hom == best)
     max_density = Fraction(best, n ** pattern.vertex_count)
     bound = Fraction(1, 2) ** pattern.edge_count
     margin = bound - max_density

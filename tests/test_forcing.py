@@ -124,6 +124,12 @@ class TestFindLambda0:
         with pytest.raises(ValueError):
             find_lambda0(OrientedGraph(1), PRECISION)
 
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_rejects_empty_grid(self, grid):
+        # The endpoint checks read the grid's first and last densities.
+        with pytest.raises(ValueError, match="grid must be"):
+            find_lambda0(TRIANGLE, PRECISION, grid=grid)
+
     def test_every_valid_three_vertex_pattern_has_root(self):
         from digraphon import hom_to_edge_bipartition
         from digraphon.graphs import oriented_graph_count, oriented_graph_from_index

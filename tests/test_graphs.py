@@ -21,8 +21,9 @@ from digraphon import (
     underlying_has_cycle,
 )
 from digraphon.graphs import (
-    _oriented_mask_range,
-    _tournament_mask_range,
+    _ORIENTED_STATES,
+    _TOURNAMENT_STATES,
+    _mask_range,
     oriented_graph_count,
     oriented_graph_from_index,
     tournament_count,
@@ -289,13 +290,13 @@ class TestMaskDecoders:
     def test_oriented_every_index(self, n):
         total = oriented_graph_count(n)
         expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(total)]
-        assert list(_oriented_mask_range(n, 0, total)) == expected
+        assert list(_mask_range(n, 0, total, _ORIENTED_STATES)) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_tournament_every_index(self, n):
         total = tournament_count(n)
         expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(total)]
-        assert list(_tournament_mask_range(n, 0, total)) == expected
+        assert list(_mask_range(n, 0, total, _TOURNAMENT_STATES)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -306,10 +307,10 @@ class TestMaskDecoders:
         lo = data.draw(st.integers(0, total))
         hi = data.draw(st.integers(lo, total))
         if tournaments:
-            got = list(_tournament_mask_range(n, lo, hi))
+            got = list(_mask_range(n, lo, hi, _TOURNAMENT_STATES))
             expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(lo, hi)]
         else:
-            got = list(_oriented_mask_range(n, lo, hi))
+            got = list(_mask_range(n, lo, hi, _ORIENTED_STATES))
             expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(lo, hi)]
         assert got == expected
 

@@ -1,5 +1,10 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+from digraphon import parallel
 from digraphon.parallel import WORKERS_ENV, map_tasks, resolve_workers, split_range
 from digraphon.stepgraphon import _warn_if_large
 
@@ -45,6 +50,10 @@ def _square(x):
     return x * x
 
 
+def _exit_worker(x):
+    os._exit(1)
+
+
 class TestMapTasks:
     def test_sequential(self):
         assert map_tasks(_square, [1, 2, 3], workers=1) == [1, 4, 9]
@@ -52,6 +61,32 @@ class TestMapTasks:
     def test_pooled_preserves_order(self):
         assert map_tasks(_square, list(range(20)), workers=2) == \
             [x * x for x in range(20)]
+
+    def test_pool_is_reused_per_worker_count(self, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        # Start from no pool; the one in place is restored afterwards.
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.setattr(parallel, "_pool_workers", 0)
+        try:
+            assert map_tasks(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+            assert map_tasks(_square, [4, 5], workers=2) == [16, 25]
+            assert started == [2]
+            assert map_tasks(_square, [1, 2, 3], workers=3) == [1, 4, 9]
+            assert started == [2, 3]
+            with pytest.raises(BrokenProcessPool):
+                map_tasks(_exit_worker, [1, 2], workers=3)
+            assert map_tasks(_square, [6, 7], workers=3) == [36, 49]
+            assert started == [2, 3, 3]
+        finally:
+            if parallel._pool is not None:
+                parallel._pool.shutdown()
 
 
 def test_large_density_sums_warn():

@@ -95,6 +95,16 @@ class TestExhaustive:
             assert report.witness.margin < 0
             assert t_directed(pattern, oriented_knn(2)) == 0
 
+    def test_ties_across_sizes_keep_the_smaller_host(self):
+        # The single edge gives margin 0 - (1/4)^3; so does its blow-up, the
+        # oriented K_{2,2} on 4 vertices, and no host on <= 4 vertices beats it.
+        pattern = OrientedGraph(4, [(0, 1), (0, 3), (1, 2)])
+        assert t_directed(pattern, oriented_knn(2)) == 0
+        for workers in (1, 2):
+            report = check_directed_sidorenko_exhaustive(pattern, 4, workers=workers)
+            assert report.witness.margin == Fraction(-1, 64)
+            assert report.witness.host == OrientedGraph(2, [(0, 1)])
+
     def test_empty_hosts_never_false_violations(self):
         # Hosts with zero edge density contribute margin t(B,G) >= 0.
         report = check_directed_sidorenko_exhaustive(PATH3, 1)
@@ -126,7 +136,7 @@ class TestExhaustiveDifferential:
     @given(small_patterns())
     def test_margin_and_witness_match_brute_force(self, pattern):
         margin, host = brute_min_margin(pattern, 3)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             report = check_directed_sidorenko_exhaustive(pattern, 3, workers=workers)
             assert report.instances_checked == 1 + 3 + 27
             if margin < 0:
@@ -136,6 +146,22 @@ class TestExhaustiveDifferential:
                 assert report.witness.lhs - report.witness.rhs == margin
             else:
                 assert report.verdict == HOLDS and report.witness is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_decodes_one_witness(self, monkeypatch, workers):
+        decoded = []
+
+        def decoding(n, index):
+            decoded.append((n, index))
+            return oriented_graph_from_index(n, index)
+
+        monkeypatch.setattr("digraphon.sidorenko.oriented_graph_from_index", decoding)
+        report = check_directed_sidorenko_exhaustive(PATH3, 3, workers=workers)
+        assert report.verdict == VIOLATED and len(decoded) == 1
+        assert report.witness.host == oriented_graph_from_index(*decoded[0])
+        # A scan that holds reports no witness and decodes none.
+        check_directed_sidorenko_exhaustive(EDGE, 3, workers=workers)
+        assert len(decoded) == 1
 
     def test_cap_bounds_the_sizes_it_counts(self, monkeypatch):
         asked = []
@@ -154,6 +180,12 @@ class TestExhaustiveDifferential:
         assert report.complete is True and report.instances_checked == 31
         report = check_directed_sidorenko_exhaustive(EDGE, 3, instance_cap=30)
         assert report.complete is False and report.instances_checked == 30
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_nonpositive_cap_checks_nothing(self, cap):
+        report = check_directed_sidorenko_exhaustive(PATH3, 3, instance_cap=cap)
+        assert report.instances_checked == 0 and report.complete is False
+        assert report.verdict == HOLDS and report.witness is None
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_rejects_empty_family(self, n_max):

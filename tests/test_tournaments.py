@@ -141,7 +141,7 @@ def small_patterns(draw, max_n=4):
 
 class TestScansAgainstBruteForce:
     """Both tournament scans against a loop that builds every tournament
-    and counts by brute force, at one and two workers."""
+    and counts by brute force, at one, two and three workers."""
 
     @settings(max_examples=12, deadline=None)
     @given(small_patterns())
@@ -151,7 +151,7 @@ class TestScansAgainstBruteForce:
         for bits in range(tournament_count(n)):
             c = brute_copies_directed(pattern, Tournament.from_bits(n, bits).as_oriented())
             expected[c] = expected.get(c, 0) + 1
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             stats = impartiality_check(pattern, n, workers=workers)
             assert stats.counts == expected
             assert (stats.min, stats.max) == (min(expected), max(expected))
@@ -165,7 +165,7 @@ class TestScansAgainstBruteForce:
             c = brute_hom_directed(pattern, Tournament.from_bits(n, bits).as_oriented())
             if c > best:
                 best, best_bits = c, bits
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             report = anti_sidorenko_check(pattern, n, workers=workers)
             assert report.witness.host == Tournament.from_bits(n, best_bits)
             assert report.witness.lhs == Fraction(best, n ** pattern.vertex_count)
