@@ -40,17 +40,20 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _lambda_numerators(lam: Fraction) -> tuple[list[list[int]], int]:
+    """The values of W^(lambda) as integer numerators over their common
+    denominator 4b, for lambda = a/b."""
+    a, b = lam.numerator, lam.denominator
+    return [[0, 0, 0, 0], [4 * (b - a), 0, 0, 0], [0, 0, a, a], [0, 0, a, a]], 4 * b
+
+
 def w_lambda(lam) -> StepGraphon:
     """The four-part interpolating graphon; mean 1/16 for every lambda."""
     lam = _as_fraction(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0,1]")
-    values = [[_ZERO] * 4 for _ in range(4)]
-    values[1][0] = 1 - lam
-    for i in (2, 3):
-        for j in (2, 3):
-            values[i][j] = lam / 4
-    return StepGraphon([Fraction(1, 4)] * 4, values)
+    values, d = _lambda_numerators(lam)
+    return StepGraphon([Fraction(1, 4)] * 4, [[Fraction(x, d) for x in row] for row in values])
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,12 @@ def find_lambda0(
             "equals the target for every lambda, so no isolated root exists")
 
     target = LAMBDA_FAMILY_MEAN ** e
+    edges = pattern.sorted_edges()
 
     def density(lam: Fraction) -> Fraction:
-        return t_step(pattern, w_lambda(lam))
+        # t_step(pattern, w_lambda(lam)) without building the graphon.
+        values, d = _lambda_numerators(lam)
+        return Fraction(_map_sum(v, edges, [1] * 4, values), 4 ** v * d ** e)
 
     grid_points = tuple(Fraction(i, grid) for i in range(grid + 1))
     densities = tuple(density(lam) for lam in grid_points)
@@ -197,8 +203,9 @@ def _float_t_and_grad(x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         suf = np.ones_like(vals)
     others = pre * suf
     t = float(vals.prod(axis=1).sum()) * scale
-    grad = np.zeros_like(x)
-    np.add.at(grad, (rows, cols), others)
+    k = x.shape[0]
+    grad = np.bincount((rows * k + cols).ravel(), weights=others.ravel(),
+                       minlength=k * k).reshape(k, k)
     return t, grad * scale
 
 

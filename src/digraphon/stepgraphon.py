@@ -1,12 +1,17 @@
 """Step graphons: piecewise-constant [0,1]^2 -> [0,1] functions on a common
 interval partition, with exact density functionals and cut norms.
 
-All arithmetic is rational.  Every density is one depth-first sum over the
-maps of pattern vertices to parts, pruned at zero cell values, so it visits
-at most (#parts)^v(pattern) leaves; it is accumulated as integers over a
-common denominator and reduced once.  The sum places vertices in the cached
-plan the hom counters share (`counting._plan`), so a pattern's order and
-back edges are computed once; only the value tables are built per call.
+All arithmetic is rational.  Every density is one sum over the maps of
+pattern vertices to parts, accumulated as integers over a common
+denominator and reduced once.  The sum places vertices in the cached plan
+the hom counters share (`counting._plan`) and prunes at zero cell values.
+It caches suffix sums: the sum over the vertices from position i of the
+plan on depends only on the images of position i's key, the earlier
+vertices with an edge to position i or later.  So each suffix sum is
+computed once per image of its key, and the work is at most
+sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  The
+keys are computed once per plan (`_sum_plan`); only the value tables and
+the memo are built per call.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from math import floor, lcm
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
-from .counting import _plan
+from .counting import _PLAN_CACHE_SIZE, _plan
 from .graphs import BipartiteGraph, OrientedGraph, to_part_oriented
 
 TERM_WARNING_THRESHOLD = 10**7
@@ -152,21 +159,52 @@ def _warn_if_large(terms: int) -> None:
         )
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
+              ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
+                         tuple[Optional[Callable], ...]]:
+    """`counting._plan`'s back edges, the key of every position, and the
+    getter of its key's images where `_map_sum` memoises.
+
+    The key of position i holds the earlier positions with an edge to
+    position i or later: the sum over the images of positions i..v-1
+    depends on the earlier images only through them.  A position whose key
+    is every earlier position gets no getter, as no key can repeat there.
+    """
+    _, back = _plan(v, edges, free)
+    reach = list(range(v))  # the latest position each position has an edge to
+    for i, bk in enumerate(back):
+        for j, _ in bk:
+            reach[j] = i
+    keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
+    getters = tuple((itemgetter(*key) if key else _no_key) if len(key) < i else None
+                    for i, key in enumerate(keys))
+    return back, keys, getters
+
+
+def _no_key(img: Sequence[int]) -> tuple[()]:
+    return ()
+
+
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
              values: Sequence[Sequence[int]], free: Sequence[int] = ()):
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
-    A depth-first search places one vertex at a time, in the order of the
-    pattern's cached plan (`counting._plan`), carrying the product of
-    part weights and of edge values back to placed vertices, and drops a
-    branch at its first zero factor.  The ``free`` vertices are placed first;
-    with ``free`` given, the result maps each tuple of their images (in
-    ``free`` order) to its nonzero subtotal, else it is the total.
+    Variable elimination along the pattern's cached plan
+    (`counting._plan`): a depth-first search places one vertex at a time,
+    multiplies in its part weight and the values of its edges back to
+    placed vertices, and drops a branch at its first zero factor.  The sum
+    over the positions i..v-1 depends only on the images of position i's
+    key (`_sum_plan`), so it is memoised per call on them.  With k parts the
+    work is at most sum_i k^(|key_i| + 1) steps rather than k^v.  The
+    ``free`` vertices take the first positions and are never memoised; with
+    ``free`` given, the result maps each tuple of their images (in ``free``
+    order) to its nonzero subtotal, else it is the total.
     """
     if v == 0:
         return 1
-    _, back = _plan(v, tuple(sorted(edges)), tuple(free))
+    back, _, getters = _sum_plan(v, tuple(sorted(edges)), tuple(free))
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
@@ -180,38 +218,60 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     img = [0] * v
     last = v - 1
     m = len(free)
-    out: dict[tuple[int, ...], int] = {}
+    memos: list[dict] = [{} for _ in range(v)]
 
-    def rec(i: int, acc: int) -> int:
+    def suffix(i: int) -> int:
+        """The sum over the images of positions i..v-1, given the earlier
+        images in ``img``."""
+        getter = getters[i]
+        if getter is not None:
+            key = getter(img)
+            total = memos[i].get(key)
+            if total is not None:
+                return total
         j0, table, rest = steps[i]
         rows = [mat[img[j]] for j, mat in rest]
-        leaf = i == last and i >= m
+        inner = i < last
         total = 0
         for c, f in table[img[j0]] if j0 >= 0 else table:
             for row in rows:
                 f *= row[c]
                 if not f:
                     break
-            if leaf or not f:
-                total += f
-                continue
-            img[i] = c
-            sub = rec(i + 1, acc * f) if i < last else acc * f
-            if i == m - 1 and sub:
-                out[tuple(img[:m])] = sub
-            total += sub
-        return acc * total if leaf else total
+            if f and inner:
+                img[i] = c
+                f *= suffix(i + 1)
+            total += f
+        if getter is not None:
+            memos[i][key] = total
+        return total
 
-    total = rec(0, 1)
-    return out if free else total
+    if not free:
+        return suffix(0)
+    # Each tuple of free images, in order, gets its own subtotal.
+    out: dict[tuple[int, ...], int] = {}
+    for images in product(parts, repeat=m):
+        img[:m] = images
+        f = 1
+        for i in range(m):
+            f *= weights[img[i]]
+            for j, t in back[i]:
+                f *= matrices[t][img[j]][img[i]]
+        if f and m < v:
+            f *= suffix(m)
+        if f:
+            out[images] = f
+    return out
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
-    v = pattern.vertex_count
-    _warn_if_large(w.num_parts ** v)
+    v, edges = pattern.vertex_count, pattern.sorted_edges()
+    k = w.num_parts
+    # The work bound of `_map_sum`, not the k^v maps it sums over.
+    _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges), ())[1]))
     (lnum,), dl = _numerators([w.part_lengths])
     vnum, dv = _numerators(w.values)
-    total = _map_sum(v, pattern.sorted_edges(), lnum, vnum)
+    total = _map_sum(v, edges, lnum, vnum)
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
 

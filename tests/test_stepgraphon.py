@@ -1,4 +1,6 @@
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import (
     brute_cut_norm_centered,
+    brute_free_subtotals,
     brute_t_bip_step,
+    brute_t_gradient,
     brute_t_step,
 )
 
@@ -209,6 +213,68 @@ class TestDensities:
     @given(bipartite_graphs(max_part=2), bipartite_graphs(max_part=3))
     def test_bipartite_consistency(self, pattern, host):
         assert t_bip_step(pattern, from_bipartite(host)) == t_bip(pattern, host)
+
+
+@st.composite
+def map_sum_instances(draw, max_n=6, max_parts=3):
+    """A pattern (isolated vertices and several components allowed), integer
+    part weights and cell values with zeros, as the weighted graphon the
+    oracles read, and 1-3 distinct free vertices."""
+    pattern = draw(oriented_graphs(max_n=max_n))
+    k = draw(st.integers(1, max_parts))
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    values = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(k)]
+    order = draw(st.permutations(range(pattern.vertex_count)))
+    free = tuple(order[:draw(st.integers(1, min(3, pattern.vertex_count)))])
+    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values), free
+
+
+class TestMapSum:
+    @settings(max_examples=80, deadline=None)
+    @given(map_sum_instances())
+    def test_total_and_free_subtotals_match_brute_force(self, instance):
+        pattern, w, free = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
+        subtotals = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free=free)
+        assert subtotals == brute_free_subtotals(pattern, w, free)
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_sum_instances(max_n=5))
+    def test_gradient_matches_brute_force(self, instance):
+        # The gradient in a cell sums, over the edges, the sum without that
+        # edge with its endpoints free and mapped onto the cell.
+        pattern, w, _ = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        grad: dict[tuple[int, int], int] = {}
+        for i, (a, b) in enumerate(edges):
+            rest = edges[:i] + edges[i + 1:]
+            for cell, sub in stepgraphon._map_sum(v, rest, w.part_lengths, w.values,
+                                                  free=(a, b)).items():
+                grad[cell] = grad.get(cell, 0) + sub
+        assert grad == {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
+
+    def test_long_path_matches_matrix_powers(self):
+        # 8^10 maps, but each suffix sum depends on at most two earlier
+        # images, so the priced work stays below the warning threshold.
+        w = random_graphon(8, seed=21)
+        path = OrientedGraph(10, [(i, i + 1) for i in range(9)])
+        vec = [Fraction(1)] * 8
+        for _ in range(9):
+            vec = [sum(x * y for x, y in zip(row, vec)) for row in w.values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert t_step(path, w) == sum(vec) / 8 ** 10
+
+    def test_dense_pattern_still_warns(self):
+        # Every key of a transitive tournament is its whole prefix, so the
+        # priced work is sum_i 8^(i+1) > 10^7; the warning, raised as an
+        # error, stops the call before the sum starts.
+        tt8 = OrientedGraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning):
+                t_step(tt8, random_graphon(8, seed=21))
 
 
 class TestSwitchingIdentity:
