@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor
+from math import floor, gcd
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .graphs import OrientedGraph, hom_to_edge_bipartition, underlying_has_cycle
 from .stepgraphon import (
     StepGraphon,
     _map_sum,
-    _numerators,
     cut_norm_centered,
     from_oriented,
     t_step,
@@ -31,8 +30,10 @@ LAMBDA_FAMILY_MEAN = Fraction(1, 16)
 DEFAULT_PRECISION = Fraction(1, 2**40)
 DEFAULT_GRID = 256
 RATIONALIZE_DENOMINATOR = 2**16
+PGD_STEP_SIZE = 0.05
+# The float descent indexes parts^v x e cells; larger searches are refused.
+MAX_PGD_INDICES = 2**20
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -210,7 +211,7 @@ def _float_t_and_grad(x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
-                   step_size: float, max_iterations: int) -> np.ndarray:
+                   max_iterations: int) -> np.ndarray:
     """One projected-gradient restart on the squared constraint residuals."""
     rng = np.random.default_rng(seed)
     rows, cols = _map_cells(pattern, parts)
@@ -228,7 +229,7 @@ def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
 
     x = rng.uniform(0.0, 1.0, size=(parts, parts))
     f, grad = objective(x)
-    step = step_size
+    step = PGD_STEP_SIZE
     for _ in range(max_iterations):
         if f < 1e-26 or step < 1e-14:
             break
@@ -241,116 +242,111 @@ def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
     return x
 
 
-def _exact_density(pattern: OrientedGraph, values: list[list[Fraction]]) -> Fraction:
-    """t(B, W) for the step graphon W on len(values) equal parts."""
-    parts, v, edges = len(values), pattern.vertex_count, pattern.sorted_edges()
-    num, d = _numerators(values)
-    return Fraction(_map_sum(v, edges, [1] * parts, num), d ** len(edges) * parts ** v)
+def _exact_density(pattern: OrientedGraph, cells: list[list[int]]) -> int:
+    """t(B, W) * d^e * parts^v, for the step graphon W on len(cells) equal
+    parts whose values are the integer numerators ``cells`` over d."""
+    return _map_sum(pattern.vertex_count, pattern.sorted_edges(), [1] * len(cells), cells)
 
 
 def _exact_density_gradient(pattern: OrientedGraph,
-                            values: list[list[Fraction]]) -> dict[tuple[int, int], Fraction]:
-    """Nonzero partial derivatives of ``_exact_density`` in the cell values.
+                            cells: list[list[int]]) -> dict[tuple[int, int], int]:
+    """Nonzero partial derivatives of t(B, W) in the cell values, times
+    d^(e-1) * parts^v, for cells as in ``_exact_density``.
 
     The derivative in a cell sums, over the edges, the density sum with that
     edge left out and its two endpoints mapped onto the cell.
     """
-    parts, v, edges = len(values), pattern.vertex_count, pattern.sorted_edges()
-    num, d = _numerators(values)
-    sums: dict[tuple[int, int], int] = {}
+    parts, v, edges = len(cells), pattern.vertex_count, pattern.sorted_edges()
+    grad: dict[tuple[int, int], int] = {}
     for i, (a, b) in enumerate(edges):
         rest = edges[:i] + edges[i + 1:]
-        for cell, sub in _map_sum(v, rest, [1] * parts, num, free=(a, b)).items():
-            sums[cell] = sums.get(cell, 0) + sub
-    scale = d ** (len(edges) - 1) * parts ** v
-    return {cell: Fraction(sub, scale) for cell, sub in sums.items()}
+        for cell, sub in _map_sum(v, rest, [1] * parts, cells, free=(a, b)).items():
+            grad[cell] = grad.get(cell, 0) + sub
+    return grad
 
 
-def _rationalize(x: np.ndarray, denom: int) -> list[list[Fraction]]:
-    k = x.shape[0]
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            q = Fraction(min(max(int(round(float(x[i, j]) * denom)), 0), denom), denom)
-            row.append(q)
-        out.append(row)
-    return out
+def _rationalize(x: np.ndarray, unit: int) -> list[list[int]]:
+    """The cells rounded to the 1/2^16 grid, clamped to [0, 1], as
+    numerators over d = unit * 2^16."""
+    denom = RATIONALIZE_DENOMINATOR
+    return [[min(max(int(round(float(c) * denom)), 0), denom) * unit for c in row]
+            for row in x]
 
 
-def _repair_mean(values: list[list[Fraction]], target_sum: Fraction) -> bool:
-    """Shift cell values in place until they sum exactly to ``target_sum``."""
-    k = len(values)
-    deficit = target_sum - sum(sum(row) for row in values)
-    for i in range(k):
-        for j in range(k):
+def _repair_mean(cells: list[list[int]], target_sum: int, d: int) -> bool:
+    """Shift cell numerators in place, each within [0, d], until they sum
+    exactly to ``target_sum``."""
+    deficit = target_sum - sum(map(sum, cells))
+    for row in cells:
+        for j, c in enumerate(row):
             if deficit == 0:
                 return True
-            new_val = min(max(values[i][j] + deficit, _ZERO), _ONE)
-            deficit -= new_val - values[i][j]
-            values[i][j] = new_val
+            row[j] = min(max(c + deficit, 0), d)
+            deficit -= row[j] - c
     return deficit == 0
 
 
-def _polish_density(pattern: OrientedGraph, values: list[list[Fraction]],
-                    target_t: Fraction, tol: Fraction, denom: int,
-                    rounds: int = 60) -> bool:
-    """Drive the exact density residual below ``tol`` with mean-preserving
-    two-cell moves on the 1/denom grid.
+def _polish_density(pattern: OrientedGraph, cells: list[list[int]], p: Fraction,
+                    tol: Fraction, d: int, rounds: int = 60) -> bool:
+    """Drive |t(B, W) - p^e| below ``tol`` with mean-preserving two-cell
+    moves on the 1/2^16 grid, for W with cell numerators ``cells`` over d.
 
     Each move shifts one cell by +delta and another by -delta, so the mean
-    stays exact; delta is the linearized correction rounded to the grid, and
-    candidate moves are accepted only if the exactly recomputed residual
-    shrinks.  Pairs with nearly equal sensitivities provide arbitrarily fine
-    knobs, which is what lets the residual cross the tolerance despite the
-    grid quantization.
+    stays exact; delta is the linearized correction rounded down or up to a
+    multiple of unit = d / 2^16, and candidate moves are accepted only if
+    the exactly recomputed residual shrinks.  Pairs with nearly equal
+    sensitivities provide arbitrarily fine knobs, which is what lets the
+    residual cross the tolerance despite the grid quantization.  Densities
+    are integers over d^e * parts^v; the residual is one too, so comparing
+    it with floor(tol * d^e * parts^v) is exact.
     """
-    parts = len(values)
-    step = Fraction(1, denom)
+    parts, v, e = len(cells), pattern.vertex_count, pattern.edge_count
+    unit = d // RATIONALIZE_DENOMINATOR
+    scale = d ** e * parts ** v
+    target = int(p * d) ** e * parts ** v
+    tol_scaled = floor(tol * scale)
     all_cells = [(i, j) for i in range(parts) for j in range(parts)]
-    residual = _exact_density(pattern, values) - target_t
+    residual = _exact_density(pattern, cells) - target
     for _ in range(rounds):
-        if abs(residual) <= tol:
+        if abs(residual) <= tol_scaled:
             return True
-        grad = _exact_density_gradient(pattern, values)
+        grad = _exact_density_gradient(pattern, cells)
         candidates = []
         for c_up in all_cells:
-            g_up = grad.get(c_up, _ZERO)
+            g_up = grad.get(c_up, 0)
             for c_down in all_cells:
                 if c_down == c_up:
                     continue
-                slope = g_up - grad.get(c_down, _ZERO)
+                slope = g_up - grad.get(c_down, 0)
                 if slope == 0:
                     continue
-                ideal = -residual / slope
-                lo = floor(ideal * denom)
+                lo = -residual // (slope * unit)
                 for m in (lo, lo + 1):
-                    delta = Fraction(m) * step
+                    delta = m * unit
                     if delta == 0:
                         continue
-                    if not (0 <= values[c_up[0]][c_up[1]] + delta <= 1):
+                    if not (0 <= cells[c_up[0]][c_up[1]] + delta <= d):
                         continue
-                    if not (0 <= values[c_down[0]][c_down[1]] - delta <= 1):
+                    if not (0 <= cells[c_down[0]][c_down[1]] - delta <= d):
                         continue
-                    predicted = abs(residual + slope * delta)
-                    candidates.append((predicted, c_up, c_down, delta))
+                    candidates.append((abs(residual + slope * delta), c_up, c_down, delta))
         if not candidates:
             return False
-        candidates.sort(key=lambda item: (item[0], item[1], item[2], item[3]))
+        candidates.sort()
         improved = False
         for _, c_up, c_down, delta in candidates[:12]:
-            values[c_up[0]][c_up[1]] += delta
-            values[c_down[0]][c_down[1]] -= delta
-            new_residual = _exact_density(pattern, values) - target_t
+            cells[c_up[0]][c_up[1]] += delta
+            cells[c_down[0]][c_down[1]] -= delta
+            new_residual = _exact_density(pattern, cells) - target
             if abs(new_residual) < abs(residual):
                 residual = new_residual
                 improved = True
                 break
-            values[c_up[0]][c_up[1]] -= delta
-            values[c_down[0]][c_down[1]] += delta
+            cells[c_up[0]][c_up[1]] -= delta
+            cells[c_down[0]][c_down[1]] += delta
         if not improved:
             return False
-    return abs(residual) <= tol
+    return abs(residual) <= tol_scaled
 
 
 def forcing_witness_search(
@@ -361,7 +357,6 @@ def forcing_witness_search(
     seed: int = 0,
     *,
     restarts: int = 16,
-    step_size: float = 0.05,
     max_iterations: int = 2000,
 ) -> Optional[StepGraphon]:
     """Search for a non-constant step graphon W with mean p whose pattern
@@ -370,13 +365,19 @@ def forcing_witness_search(
     Pipeline per restart: a projected-gradient descent on the squared float
     residuals, rationalization of the candidate to the 1/2^16 grid, an exact
     mean repair, and an exact polish of the density residual by moves on the
-    grid.  Every cell of a witness lies on the 1/2^16 grid except at most
-    one, which absorbs the exact mean remainder: when p * parts^2 is not a
-    multiple of 1/2^16, no matrix on the grid has mean exactly p.  A candidate
-    counts as a witness only if, after rationalization, |t(B,W) - p^e| <= tol,
-    |mean(W) - p| <= tol, and the centered cut norm is at least 10*tol, all
-    verified with rationals.  Returns the lexicographically smallest certified
-    witness across restarts, or None if every restart fails.
+    grid.  The exact stages keep every cell as an integer numerator over
+    d = lcm(2^16, denominator of p).  Every cell of a witness lies on the
+    1/2^16 grid except at most one, which absorbs the exact mean remainder:
+    when p * parts^2 is not a multiple of 1/2^16, no matrix on the grid has
+    mean exactly p.  A candidate counts as a witness only if, after
+    rationalization, |t(B,W) - p^e| <= tol, |mean(W) - p| <= tol, and the
+    centered cut norm is at least 10*tol, all verified with rationals.
+    Returns the lexicographically smallest certified witness across
+    restarts, or None if every restart fails.
+
+    The descent indexes the pattern's edge cells under every map of its
+    vertices to parts, so a search with parts^v * e above
+    ``MAX_PGD_INDICES`` (2^20) raises ``ValueError`` before any work.
     """
     p_exact = _as_fraction(p)
     if not 0 < p_exact < 1:
@@ -387,22 +388,27 @@ def forcing_witness_search(
     v, e = pattern.vertex_count, pattern.edge_count
     if v == 0 or e == 0:
         raise ValueError("pattern must have at least one edge")
+    if parts ** v * e > MAX_PGD_INDICES:
+        raise ValueError(
+            f"witness search is capped at parts^v * e <= {MAX_PGD_INDICES} "
+            f"(got {parts}^{v} * {e})")
 
     target_t = p_exact ** e
-    target_sum = p_exact * parts * parts
+    unit = p_exact.denominator // gcd(p_exact.denominator, RATIONALIZE_DENOMINATOR)
+    d = unit * RATIONALIZE_DENOMINATOR
+    target_sum = int(p_exact * d) * parts * parts
     separation_floor = 10 * tol_exact
 
     witnesses = []
     for r in range(restarts):
-        x = _pgd_candidate(pattern, parts, float(p_exact), seed + r,
-                           step_size, max_iterations)
-        values = _rationalize(x, RATIONALIZE_DENOMINATOR)
-        if not _repair_mean(values, target_sum):
+        x = _pgd_candidate(pattern, parts, float(p_exact), seed + r, max_iterations)
+        cells = _rationalize(x, unit)
+        if not _repair_mean(cells, target_sum, d):
             continue
-        if not _polish_density(pattern, values, target_t, tol_exact,
-                               RATIONALIZE_DENOMINATOR):
+        if not _polish_density(pattern, cells, p_exact, tol_exact, d):
             continue
-        w = StepGraphon([Fraction(1, parts)] * parts, values)
+        w = StepGraphon([Fraction(1, parts)] * parts,
+                        [[Fraction(c, d) for c in row] for row in cells])
         if abs(t_step(pattern, w) - target_t) > tol_exact:
             continue
         if abs(w.integral() - p_exact) > tol_exact:

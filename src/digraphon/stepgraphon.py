@@ -380,15 +380,14 @@ def _rectangle_sum(mass: list[list[int]], s_mask: int, t_mask: int) -> int:
     return total
 
 
-def _heuristic_bilinear_max(mass: list[list[int]], seed: int,
-                            restarts: int) -> tuple[int, int, int]:
+def _heuristic_bilinear_max(mass: list[list[int]], seed: int) -> tuple[int, int, int]:
     """Alternating sign-greedy improvement from seeded random subsets."""
     k = len(mass)
     rng = random.Random(seed)
     best = 0
     best_s = 0
     best_t = 0
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         start = rng.getrandbits(k)
         for sign in (1, -1):
             s_mask = start
@@ -431,10 +430,10 @@ def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int
 
 
 def _cut_norm_impl(w: StepGraphon, center: Fraction, heuristic: bool,
-                   seed: int, restarts: int, exact_cap: int) -> CutNormResult:
+                   seed: int, exact_cap: int) -> CutNormResult:
     mass, denom = _signed_mass(w, center)
     if heuristic:
-        num, s_mask, t_mask = _heuristic_bilinear_max(mass, seed, restarts)
+        num, s_mask, t_mask = _heuristic_bilinear_max(mass, seed)
         return CutNormResult(Fraction(num, denom), _mask_to_parts(s_mask),
                              _mask_to_parts(t_mask), exact=False)
     if w.num_parts > exact_cap:
@@ -447,21 +446,19 @@ def _cut_norm_impl(w: StepGraphon, center: Fraction, heuristic: bool,
 
 
 def cut_norm(w: StepGraphon, *, heuristic: bool = False, seed: int = 0,
-             restarts: int = HEURISTIC_RESTARTS,
              exact_cap: int = EXACT_CUT_NORM_CAP) -> CutNormResult:
     """Cut norm: sup over rectangles S x T of |integral of W over S x T|.
 
     For step functions the supremum is attained on unions of parts, so exact
     mode enumerates part subsets (feasible up to ``exact_cap`` parts).
     """
-    return _cut_norm_impl(w, _ZERO, heuristic, seed, restarts, exact_cap)
+    return _cut_norm_impl(w, _ZERO, heuristic, seed, exact_cap)
 
 
 def cut_norm_centered(w: StepGraphon, p, *, heuristic: bool = False,
-                      seed: int = 0, restarts: int = HEURISTIC_RESTARTS,
-                      exact_cap: int = EXACT_CUT_NORM_CAP) -> CutNormResult:
+                      seed: int = 0, exact_cap: int = EXACT_CUT_NORM_CAP) -> CutNormResult:
     """Cut norm of the signed step function W - p."""
-    return _cut_norm_impl(w, _as_fraction(p), heuristic, seed, restarts, exact_cap)
+    return _cut_norm_impl(w, _as_fraction(p), heuristic, seed, exact_cap)
 
 
 def rectangle_integral(w: StepGraphon, parts_s: Iterable[int],

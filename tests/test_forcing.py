@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from digraphon import (
@@ -17,7 +19,14 @@ from digraphon import (
     t_step,
     w_lambda,
 )
-from digraphon.forcing import _exact_density, _exact_density_gradient
+from digraphon.forcing import (
+    MAX_PGD_INDICES,
+    RATIONALIZE_DENOMINATOR,
+    _exact_density,
+    _exact_density_gradient,
+    _polish_density,
+    _repair_mean,
+)
 
 from oracles import brute_t_gradient, brute_t_step
 
@@ -25,6 +34,7 @@ EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
 TRIANGLE = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
 DIRECTED_C4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+PATH12 = OrientedGraph(12, [(i, i + 1) for i in range(11)])
 ALT_C4 = OrientedGraph(4, [(0, 1), (2, 1), (2, 3), (0, 3)])
 
 SIXTEENTH = Fraction(1, 16)
@@ -249,35 +259,96 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             forcing_witness_search(OrientedGraph(2), Fraction(1, 2), 4, Fraction(1, 100), 0)
 
+    def test_oversized_search_fails_fast(self):
+        # 4^12 * 11 edge-cell indices would take gigabytes to build.
+        assert 4 ** 12 * 11 > MAX_PGD_INDICES
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"parts\^v \* e"):
+            forcing_witness_search(PATH12, Fraction(1, 2), 4, Fraction(1, 100), 0)
+        assert time.perf_counter() - start < 1.0
+
+    # Lines 1 and 10 of the 45-line witness script in CHANGES.md; at p = 1/3
+    # the cells are numerators over d = 3 * 2^16 and one lies off the grid.
+    @pytest.mark.parametrize("p,expected", [
+        (Fraction(1, 16), [['0', '0', '0', '0'],
+                           ['53/32768', '13857/65536', '0', '1557/32768'],
+                           ['0', '15401/65536', '8101/65536', '4385/32768'],
+                           ['6405/32768', '0', '3377/65536', '0']]),
+        (Fraction(1, 3), [['77899/196608', '611/32768', '231/65536', '1121/65536'],
+                          ['31903/65536', '44171/65536', '23971/65536', '31937/65536'],
+                          ['21881/65536', '52943/65536', '38345/65536', '0'],
+                          ['42405/65536', '0', '33429/65536', '0']]),
+    ])
+    def test_pinned_triangle_witnesses(self, p, expected):
+        w = forcing_witness_search(TRIANGLE, p, seed=0, restarts=1)
+        assert [[str(x) for x in row] for row in w.values] == expected
+
 
 @st.composite
-def grid_instances(draw, max_n=4, max_parts=3, denominator=16):
-    """An oriented pattern and the cell values of an equal-part graphon on
-    the 1/denominator grid."""
+def oriented_patterns(draw, max_n=4):
     n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     states = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
     edges = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+    return OrientedGraph(n, edges)
+
+
+@st.composite
+def grid_instances(draw, max_n=4, max_parts=3, denominator=16):
+    """An oriented pattern and the cell numerators over ``denominator`` of
+    an equal-part graphon."""
+    pattern = draw(oriented_patterns(max_n))
     parts = draw(st.integers(1, max_parts))
     nums = draw(st.lists(st.integers(0, denominator), min_size=parts * parts,
                          max_size=parts * parts))
-    values = [[Fraction(nums[i * parts + j], denominator) for j in range(parts)]
-              for i in range(parts)]
-    return OrientedGraph(n, edges), values
+    return pattern, [nums[i * parts:(i + 1) * parts] for i in range(parts)]
+
+
+def _equal_parts(cells, d):
+    return StepGraphon([Fraction(1, len(cells))] * len(cells),
+                       [[Fraction(c, d) for c in row] for row in cells])
 
 
 class TestExactPolishSums:
     @settings(max_examples=60, deadline=None)
     @given(grid_instances())
     def test_density_matches_brute_force(self, instance):
-        pattern, values = instance
-        w = StepGraphon([Fraction(1, len(values))] * len(values), values)
-        assert _exact_density(pattern, values) == brute_t_step(pattern, w)
+        pattern, cells = instance
+        scale = 16 ** pattern.edge_count * len(cells) ** pattern.vertex_count
+        assert Fraction(_exact_density(pattern, cells), scale) == \
+            brute_t_step(pattern, _equal_parts(cells, 16))
 
     @settings(max_examples=60, deadline=None)
     @given(grid_instances())
     def test_gradient_matches_brute_force(self, instance):
-        pattern, values = instance
-        w = StepGraphon([Fraction(1, len(values))] * len(values), values)
-        brute = {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
-        assert _exact_density_gradient(pattern, values) == brute
+        pattern, cells = instance
+        scale = Fraction(16) ** (pattern.edge_count - 1) * len(cells) ** pattern.vertex_count
+        brute = {cell: g for cell, g in
+                 brute_t_gradient(pattern, _equal_parts(cells, 16)).items() if g}
+        assert {cell: g / scale for cell, g in
+                _exact_density_gradient(pattern, cells).items()} == brute
+
+
+class TestIntegerPolish:
+    @settings(max_examples=40, deadline=None)
+    @given(oriented_patterns(),
+           st.integers(2, 3),
+           st.sampled_from([Fraction(1, 16), Fraction(1, 8), Fraction(1, 4),
+                            Fraction(1, 3), Fraction(1, 2)]),
+           st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**8)]),
+           st.data())
+    def test_polish_keeps_sum_and_range_and_meets_tol(self, pattern, parts, p, tol, data):
+        assume(pattern.edge_count > 0)
+        unit = p.denominator // gcd(p.denominator, RATIONALIZE_DENOMINATOR)
+        d = unit * RATIONALIZE_DENOMINATOR
+        grid = data.draw(st.lists(st.integers(0, RATIONALIZE_DENOMINATOR),
+                                  min_size=parts * parts, max_size=parts * parts))
+        cells = [[m * unit for m in grid[i * parts:(i + 1) * parts]] for i in range(parts)]
+        target_sum = int(p * parts * parts * d)
+        assert _repair_mean(cells, target_sum, d)
+        ok = _polish_density(pattern, cells, p, tol, d)
+        assert sum(map(sum, cells)) == target_sum
+        assert all(0 <= c <= d for row in cells for c in row)
+        if ok:
+            t = brute_t_step(pattern, _equal_parts(cells, d))
+            assert abs(t - p ** pattern.edge_count) <= tol

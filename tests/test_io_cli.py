@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,18 @@ class TestCli:
                               "--p", "1/16", "--parts", "0")
         assert code == 2
         assert lines == []
+
+    def test_search_witness_oversized_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "path12.graph"
+        path.write_text("D 12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))
+        start = time.perf_counter()
+        code = main(["search-witness", str(path), "--p", "1/2"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "capped" in json.loads(captured.err)["error"]
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_check_sidorenko_empty_family_is_input_error(self, capsys, files, nmax):
