@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 from math import floor, gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -55,6 +55,12 @@ def w_lambda(lam) -> StepGraphon:
         raise ValueError("lambda must lie in [0,1]")
     values, d = _lambda_numerators(lam)
     return StepGraphon([Fraction(1, 4)] * 4, [[Fraction(x, d) for x in row] for row in values])
+
+
+@lru_cache(maxsize=8)
+def _lambda_grid(grid: int) -> tuple[Fraction, ...]:
+    """The points i/grid of [0, 1], one shared tuple per grid size."""
+    return tuple(Fraction(i, grid) for i in range(grid + 1))
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ def find_lambda0(
         values, d = _lambda_numerators(lam)
         return Fraction(_map_sum(v, edges, [1] * 4, values), 4 ** v * d ** e)
 
-    grid_points = tuple(Fraction(i, grid) for i in range(grid + 1))
+    grid_points = _lambda_grid(grid)
     densities = tuple(density(lam) for lam in grid_points)
     end0, end1 = densities[0], densities[-1]
     if end0 != 0:
@@ -180,48 +186,66 @@ def quasirandom_trace(
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _map_cells(pattern: OrientedGraph, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-cell indices for every assignment of pattern vertices to parts:
-    two (maps, edges) integer arrays of row and column part indices."""
-    edges = pattern.sorted_edges()
-    rows, cols = [], []
-    for g in product(range(parts), repeat=pattern.vertex_count):
-        rows.append([g[u] for u, _ in edges])
-        cols.append([g[v] for _, v in edges])
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+def _map_cells(pattern: OrientedGraph, parts: int) -> np.ndarray:
+    """Flat cell index row * parts + col of every edge under every map of
+    the pattern's vertices to parts: an (edges, maps) integer array, with
+    the maps in ``itertools.product`` order (vertex 0 most significant)."""
+    v = pattern.vertex_count
+    place = parts ** np.arange(v - 1, -1, -1, dtype=np.intp)
+    images = np.arange(parts ** v, dtype=np.intp) // place[:, None] % parts
+    tails, heads = np.array(pattern.sorted_edges(), dtype=np.intp).T
+    return images[tails] * parts + images[heads]
 
 
-def _float_t_and_grad(x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                      scale: float) -> tuple[float, np.ndarray]:
-    vals = x[rows, cols]
-    m, e = vals.shape
-    pre = np.ones_like(vals)
-    if e > 1:
-        pre[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
-        suf = np.ones_like(vals)
-        suf[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
-    else:
-        suf = np.ones_like(vals)
-    others = pre * suf
-    t = float(vals.prod(axis=1).sum()) * scale
-    k = x.shape[0]
-    grad = np.bincount((rows * k + cols).ravel(), weights=others.ravel(),
-                       minlength=k * k).reshape(k, k)
-    return t, grad * scale
+def _float_kernel(cells: np.ndarray, parts: int, scale: float):
+    """The float density t(B, W) and its gradient in the cell values, for the
+    (edges, maps) cell indices of ``_map_cells``.
+
+    Returns ``t_and_grad(x)`` for a (parts, parts) array x.  Each map's
+    products of the edge values before and after every edge are formed
+    left to right and right to left, into buffers allocated once here; t
+    sums the full left products, and the gradient adds up the products
+    around each edge map by map, edge by edge.
+    """
+    e, m = cells.shape
+    flat = np.ascontiguousarray(cells.T).ravel()
+    size = parts * parts
+    vals = np.empty((e, m))
+    left = np.ones((e + 1, m))
+    right = np.ones((e, m))
+    others = np.empty((m, e))
+    weights = others.ravel()
+    # The in-place multiplications, on views made once: left[j+1] =
+    # left[j] * vals[j] ascending, then right[j] = right[j+1] * vals[j+1]
+    # descending.
+    steps = ([(left[j], vals[j], left[j + 1]) for j in range(e)]
+             + [(right[j + 1], vals[j + 1], right[j]) for j in range(e - 2, -1, -1)])
+    left_t, right_t, full = left[:e].T, right.T, left[e]
+
+    def t_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # The indices are in range; mode "clip" lets take write into vals
+        # without the buffer that mode "raise" uses.
+        x.take(cells, out=vals, mode="clip")
+        for a, b, out in steps:
+            np.multiply(a, b, out=out)
+        np.multiply(left_t, right_t, out=others)
+        t = float(full.sum()) * scale
+        grad = np.bincount(flat, weights=weights, minlength=size).reshape(parts, parts)
+        return t, grad * scale
+
+    return t_and_grad
 
 
-def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
+def _pgd_candidate(t_and_grad, parts: int, e: int, p: float, seed: int,
                    max_iterations: int) -> np.ndarray:
-    """One projected-gradient restart on the squared constraint residuals."""
+    """One projected-gradient restart on the squared constraint residuals,
+    with the density kernel ``t_and_grad`` of ``_float_kernel``."""
     rng = np.random.default_rng(seed)
-    rows, cols = _map_cells(pattern, parts)
-    scale = 1.0 / parts ** pattern.vertex_count
-    e = pattern.edge_count
     target_t = p ** e
     mean_coeff = 1.0 / parts ** 2
 
     def objective(x):
-        t, grad_t = _float_t_and_grad(x, rows, cols, scale)
+        t, grad_t = t_and_grad(x)
         mean = x.sum() * mean_coeff
         f = (t - target_t) ** 2 + (mean - p) ** 2
         grad = 2.0 * (t - target_t) * grad_t + 2.0 * (mean - p) * mean_coeff
@@ -233,7 +257,7 @@ def _pgd_candidate(pattern: OrientedGraph, parts: int, p: float, seed: int,
     for _ in range(max_iterations):
         if f < 1e-26 or step < 1e-14:
             break
-        x_new = np.clip(x - step * grad, 0.0, 1.0)
+        x_new = (x - step * grad).clip(0.0, 1.0)
         f_new, grad_new = objective(x_new)
         if f_new < f:
             x, f, grad = x_new, f_new, grad_new
@@ -399,9 +423,10 @@ def forcing_witness_search(
     target_sum = int(p_exact * d) * parts * parts
     separation_floor = 10 * tol_exact
 
+    t_and_grad = _float_kernel(_map_cells(pattern, parts), parts, 1.0 / parts ** v)
     witnesses = []
     for r in range(restarts):
-        x = _pgd_candidate(pattern, parts, float(p_exact), seed + r, max_iterations)
+        x = _pgd_candidate(t_and_grad, parts, e, float(p_exact), seed + r, max_iterations)
         cells = _rationalize(x, unit)
         if not _repair_mean(cells, target_sum, d):
             continue

@@ -8,11 +8,13 @@ library calls may override it per invocation.
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV = "DIGRAPHON_WORKERS"
 
@@ -24,6 +26,17 @@ R = TypeVar("R")
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _pool_lock = threading.Lock()
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Stop the live pool at exit, while the modules its manager thread
+    calls into are still loaded."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -64,6 +77,9 @@ def map_tasks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]
     global _pool, _pool_workers
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # Imported on the first pooled call: the pool pulls in multiprocessing,
+    # subprocess and sockets, which single-process callers never use.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     with _pool_lock:
         if _pool is None or _pool_workers != workers:
             if _pool is not None:

@@ -26,12 +26,22 @@ from math import floor, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .counting import _PLAN_CACHE_SIZE, _plan
 from .graphs import BipartiteGraph, OrientedGraph, to_part_oriented
 
 TERM_WARNING_THRESHOLD = 10**7
 EXACT_CUT_NORM_CAP = 20
 HEURISTIC_RESTARTS = 32
+# The exact cut norm sums in int64 blocks of _GRAY_BLOCK subsets while
+# sum |mass| stays below _INT64_EXACT_BOUND; on at most _LOOP_MAX_PARTS
+# parts its integer loop is faster.  Small blocks keep each temporary
+# array near 28 KiB at 14 parts; blocks of 1024 save about 2 ms per
+# 14-part norm but leave about 0.25 MiB more in the process's peak RSS.
+_INT64_EXACT_BOUND = 2**62
+_GRAY_BLOCK = 256
+_LOOP_MAX_PARTS = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -246,22 +256,28 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
             memos[i][key] = total
         return total
 
-    if not free:
-        return suffix(0)
-    # Each tuple of free images, in order, gets its own subtotal.
-    out: dict[tuple[int, ...], int] = {}
-    for images in product(parts, repeat=m):
-        img[:m] = images
-        f = 1
-        for i in range(m):
-            f *= weights[img[i]]
-            for j, t in back[i]:
-                f *= matrices[t][img[j]][img[i]]
-        if f and m < v:
-            f *= suffix(m)
-        if f:
-            out[images] = f
-    return out
+    try:
+        if not free:
+            return suffix(0)
+        # Each tuple of free images, in order, gets its own subtotal.
+        out: dict[tuple[int, ...], int] = {}
+        for images in product(parts, repeat=m):
+            img[:m] = images
+            f = 1
+            for i in range(m):
+                f *= weights[img[i]]
+                for j, t in back[i]:
+                    f *= matrices[t][img[j]][img[i]]
+            if f and m < v:
+                f *= suffix(m)
+            if f:
+                out[images] = f
+        return out
+    finally:
+        # suffix refers to itself; unbinding it breaks that cycle, so the
+        # tables and memos go as soon as the call returns instead of
+        # waiting for the cyclic garbage collector.
+        del suffix
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
@@ -329,9 +345,40 @@ def _exact_bilinear_max(mass: list[list[int]]) -> tuple[int, int, int]:
     """Maximize |sum_{i in S, j in T} mass[i][j]| over subsets S, T.
 
     For a fixed S the optimal T keeps exactly the columns whose S-restricted
-    sums share a sign, so it suffices to enumerate S (Gray-code order, with
-    incremental column sums) and read off both signed optima.
+    sums share a sign, so it suffices to enumerate S and read off both
+    signed optima.  S runs through Gray-code order, and the first maximum
+    in that order wins, the positive side before the negative one at the
+    same S.  Every sum is bounded by sum |mass|; below 2^62 they are
+    taken in int64 blocks of ``_GRAY_BLOCK`` subsets, otherwise (and on at
+    most ``_LOOP_MAX_PARTS`` parts, where the loop is faster) by the
+    integer loop ``_bilinear_max_loop``.
     """
+    k = len(mass)
+    if k <= _LOOP_MAX_PARTS or sum(abs(x) for row in mass for x in row) >= _INT64_EXACT_BOUND:
+        return _bilinear_max_loop(mass)
+    m = np.array(mass, dtype=np.int64)
+    shifts = np.arange(k, dtype=np.int64)
+    best = best_s = 0
+    best_cols: list[int] = []
+    for start in range(0, 1 << k, _GRAY_BLOCK):
+        ranks = np.arange(start, min(start + _GRAY_BLOCK, 1 << k), dtype=np.int64)
+        gray = ranks ^ (ranks >> 1)
+        cols = (gray[:, None] >> shifts & 1) @ m
+        pos = np.maximum(cols, 0).sum(axis=1)
+        neg = pos - cols.sum(axis=1)
+        top = np.maximum(pos, neg)
+        i = int(top.argmax())
+        if top[i] > best:
+            best, best_s = int(top[i]), int(gray[i])
+            sign = 1 if pos[i] == top[i] else -1
+            best_cols = [sign * c for c in cols[i].tolist()]
+    t_mask = sum(1 << j for j, c in enumerate(best_cols) if c > 0)
+    return best, best_s, t_mask
+
+
+def _bilinear_max_loop(mass: list[list[int]]) -> tuple[int, int, int]:
+    """``_exact_bilinear_max`` one subset at a time, with the column sums
+    updated by one row per Gray-code step, in Python integers."""
     k = len(mass)
     best = 0
     best_s = 0

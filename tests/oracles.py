@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
+
 from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph
 
 
@@ -148,6 +150,36 @@ def brute_bilinear_max(mass: list[list[Fraction]]) -> Fraction:
             if abs(total) > best:
                 best = abs(total)
     return best
+
+
+def reference_float_t_and_grad(pattern: OrientedGraph,
+                                x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The witness search's float density and gradient on equal parts,
+    as the plain cumulative-product formula over a (maps, edges) table.
+
+    This fixes the floating-point operations of the fast kernel: the left
+    and right products of every map accumulate edge by edge, t is the sum of
+    the maps' full products, and each cell's gradient adds the products
+    around its edges map by map, edge by edge.
+    """
+    k = x.shape[0]
+    edges = pattern.sorted_edges()
+    rows, cols = [], []
+    for g in product(range(k), repeat=pattern.vertex_count):
+        rows.append([g[u] for u, _ in edges])
+        cols.append([g[v] for _, v in edges])
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    scale = 1.0 / k ** pattern.vertex_count
+    vals = x[rows, cols]
+    pre = np.ones_like(vals)
+    suf = np.ones_like(vals)
+    if vals.shape[1] > 1:
+        pre[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
+        suf[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    t = float(vals.prod(axis=1).sum()) * scale
+    grad = np.bincount((rows * k + cols).ravel(), weights=(pre * suf).ravel(),
+                       minlength=k * k).reshape(k, k)
+    return t, grad * scale
 
 
 def are_isomorphic(a: OrientedGraph, b: OrientedGraph) -> bool:

@@ -1,8 +1,10 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,13 @@ from digraphon.forcing import (
     RATIONALIZE_DENOMINATOR,
     _exact_density,
     _exact_density_gradient,
+    _float_kernel,
+    _map_cells,
     _polish_density,
     _repair_mean,
 )
 
-from oracles import brute_t_gradient, brute_t_step
+from oracles import brute_t_gradient, brute_t_step, reference_float_t_and_grad
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -283,6 +287,19 @@ class TestWitnessSearch:
         w = forcing_witness_search(TRIANGLE, p, seed=0, restarts=1)
         assert [[str(x) for x in row] for row in w.values] == expected
 
+    def test_witness_digest(self):
+        # The 15 seed-0 lines of the 45-line witness script in CHANGES.md.
+        patterns = {"C3": TRIANGLE, "C4": DIRECTED_C4,
+                    "C4+chord": OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])}
+        lines = []
+        for name, pattern in patterns.items():
+            for p in ("1/16", "1/8", "1/4", "1/3", "1/2"):
+                w = forcing_witness_search(pattern, Fraction(p), seed=0, restarts=1)
+                cells = None if w is None else [[str(x) for x in row] for row in w.values]
+                lines.append(f"{name} {p} 0 {cells}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "69986247caadb0fdb5881b7f35cb758ab726ddfdd1f163950f189ca7591a06ca"
+
 
 @st.composite
 def oriented_patterns(draw, max_n=4):
@@ -352,3 +369,22 @@ class TestIntegerPolish:
         if ok:
             t = brute_t_step(pattern, _equal_parts(cells, d))
             assert abs(t - p ** pattern.edge_count) <= tol
+
+
+class TestFloatKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(oriented_patterns(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.3]))
+    def test_bit_identical_to_reference(self, pattern, parts, seed, zero_share):
+        assume(pattern.edge_count > 0)
+        t_and_grad = _float_kernel(_map_cells(pattern, parts), parts,
+                                   1.0 / parts ** pattern.vertex_count)
+        rng = np.random.default_rng(seed)
+        # Two calls in a row: the second must not see the first's buffers.
+        for _ in range(2):
+            x = rng.uniform(0.0, 1.0, size=(parts, parts))
+            x[rng.uniform(size=x.shape) < zero_share] = 0.0
+            t, grad = t_and_grad(x)
+            t_ref, grad_ref = reference_float_t_and_grad(pattern, x)
+            assert t == t_ref
+            assert np.array_equal(grad, grad_ref)

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -70,7 +71,7 @@ class TestMapTasks:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", CountingPool)
         # Start from no pool; the one in place is restored afterwards.
         monkeypatch.setattr(parallel, "_pool", None)
         monkeypatch.setattr(parallel, "_pool_workers", 0)

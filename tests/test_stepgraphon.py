@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from digraphon import stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import (
+    brute_bilinear_max,
     brute_cut_norm_centered,
     brute_free_subtotals,
     brute_t_bip_step,
@@ -366,6 +368,69 @@ class TestCutNorm:
         with pytest.raises(ValueError):
             cut_norm(w, exact_cap=2)
         assert cut_norm(w, exact_cap=2, heuristic=True).value == Fraction(1, 2)
+
+
+@st.composite
+def masses(draw, min_k=1, max_k=5, elements=st.integers(-50, 50)):
+    k = draw(st.integers(min_k, max_k))
+    flat = draw(st.lists(elements, min_size=k * k, max_size=k * k))
+    return [flat[i * k:(i + 1) * k] for i in range(k)]
+
+
+class TestExactBilinearMax:
+    """The int64 blocks of ``_exact_bilinear_max`` against the brute-force
+    oracle and against the Python-integer loop they replace above four
+    parts, which fixes the witness on ties."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masses())
+    def test_blocks_match_brute_force(self, mass):
+        with mock.patch.object(stepgraphon, "_LOOP_MAX_PARTS", 0):
+            value, s_mask, t_mask = stepgraphon._exact_bilinear_max(mass)
+        assert value == brute_bilinear_max(mass)
+        assert abs(stepgraphon._rectangle_sum(mass, s_mask, t_mask)) == value
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(masses(5, 14, st.integers(-1, 1)),
+                     masses(5, 14, st.integers(-3, 0)),
+                     masses(5, 12, st.integers(-10**6, 10**6))))
+    def test_blocks_match_loop(self, mass):
+        assert stepgraphon._exact_bilinear_max(mass) == stepgraphon._bilinear_max_loop(mass)
+
+    @pytest.mark.parametrize("k", [1, 5, 11, 14])
+    def test_zero_mass(self, k):
+        assert stepgraphon._exact_bilinear_max([[0] * k for _ in range(k)]) == (0, 0, 0)
+
+    def test_negative_only_optimum(self):
+        # Every row first appears together at Gray rank 42 (code 0b111111).
+        mass = [[-1] * 6 for _ in range(6)]
+        assert stepgraphon._exact_bilinear_max(mass) == (36, 63, 63)
+
+    def test_positive_side_wins_a_tie_at_the_same_subset(self):
+        mass = [[0] * 5 for _ in range(5)]
+        mass[0][:2] = [1, -1]
+        assert stepgraphon._exact_bilinear_max(mass) == (1, 1, 1)
+        assert stepgraphon._bilinear_max_loop(mass) == (1, 1, 1)
+
+    @pytest.mark.parametrize("top,takes_loop", [(2**62 - 1, False), (2**62, True),
+                                                (2**70, True)])
+    def test_int64_bound_picks_the_path(self, monkeypatch, top, takes_loop):
+        loop = stepgraphon._bilinear_max_loop
+        calls = []
+        monkeypatch.setattr(stepgraphon, "_bilinear_max_loop",
+                            lambda mass: calls.append(mass) or loop(mass))
+        mass = [[0] * 5 for _ in range(5)]
+        mass[2][3] = top
+        assert stepgraphon._exact_bilinear_max(mass) == (top, 6, 8)
+        assert bool(calls) == takes_loop
+
+    def test_sums_beyond_int64_stay_exact(self):
+        big = 2**60
+        mass = [[big if (i + j) % 3 else -big for j in range(6)] for i in range(6)]
+        value, s_mask, t_mask = stepgraphon._exact_bilinear_max(mass)
+        assert value > 2**63
+        assert value == brute_bilinear_max(mass)
+        assert stepgraphon._rectangle_sum(mass, s_mask, t_mask) == value
 
 
 class TestCutDistanceUpper:
