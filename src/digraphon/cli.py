@@ -198,7 +198,6 @@ def _cmd_find_lambda0(args) -> int:
         profile = forcing.find_lambda0(pattern, precision, grid=args.grid)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
-    assert profile.lambda0 is not None
     density = t_step(pattern, forcing.w_lambda(profile.lambda0))
     _emit({"lambda0": format_rational(profile.lambda0),
            "density": format_rational(density),

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,8 +32,6 @@ RATIONALIZE_DENOMINATOR = 2**16
 PGD_STEP_SIZE = 0.05
 # The float descent indexes parts^v x e cells; larger searches are refused.
 MAX_PGD_INDICES = 2**20
-
-_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -57,20 +54,62 @@ def w_lambda(lam) -> StepGraphon:
     return StepGraphon([Fraction(1, 4)] * 4, [[Fraction(x, d) for x in row] for row in values])
 
 
-@lru_cache(maxsize=8)
-def _lambda_grid(grid: int) -> tuple[Fraction, ...]:
-    """The points i/grid of [0, 1], one shared tuple per grid size."""
-    return tuple(Fraction(i, grid) for i in range(grid + 1))
+def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Monomial coefficients, lowest degree first, of the polynomial of
+    degree below len(xs) through the points (xs[i], ys[i]): Newton's divided
+    differences, then the Newton form expanded from the innermost factor."""
+    dd = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    coefficients = [dd[-1]]
+    for x, c in zip(xs[-2::-1], dd[-2::-1]):
+        # coefficients * (lambda - x) + c
+        shifted = [Fraction(0)] + coefficients
+        for k, a in enumerate(coefficients):
+            shifted[k] -= a * x
+        shifted[0] += c
+        coefficients = shifted
+    return tuple(coefficients)
+
+
+def _homogeneous(poly: Sequence[int], a: int, b: int) -> int:
+    """b^deg * poly(a/b) for integer coefficients, lowest degree first."""
+    acc, power = poly[-1], 1
+    for c in poly[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return acc
 
 
 @dataclass(frozen=True)
 class LambdaProfile:
-    """Grid trace of t(B, W^(lambda)) with the located root, if any."""
+    """t(B, W^(lambda)) as a polynomial in lambda, with the located root.
 
-    lambda_grid: tuple[Fraction, ...]
-    densities: tuple[Fraction, ...]
+    Stored: the grid size, the e(B)+1 exact monomial coefficients of the
+    density in lambda (lowest degree first), the target (1/16)^e(B) and
+    lambda0.  ``lambda_grid`` (the points i/grid) and ``densities`` (the
+    exact density at each of them) are derived from these on every access.
+    """
+
+    grid: int
+    coefficients: tuple[Fraction, ...]
     target: Fraction
-    lambda0: Optional[Fraction]
+    lambda0: Fraction
+
+    @property
+    def lambda_grid(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(i, self.grid) for i in range(self.grid + 1))
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        out = []
+        for lam in self.lambda_grid:
+            acc = Fraction(0)
+            for c in reversed(self.coefficients):
+                acc = acc * lam + c
+            out.append(acc)
+        return tuple(out)
 
 
 def find_lambda0(
@@ -82,14 +121,27 @@ def find_lambda0(
     """Locate lambda0 with t(B, W^(lambda0)) = (1/16)^e(B) up to ``precision``.
 
     Requires a pattern with no isolated vertices and no homomorphism onto a
-    single edge; then the density is 0 at lambda = 0 and
-    (1/2)^v * (1/4)^e >= (1/16)^e at lambda = 1, so a root exists.  The
-    density is a polynomial in lambda and every grid evaluation is exact, so
-    the scan brackets a genuine sign change (or hits a root exactly); the
-    bracket is then bisected until the density sits within ``precision`` of
-    the target.  Returns the smallest root located this way.
+    single edge, and ``precision > 0``; then the density is 0 at lambda = 0
+    and (1/2)^v * (1/4)^e >= (1/16)^e at lambda = 1, so a root exists.
+
+    Every cell of W^(lambda) is affine in lambda, so the density is a
+    polynomial of degree at most e = e(B).  It is computed exactly at
+    lambda = i/e for i = 0..e (one map sum each; the two endpoint values are
+    checked against the facts above) and interpolated exactly.  Subtracting
+    the target and scaling by the lcm L of the coefficient, target and
+    precision denominators gives an integer polynomial P = L * (t - target),
+    and every test below is exact in integers: b^e * P(a/b) by homogeneous
+    Horner for its sign, and |P(mid)| <= L * precision for the stop.
+
+    The density starts below the target and ends at or above it.  The scan
+    takes the first point i/grid where it reaches the target: a root, or
+    the right end of the bracket [(i-1)/grid, i/grid], which is then
+    bisected at its midpoints until the density sits within ``precision``
+    of the target.  Returns the smallest root located this way.
     """
     precision = _as_fraction(precision)
+    if precision <= 0:
+        raise ValueError(f"precision must be positive, got {precision}")
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
     v, e = pattern.vertex_count, pattern.edge_count
@@ -104,50 +156,46 @@ def find_lambda0(
 
     target = LAMBDA_FAMILY_MEAN ** e
     edges = pattern.sorted_edges()
-
-    def density(lam: Fraction) -> Fraction:
+    nodes = [Fraction(i, e) for i in range(e + 1)]
+    values = []
+    for lam in nodes:
         # t_step(pattern, w_lambda(lam)) without building the graphon.
-        values, d = _lambda_numerators(lam)
-        return Fraction(_map_sum(v, edges, [1] * 4, values), 4 ** v * d ** e)
-
-    grid_points = _lambda_grid(grid)
-    densities = tuple(density(lam) for lam in grid_points)
-    end0, end1 = densities[0], densities[-1]
-    if end0 != 0:
+        cells, d = _lambda_numerators(lam)
+        values.append(Fraction(_map_sum(v, edges, [1] * 4, cells), 4 ** v * d ** e))
+    if values[0] != 0:
         raise AssertionError("density at lambda=0 should vanish")
-    if end1 != Fraction(1, 2) ** v * Fraction(1, 4) ** e or end1 < target:
+    if values[-1] != Fraction(1, 2) ** v * Fraction(1, 4) ** e or values[-1] < target:
         raise AssertionError("density at lambda=1 should be the closed form above the target")
+    coefficients = _interpolate(nodes, values)
 
-    lambda0: Optional[Fraction] = None
-    for i, (lam, val) in enumerate(zip(grid_points, densities)):
-        f = val - target
-        if f == 0:
-            lambda0 = lam
-            break
-        if i + 1 <= grid and (densities[i + 1] - target) * f < 0:
-            lo, f_lo = lam, f
-            hi = grid_points[i + 1]
-            # The density is Lipschitz on [0,1], so halving the bracket
-            # drives |f| below the precision within ~log2(1/precision)
-            # steps plus slack for the Lipschitz constant.
-            inverse = _ONE / precision
-            step_limit = 80 + (inverse.numerator // inverse.denominator).bit_length()
-            for _ in range(step_limit):
-                mid = (lo + hi) / 2
-                f_mid = density(mid) - target
-                if abs(f_mid) <= precision:
-                    lambda0 = mid
-                    break
-                if (f_mid < 0) == (f_lo < 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            if lambda0 is None:
-                raise ArithmeticError("bisection failed to meet the precision")
-            break
-    if lambda0 is None:
-        raise ValueError("no sign change bracketed on the grid; refine the grid")
-    return LambdaProfile(grid_points, densities, target, lambda0)
+    scale = lcm(target.denominator, precision.denominator,
+                *(c.denominator for c in coefficients))
+    poly = [int(c * scale) for c in coefficients]
+    poly[0] -= int(target * scale)
+    tolerance = int(precision * scale)
+
+    i = next(i for i in range(grid + 1) if _homogeneous(poly, i, grid) >= 0)
+    if _homogeneous(poly, i, grid) == 0:
+        lambda0 = Fraction(i, grid)
+    else:
+        # The bracket [lo/den, hi/den], with P(lo/den) < 0 < P(hi/den), is
+        # halved by doubling den.  The density is Lipschitz on [0,1], so
+        # halving it drives |P| below the tolerance within
+        # ~log2(1/precision) steps plus slack for the Lipschitz constant.
+        lo, hi, den = i - 1, i, grid
+        for _ in range(80 + floor(1 / precision).bit_length()):
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            f_mid = _homogeneous(poly, mid, den)
+            if abs(f_mid) <= tolerance * den ** e:
+                lambda0 = Fraction(mid, den)
+                break
+            if f_mid < 0:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            raise ArithmeticError("bisection failed to meet the precision")
+    return LambdaProfile(grid, coefficients, target, lambda0)
 
 
 class NecessaryConditions(NamedTuple):

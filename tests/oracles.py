@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import floor
 
 import numpy as np
 
-from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph
+from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph, w_lambda
 
 
 def brute_hom_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
@@ -99,6 +100,39 @@ def brute_free_subtotals(pattern: OrientedGraph, w: StepGraphon,
         key = tuple(g[x] for x in free)
         sums[key] = sums.get(key, 0) + term
     return {key: total for key, total in sums.items() if total}
+
+
+def reference_find_lambda0(pattern: OrientedGraph, precision: Fraction, grid: int
+                           ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...],
+                                      Fraction, Fraction]:
+    """The grid-then-bisect rule of `find_lambda0`, with one `brute_t_step`
+    on `w_lambda` per grid point and per bisection step.
+
+    Returns (lambda_grid, densities, target, lambda0): the points i/grid,
+    the density at each, (1/16)^e, and the first grid point that is a root,
+    else the first bisection midpoint within ``precision`` of the target in
+    the first bracket [i/grid, (i+1)/grid] whose ends differ in sign.
+    """
+    target = Fraction(1, 16) ** pattern.edge_count
+    lambda_grid = tuple(Fraction(i, grid) for i in range(grid + 1))
+    densities = tuple(brute_t_step(pattern, w_lambda(lam)) for lam in lambda_grid)
+    for i, lam in enumerate(lambda_grid):
+        f = densities[i] - target
+        if f == 0:
+            return lambda_grid, densities, target, lam
+        if i < grid and (densities[i + 1] - target) * f < 0:
+            lo, hi, f_lo = lam, lambda_grid[i + 1], f
+            for _ in range(80 + floor(1 / precision).bit_length()):
+                mid = (lo + hi) / 2
+                f_mid = brute_t_step(pattern, w_lambda(mid)) - target
+                if abs(f_mid) <= precision:
+                    return lambda_grid, densities, target, mid
+                if (f_mid < 0) == (f_lo < 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            raise ArithmeticError("bisection failed to meet the precision")
+    raise ValueError("no sign change bracketed on the grid")
 
 
 def brute_t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -32,7 +33,13 @@ from digraphon.forcing import (
     _repair_mean,
 )
 
-from oracles import brute_t_gradient, brute_t_step, reference_float_t_and_grad
+import digraphon.forcing as forcing
+from oracles import (
+    brute_t_gradient,
+    brute_t_step,
+    reference_find_lambda0,
+    reference_float_t_and_grad,
+)
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -43,6 +50,25 @@ ALT_C4 = OrientedGraph(4, [(0, 1), (2, 1), (2, 3), (0, 3)])
 
 SIXTEENTH = Fraction(1, 16)
 PRECISION = Fraction(1, 2**40)
+
+
+def _edge_hom_free_patterns():
+    """The benchmark's 600 edge-hom-free patterns, in its order: the oriented
+    graphs on 3 and 4 vertices with no isolated vertex, stably sorted by
+    edge count, keeping those where some vertex has an out- and an in-edge."""
+    patterns = []
+    for v in (3, 4):
+        pairs = list(combinations(range(v), 2))
+        for states in product(range(3), repeat=len(pairs)):
+            edges = tuple((a, b) if s == 1 else (b, a) for (a, b), s in zip(pairs, states) if s)
+            if {x for edge in edges for x in edge} == set(range(v)):
+                patterns.append((v, edges))
+    patterns.sort(key=lambda p: len(p[1]))
+    return [(v, edges) for v, edges in patterns
+            if {a for a, _ in edges} & {b for _, b in edges}]
+
+
+EDGE_HOM_FREE = _edge_hom_free_patterns()
 
 
 def closed_form_at_one(pattern):
@@ -144,6 +170,19 @@ class TestFindLambda0:
         with pytest.raises(ValueError, match="grid must be"):
             find_lambda0(TRIANGLE, PRECISION, grid=grid)
 
+    @pytest.mark.parametrize("pattern", [PATH3, TRIANGLE])
+    @pytest.mark.parametrize("precision", [0, Fraction(-1, 8)])
+    def test_rejects_nonpositive_precision(self, pattern, precision, monkeypatch):
+        # Checked before any density is summed: on the path the bisection
+        # used to divide by zero or give up, on the triangle its grid root
+        # was returned.
+        def no_map_sum(*args, **kwargs):
+            raise AssertionError("a density was summed")
+
+        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        with pytest.raises(ValueError, match="precision must be positive"):
+            find_lambda0(pattern, precision)
+
     def test_every_valid_three_vertex_pattern_has_root(self):
         from digraphon import hom_to_edge_bipartition
         from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
@@ -161,6 +200,44 @@ class TestFindLambda0:
                 <= target_tol
             found += 1
         assert found > 0
+
+
+class TestLambdaPolynomial:
+    def test_profile_digest(self):
+        # Every 6th edge-hom-free pattern at the default grid and precision;
+        # the digest was taken with one map sum per grid point and per
+        # bisection step.
+        lines = []
+        for v, edges in EDGE_HOM_FREE[::6]:
+            profile = find_lambda0(OrientedGraph(v, edges))
+            lines.append(f"{v} {edges} {[str(x) for x in profile.lambda_grid]} "
+                         f"{[str(x) for x in profile.densities]} "
+                         f"{profile.target} {profile.lambda0}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "361aaaa02ba22d45af23067a194d6e012168dc26f3e0f9dbb713115bde119ee0"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(EDGE_HOM_FREE),
+           st.one_of(st.integers(1, 6), st.integers(1, 64)), st.integers(1, 40))
+    def test_matches_reference(self, pattern, grid, k):
+        v, edges = pattern
+        pattern = OrientedGraph(v, edges)
+        precision = Fraction(1, 2**k)
+        profile = find_lambda0(pattern, precision, grid=grid)
+        assert (profile.lambda_grid, profile.densities, profile.target, profile.lambda0) \
+            == reference_find_lambda0(pattern, precision, grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(EDGE_HOM_FREE),
+           st.fractions(min_value=0, max_value=1, max_denominator=10**4))
+    def test_coefficients_reproduce_density(self, pattern, lam):
+        v, edges = pattern
+        pattern = OrientedGraph(v, edges)
+        assume((lam * pattern.edge_count).denominator != 1)  # not a node i/e
+        coefficients = find_lambda0(pattern, Fraction(1, 2), grid=1).coefficients
+        assert len(coefficients) == pattern.edge_count + 1
+        assert sum(c * lam**k for k, c in enumerate(coefficients)) \
+            == brute_t_step(pattern, w_lambda(lam))
 
 
 class TestNecessaryConditions:

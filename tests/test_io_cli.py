@@ -210,6 +210,16 @@ class TestCli:
         code, _ = run_cli(capsys, "find-lambda0", files["edge.graph"])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["path3.graph", "tri.graph"])
+    @pytest.mark.parametrize("flag", ["--precision=0", "--precision=-1/8"])
+    def test_find_lambda0_nonpositive_precision_is_input_error(self, capsys, files, name,
+                                                                flag):
+        code = main(["find-lambda0", files[name], flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "precision must be positive" in json.loads(captured.err)["error"]
+
     def test_quasirandom_trace(self, capsys, files, tmp_path):
         listing = tmp_path / "list.txt"
         listing.write_text(files["edge.graph"] + "\n" + files["tri.graph"] + "\n")
