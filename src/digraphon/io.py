@@ -135,6 +135,8 @@ def parse_graphon(text: str) -> StepGraphon:
     if len(header) != 2 or header[0].upper() != "W":
         raise InputFormatError(f"header {lines[0]!r} must be 'W k'")
     k = int(header[1])
+    if k < 1:
+        raise InputFormatError(f"header {lines[0]!r} needs at least one part")
     if len(lines) != 2 + k:
         raise InputFormatError(f"expected one length line and {k} value rows")
     length_tokens = lines[1].split()

@@ -34,14 +34,14 @@ from .graphs import BipartiteGraph, OrientedGraph, to_part_oriented
 TERM_WARNING_THRESHOLD = 10**7
 EXACT_CUT_NORM_CAP = 20
 HEURISTIC_RESTARTS = 32
-# The exact cut norm sums in int64 blocks of _GRAY_BLOCK subsets while
-# sum |mass| stays below _INT64_EXACT_BOUND; on at most _LOOP_MAX_PARTS
-# parts its integer loop is faster.  Small blocks keep each temporary
-# array near 28 KiB at 14 parts; blocks of 1024 save about 2 ms per
-# 14-part norm but leave about 0.25 MiB more in the process's peak RSS.
+CUT_DISTANCE_PART_CAP = 7
+# `_mass_array` holds a cut-norm mass in int64 below _INT64_EXACT_BOUND.
+# The exact search takes _GRAY_BLOCK subsets per numpy step: small blocks
+# keep each temporary array near 28 KiB at 14 parts; blocks of 1024 save
+# about 2 ms per 14-part norm but leave about 0.25 MiB more in the
+# process's peak RSS.
 _INT64_EXACT_BOUND = 2**62
 _GRAY_BLOCK = 256
-_LOOP_MAX_PARTS = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -341,171 +341,116 @@ def _mask_to_parts(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exact_bilinear_max(mass: list[list[int]]) -> tuple[int, int, int]:
-    """Maximize |sum_{i in S, j in T} mass[i][j]| over subsets S, T.
+def _mass_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """An integer matrix as a numpy array: ``int64`` while its absolute
+    entries sum to less than 2^62, a bound on every subset sum of it, and
+    Python integers (``dtype=object``) from there up."""
+    small = sum(abs(x) for row in rows for x in row) < _INT64_EXACT_BOUND
+    return np.array(rows, dtype=np.int64 if small else object)
+
+
+def _exact_bilinear_max(m: np.ndarray) -> tuple[int, int, int]:
+    """Maximize |sum_{i in S, j in T} m[i, j]| over subsets S, T.
 
     For a fixed S the optimal T keeps exactly the columns whose S-restricted
     sums share a sign, so it suffices to enumerate S and read off both
     signed optima.  S runs through Gray-code order, and the first maximum
     in that order wins, the positive side before the negative one at the
-    same S.  Every sum is bounded by sum |mass|; below 2^62 they are
-    taken in int64 blocks of ``_GRAY_BLOCK`` subsets, otherwise (and on at
-    most ``_LOOP_MAX_PARTS`` parts, where the loop is faster) by the
-    integer loop ``_bilinear_max_loop``.
+    same S.  Gray rank r adds or removes row ctz(r), the number of trailing
+    zero bits of r, so the column sums of a block of ``_GRAY_BLOCK`` ranks
+    are the previous block's last sums plus a running sum of signed rows:
+    k additions per subset, in the number type of ``m``.
     """
-    k = len(mass)
-    if k <= _LOOP_MAX_PARTS or sum(abs(x) for row in mass for x in row) >= _INT64_EXACT_BOUND:
-        return _bilinear_max_loop(mass)
-    m = np.array(mass, dtype=np.int64)
-    shifts = np.arange(k, dtype=np.int64)
+    k = len(m)
+    signed = np.concatenate([m, -m])  # row k + i removes row i
+    carry = best_cols = signed[0] * 0
     best = best_s = 0
-    best_cols: list[int] = []
-    for start in range(0, 1 << k, _GRAY_BLOCK):
+    # Rank 0, the empty S, scores 0 and never beats the initial best.
+    for start in range(1, 1 << k, _GRAY_BLOCK):
         ranks = np.arange(start, min(start + _GRAY_BLOCK, 1 << k), dtype=np.int64)
-        gray = ranks ^ (ranks >> 1)
-        cols = (gray[:, None] >> shifts & 1) @ m
+        row = np.frexp(ranks & -ranks)[1] - 1
+        # Row ctz(r) leaves the Gray code of r when bit ctz(r) + 1 of r is set.
+        cols = np.cumsum(signed[row + k * (ranks >> (row + 1) & 1)], axis=0)
+        cols += carry
+        carry = cols[-1]
         pos = np.maximum(cols, 0).sum(axis=1)
         neg = pos - cols.sum(axis=1)
         top = np.maximum(pos, neg)
         i = int(top.argmax())
         if top[i] > best:
-            best, best_s = int(top[i]), int(gray[i])
-            sign = 1 if pos[i] == top[i] else -1
-            best_cols = [sign * c for c in cols[i].tolist()]
-    t_mask = sum(1 << j for j, c in enumerate(best_cols) if c > 0)
-    return best, best_s, t_mask
+            best, best_s = int(top[i]), int(ranks[i] ^ ranks[i] >> 1)
+            best_cols = cols[i] if pos[i] == top[i] else -cols[i]
+    return best, best_s, _bool_mask(best_cols > 0)
 
 
-def _bilinear_max_loop(mass: list[list[int]]) -> tuple[int, int, int]:
-    """``_exact_bilinear_max`` one subset at a time, with the column sums
-    updated by one row per Gray-code step, in Python integers."""
-    k = len(mass)
-    best = 0
-    best_s = 0
-    best_t = 0
-    col = [0] * k
-    prev = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        bit = gray ^ prev
-        prev = gray
-        row = bit.bit_length() - 1
-        mrow = mass[row]
-        if gray & bit:
-            for j in range(k):
-                col[j] += mrow[j]
-        else:
-            for j in range(k):
-                col[j] -= mrow[j]
-        pos = neg = 0
-        pos_mask = neg_mask = 0
-        for j in range(k):
-            c = col[j]
-            if c > 0:
-                pos += c
-                pos_mask |= 1 << j
-            elif c < 0:
-                neg -= c
-                neg_mask |= 1 << j
-        if pos > best:
-            best, best_s, best_t = pos, gray, pos_mask
-        if neg > best:
-            best, best_s, best_t = neg, gray, neg_mask
-    return best, best_s, best_t
+def _bool_mask(flags: np.ndarray) -> int:
+    return sum(1 << j for j, f in enumerate(flags.tolist()) if f)
 
 
-def _rectangle_sum(mass: list[list[int]], s_mask: int, t_mask: int) -> int:
-    total = 0
-    k = len(mass)
-    for i in range(k):
-        if not (s_mask >> i) & 1:
-            continue
-        row = mass[i]
-        for j in range(k):
-            if (t_mask >> j) & 1:
-                total += row[j]
-    return total
-
-
-def _heuristic_bilinear_max(mass: list[list[int]], seed: int) -> tuple[int, int, int]:
-    """Alternating sign-greedy improvement from seeded random subsets."""
-    k = len(mass)
+def _heuristic_bilinear_max(m: np.ndarray, seed: int) -> tuple[int, int, int]:
+    """Alternating sign-greedy improvement from seeded random subsets: for
+    each side's sign, T takes the columns whose S-sums have that sign and S
+    the rows whose T-sums do, until S repeats or 4k + 4 steps have run."""
+    k = len(m)
     rng = random.Random(seed)
-    best = 0
-    best_s = 0
-    best_t = 0
+    best = best_s = best_t = 0
     for _ in range(HEURISTIC_RESTARTS):
         start = rng.getrandbits(k)
         for sign in (1, -1):
-            s_mask = start
-            t_mask = 0
+            s = np.array([start >> i & 1 for i in range(k)], dtype=bool)
             for _ in range(4 * k + 4):
-                col = [0] * k
-                for i in range(k):
-                    if (s_mask >> i) & 1:
-                        row = mass[i]
-                        for j in range(k):
-                            col[j] += row[j]
-                t_mask = 0
-                for j in range(k):
-                    if sign * col[j] > 0:
-                        t_mask |= 1 << j
-                new_s = 0
-                for i in range(k):
-                    row = mass[i]
-                    r = sum(row[j] for j in range(k) if (t_mask >> j) & 1)
-                    if sign * r > 0:
-                        new_s |= 1 << i
-                if new_s == s_mask:
+                t = sign * (s @ m) > 0
+                new_s = sign * (m @ t) > 0
+                if (new_s == s).all():
                     break
-                s_mask = new_s
-            val = abs(_rectangle_sum(mass, s_mask, t_mask))
+                s = new_s
+            val = abs(int(s @ m @ t))
             if val > best:
-                best, best_s, best_t = val, s_mask, t_mask
+                best, best_s, best_t = val, _bool_mask(s), _bool_mask(t)
     return best, best_s, best_t
 
 
-def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int]:
-    """Integer numerators of (W - center) * length_i * length_j and their
-    common positive denominator."""
+def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[np.ndarray, int]:
+    """Integer numerators of (W - center) * length_i * length_j, as a
+    `_mass_array`, and their common positive denominator."""
     (lnum,), dl = _numerators([w.part_lengths])
     vnum, dv = _numerators([*w.values, (center,)])
     cnum = vnum.pop()[0]
     mass = [[(x - cnum) * li * lj for x, lj in zip(row, lnum)]
             for row, li in zip(vnum, lnum)]
-    return mass, dv * dl * dl
+    return _mass_array(mass), dv * dl * dl
 
 
 def _cut_norm_impl(w: StepGraphon, center: Fraction, heuristic: bool,
-                   seed: int, exact_cap: int) -> CutNormResult:
+                   seed: int) -> CutNormResult:
+    if not heuristic and w.num_parts > EXACT_CUT_NORM_CAP:
+        raise ValueError(
+            f"exact cut norm is capped at {EXACT_CUT_NORM_CAP} parts "
+            f"(got {w.num_parts}); pass heuristic=True (--heuristic on the "
+            f"command line)")
     mass, denom = _signed_mass(w, center)
     if heuristic:
         num, s_mask, t_mask = _heuristic_bilinear_max(mass, seed)
-        return CutNormResult(Fraction(num, denom), _mask_to_parts(s_mask),
-                             _mask_to_parts(t_mask), exact=False)
-    if w.num_parts > exact_cap:
-        raise ValueError(
-            f"exact cut norm is capped at {exact_cap} parts "
-            f"(got {w.num_parts}); pass heuristic=True")
-    num, s_mask, t_mask = _exact_bilinear_max(mass)
+    else:
+        num, s_mask, t_mask = _exact_bilinear_max(mass)
     return CutNormResult(Fraction(num, denom), _mask_to_parts(s_mask),
-                         _mask_to_parts(t_mask), exact=True)
+                         _mask_to_parts(t_mask), exact=not heuristic)
 
 
-def cut_norm(w: StepGraphon, *, heuristic: bool = False, seed: int = 0,
-             exact_cap: int = EXACT_CUT_NORM_CAP) -> CutNormResult:
+def cut_norm(w: StepGraphon, *, heuristic: bool = False, seed: int = 0) -> CutNormResult:
     """Cut norm: sup over rectangles S x T of |integral of W over S x T|.
 
     For step functions the supremum is attained on unions of parts, so exact
-    mode enumerates part subsets (feasible up to ``exact_cap`` parts).
+    mode enumerates part subsets, up to ``EXACT_CUT_NORM_CAP`` parts; beyond
+    that only ``heuristic=True`` runs.
     """
-    return _cut_norm_impl(w, _ZERO, heuristic, seed, exact_cap)
+    return _cut_norm_impl(w, _ZERO, heuristic, seed)
 
 
 def cut_norm_centered(w: StepGraphon, p, *, heuristic: bool = False,
-                      seed: int = 0, exact_cap: int = EXACT_CUT_NORM_CAP) -> CutNormResult:
+                      seed: int = 0) -> CutNormResult:
     """Cut norm of the signed step function W - p."""
-    return _cut_norm_impl(w, _as_fraction(p), heuristic, seed, exact_cap)
+    return _cut_norm_impl(w, _as_fraction(p), heuristic, seed)
 
 
 def rectangle_integral(w: StepGraphon, parts_s: Iterable[int],
@@ -554,34 +499,32 @@ def _refine_equal(w: StepGraphon, parts: int) -> list[list[Fraction]]:
             for a in range(parts)]
 
 
-def cut_distance_upper(w: StepGraphon, u: StepGraphon, *,
-                       max_refined_parts: int = 7) -> Fraction:
+def cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
     """Upper bound on the cut distance: min over part permutations pi of
     ||W - U^pi||_cut on the common equal-length refinement.
 
     The true cut distance takes an infimum over all measure-preserving maps;
     permutations of equal parts are a measure-preserving subfamily, so this
     value dominates it.  On k refined parts the search costs up to
-    k! * 2^k Gray-code steps (about 0.6 million at the default cap k = 7,
-    growing about 12x per extra part); a common refinement above
-    ``max_refined_parts`` raises ``ValueError`` before any of that work.
+    k! * 2^k Gray-code steps (about 0.6 million at the cap
+    ``CUT_DISTANCE_PART_CAP`` = 7, growing about 12x per extra part); a
+    common refinement above the cap raises ``ValueError`` before any of
+    that work.
     """
     parts = lcm(_equipartition_size(w), _equipartition_size(u))
-    if parts > max_refined_parts:
+    if parts > CUT_DISTANCE_PART_CAP:
         raise ValueError(
             f"common refinement needs {parts} equal parts, above the cap "
-            f"{max_refined_parts}")
-    wv = _refine_equal(w, parts)
-    uv = _refine_equal(u, parts)
-    num, dv = _numerators(wv + uv)
-    wn, un = num[:parts], num[parts:]
+            f"{CUT_DISTANCE_PART_CAP}")
+    num, dv = _numerators(_refine_equal(w, parts) + _refine_equal(u, parts))
+    # The numerators are nonnegative, so W's and U's together bound the
+    # absolute sum of every difference below.
+    both = _mass_array(num)
+    wn, un = both[:parts], both[parts:]
     denom = dv * parts * parts
     best: Optional[Fraction] = None
     for perm in permutations(range(parts)):
-        mass = [[wn[i][j] - un[perm[i]][perm[j]] for j in range(parts)]
-                for i in range(parts)]
-        num, _, _ = _exact_bilinear_max(mass)
-        val = Fraction(num, denom)
+        val = Fraction(_exact_bilinear_max(wn - un[np.ix_(perm, perm)])[0], denom)
         if best is None or val < best:
             best = val
             if best == 0:

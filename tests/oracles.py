@@ -3,18 +3,22 @@
 Everything here enumerates the full search space directly (all vertex maps,
 all subset pairs, all permutations), deliberately avoiding the library's
 backtracking / incremental-sum implementations so the two sides can check
-each other.
+each other.  The ``reference_*`` functions instead restate one of the
+library's algorithms in plain loops; they pin what the full space leaves
+open, such as the witness chosen on ties or the order of float operations.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import floor
+from math import floor, lcm
 
 import numpy as np
 
 from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph, w_lambda
+from digraphon.stepgraphon import HEURISTIC_RESTARTS
 
 
 def brute_hom_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
@@ -153,37 +157,91 @@ def brute_t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
 
 def brute_cut_norm_centered(w: StepGraphon, center: Fraction) -> Fraction:
     """Full double enumeration over all 2^k x 2^k subset pairs."""
-    k = w.num_parts
-    best = Fraction(0)
-    for s_mask in range(1 << k):
-        s = [i for i in range(k) if (s_mask >> i) & 1]
-        for t_mask in range(1 << k):
-            t = [j for j in range(k) if (t_mask >> j) & 1]
-            total = Fraction(0)
-            for i in s:
-                for j in t:
-                    total += (w.values[i][j] - center) * w.part_lengths[i] * w.part_lengths[j]
-            if abs(total) > best:
-                best = abs(total)
-    return best
+    lengths = w.part_lengths
+    return brute_bilinear_max([[(x - center) * li * lj for x, lj in zip(row, lengths)]
+                               for row, li in zip(w.values, lengths)])
 
 
-def brute_bilinear_max(mass: list[list[Fraction]]) -> Fraction:
-    """Max |sum over S x T| for an arbitrary signed matrix, all subset pairs."""
+def brute_bilinear_max(mass) -> Fraction:
+    """Max |sum over S x T| for an arbitrary signed rational matrix, over
+    all subset pairs, summed as integer numerators over one denominator."""
     k = len(mass)
-    best = Fraction(0)
+    d = lcm(*(Fraction(x).denominator for row in mass for x in row))
+    num = [[int(Fraction(x) * d) for x in row] for row in mass]
+    best = 0
     for s_mask in range(1 << k):
+        rows = [num[i] for i in range(k) if (s_mask >> i) & 1]
         for t_mask in range(1 << k):
-            total = Fraction(0)
-            for i in range(k):
-                if not (s_mask >> i) & 1:
-                    continue
-                for j in range(k):
-                    if (t_mask >> j) & 1:
-                        total += mass[i][j]
-            if abs(total) > best:
-                best = abs(total)
-    return best
+            total = sum(row[j] for row in rows for j in range(k) if (t_mask >> j) & 1)
+            best = max(best, abs(total))
+    return Fraction(best, d)
+
+
+def rectangle_sum(mass: list[list[int]], s_mask: int, t_mask: int) -> int:
+    """Sum of ``mass`` over the rows in ``s_mask`` and columns in ``t_mask``."""
+    k = len(mass)
+    return sum(mass[i][j] for i in range(k) if (s_mask >> i) & 1
+               for j in range(k) if (t_mask >> j) & 1)
+
+
+def reference_bilinear_max(mass: list[list[int]]) -> tuple[int, int, int]:
+    """(value, S mask, T mask) of the exact cut-norm search, one subset at a
+    time in Python integers.  This fixes the witness on ties: S runs
+    through Gray-code order with its column sums updated by one row per
+    step, and a strict ``>`` keeps the first maximum, the positive side
+    before the negative one at the same S."""
+    k = len(mass)
+    best = best_s = best_t = 0
+    col = [0] * k
+    prev = 0
+    for i in range(1, 1 << k):
+        gray = i ^ (i >> 1)
+        bit = gray ^ prev
+        prev = gray
+        mrow = mass[bit.bit_length() - 1]
+        sign = 1 if gray & bit else -1
+        for j in range(k):
+            col[j] += sign * mrow[j]
+        pos = sum(c for c in col if c > 0)
+        neg = -sum(c for c in col if c < 0)
+        if pos > best:
+            best, best_s = pos, gray
+            best_t = sum(1 << j for j in range(k) if col[j] > 0)
+        if neg > best:
+            best, best_s = neg, gray
+            best_t = sum(1 << j for j in range(k) if col[j] < 0)
+    return best, best_s, best_t
+
+
+def reference_heuristic_bilinear_max(mass: list[list[int]], seed: int
+                                     ) -> tuple[int, int, int]:
+    """(value, S mask, T mask) of the heuristic cut-norm search with plain
+    loops: per restart one ``getrandbits(k)`` start, then for each sign
+    alternate T = columns whose S-sums have that sign, S = rows whose
+    T-sums do (strict ``> 0``), until S repeats or 4k + 4 steps ran; a
+    strict ``>`` keeps the first best rectangle."""
+    k = len(mass)
+    rng = random.Random(seed)
+    best = best_s = best_t = 0
+    for _ in range(HEURISTIC_RESTARTS):
+        start = rng.getrandbits(k)
+        for sign in (1, -1):
+            s_mask = start
+            t_mask = 0
+            for _ in range(4 * k + 4):
+                col = [sum(mass[i][j] for i in range(k) if (s_mask >> i) & 1)
+                       for j in range(k)]
+                t_mask = sum(1 << j for j in range(k) if sign * col[j] > 0)
+                row = [sum(mass[i][j] for j in range(k) if (t_mask >> j) & 1)
+                       for i in range(k)]
+                new_s = sum(1 << i for i in range(k) if sign * row[i] > 0)
+                if new_s == s_mask:
+                    break
+                s_mask = new_s
+            val = abs(rectangle_sum(mass, s_mask, t_mask))
+            if val > best:
+                best, best_s, best_t = val, s_mask, t_mask
+    return best, best_s, best_t
 
 
 def reference_float_t_and_grad(pattern: OrientedGraph,

@@ -32,7 +32,7 @@ from digraphon import (
     w_lambda,
 )
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
-from digraphon.stepgraphon import _exact_bilinear_max, _signed_mass
+from digraphon.stepgraphon import _exact_bilinear_max, _mass_array, _signed_mass
 
 from oracles import brute_bilinear_max, brute_cut_norm_centered
 
@@ -170,11 +170,10 @@ def test_criterion_08_cut_norm_oracle(graphon_pairs):
         mass_w, denom_w = _signed_mass(w, Fraction(0))
         mass_u, denom_u = _signed_mass(u, Fraction(0))
         assert denom_w == denom_u
-        diff = [[Fraction(mass_w[i][j] - mass_u[i][j], denom_w) for j in range(4)]
-                for i in range(4)]
-        num, _, _ = _exact_bilinear_max([[mass_w[i][j] - mass_u[i][j]
-                                          for j in range(4)] for i in range(4)])
-        if Fraction(num, denom_w) != brute_bilinear_max(diff):
+        diff = (mass_w - mass_u).tolist()
+        num, _, _ = _exact_bilinear_max(_mass_array(diff))
+        if Fraction(num, denom_w) != brute_bilinear_max([[Fraction(x, denom_w) for x in row]
+                                                         for row in diff]):
             ok = False
     record(8, "exact cut norm matches full double enumeration; heuristic never exceeds",
            ok)

@@ -109,6 +109,12 @@ class TestGraphonFiles:
         with pytest.raises(InputFormatError):
             parse_graphon("W 2\n1/2 1/2\n0 0\n")
 
+    @pytest.mark.parametrize("text", ["W -1\n", "W 0\n", "W 0\n1\n0\n"])
+    def test_fewer_than_one_part_rejected(self, text):
+        # "W -1" alone passes the line-count check: 1 line is 2 + k.
+        with pytest.raises(InputFormatError, match="at least one part"):
+            parse_graphon(text)
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -166,6 +172,28 @@ class TestCli:
         assert code == 0
         assert Fraction(lines[0]["value"]) > 0
         assert lines[0]["exact"] is True
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_cutnorm_without_parts_is_input_error(self, capsys, tmp_path, k):
+        path = tmp_path / "neg.graphon"
+        path.write_text(f"W {k}\n")
+        code = main(["cutnorm", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "at least one part" in json.loads(captured.err)["error"]
+
+    def test_cutnorm_above_exact_cap_names_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "w21.graphon"
+        path.write_text(dump_graphon(StepGraphon.constant(Fraction(1, 2), parts=21)))
+        code = main(["cutnorm", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--heuristic" in json.loads(captured.err)["error"]
+        code, lines = run_cli(capsys, "cutnorm", str(path), "--heuristic", "--seed", "3")
+        assert code == 0
+        assert lines[0]["value"] == "1/2" and lines[0]["exact"] is False
 
     def test_check_sidorenko_violation_exit_code(self, capsys, files):
         code, lines = run_cli(capsys, "check-sidorenko", files["path3.graph"], "--nmax", "2")

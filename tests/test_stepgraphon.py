@@ -1,8 +1,9 @@
+import random
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,9 @@ from oracles import (
     brute_t_bip_step,
     brute_t_gradient,
     brute_t_step,
+    rectangle_sum,
+    reference_bilinear_max,
+    reference_heuristic_bilinear_max,
 )
 
 EDGE = OrientedGraph(2, [(0, 1)])
@@ -364,10 +368,12 @@ class TestCutNorm:
         assert hits >= 0.9 * total
 
     def test_exact_cap(self):
-        w = StepGraphon.constant(Fraction(1, 2), parts=3)
-        with pytest.raises(ValueError):
-            cut_norm(w, exact_cap=2)
-        assert cut_norm(w, exact_cap=2, heuristic=True).value == Fraction(1, 2)
+        w = StepGraphon.constant(Fraction(1, 2), parts=stepgraphon.EXACT_CUT_NORM_CAP + 1)
+        with pytest.raises(ValueError, match="heuristic=True"):
+            cut_norm(w)
+        with pytest.raises(ValueError, match="heuristic=True"):
+            cut_norm_centered(w, Fraction(1, 3))
+        assert cut_norm(w, heuristic=True).value == Fraction(1, 2)
 
 
 @st.composite
@@ -377,60 +383,101 @@ def masses(draw, min_k=1, max_k=5, elements=st.integers(-50, 50)):
     return [flat[i * k:(i + 1) * k] for i in range(k)]
 
 
+@st.composite
+def big_masses(draw, min_k=1, max_k=10):
+    """Masses whose absolute entries sum to 2^62 or more."""
+    mass = draw(masses(min_k, max_k, st.one_of(st.integers(-2**70, 2**70),
+                                               st.integers(-3, 3))))
+    i, j = draw(st.integers(0, len(mass) - 1)), draw(st.integers(0, len(mass) - 1))
+    mass[i][j] = draw(st.sampled_from([2**62, -2**62, -2**63, 2**70]))
+    return mass
+
+
+def kernel(mass):
+    return stepgraphon._exact_bilinear_max(stepgraphon._mass_array(mass))
+
+
+def heuristic(mass, seed):
+    return stepgraphon._heuristic_bilinear_max(stepgraphon._mass_array(mass), seed)
+
+
 class TestExactBilinearMax:
-    """The int64 blocks of ``_exact_bilinear_max`` against the brute-force
-    oracle and against the Python-integer loop they replace above four
-    parts, which fixes the witness on ties."""
+    """``_exact_bilinear_max`` against the brute-force oracle and against
+    ``reference_bilinear_max``, the one-subset-at-a-time loop that fixes
+    the witness on ties, in both number ranges of ``_mass_array``."""
 
     @settings(max_examples=60, deadline=None)
     @given(masses())
     def test_blocks_match_brute_force(self, mass):
-        with mock.patch.object(stepgraphon, "_LOOP_MAX_PARTS", 0):
-            value, s_mask, t_mask = stepgraphon._exact_bilinear_max(mass)
+        value, s_mask, t_mask = kernel(mass)
         assert value == brute_bilinear_max(mass)
-        assert abs(stepgraphon._rectangle_sum(mass, s_mask, t_mask)) == value
+        assert abs(rectangle_sum(mass, s_mask, t_mask)) == value
 
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(masses(5, 14, st.integers(-1, 1)),
-                     masses(5, 14, st.integers(-3, 0)),
-                     masses(5, 12, st.integers(-10**6, 10**6))))
+    @given(st.one_of(masses(1, 14, st.integers(-1, 1)),
+                     masses(1, 14, st.integers(-3, 0)),
+                     masses(1, 12, st.integers(-10**6, 10**6))))
     def test_blocks_match_loop(self, mass):
-        assert stepgraphon._exact_bilinear_max(mass) == stepgraphon._bilinear_max_loop(mass)
+        assert kernel(mass) == reference_bilinear_max(mass)
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_masses())
+    def test_python_integers_match_loop(self, mass):
+        assert stepgraphon._mass_array(mass).dtype == object
+        assert kernel(mass) == reference_bilinear_max(mass)
 
     @pytest.mark.parametrize("k", [1, 5, 11, 14])
     def test_zero_mass(self, k):
-        assert stepgraphon._exact_bilinear_max([[0] * k for _ in range(k)]) == (0, 0, 0)
+        assert kernel([[0] * k for _ in range(k)]) == (0, 0, 0)
 
     def test_negative_only_optimum(self):
         # Every row first appears together at Gray rank 42 (code 0b111111).
         mass = [[-1] * 6 for _ in range(6)]
-        assert stepgraphon._exact_bilinear_max(mass) == (36, 63, 63)
+        assert kernel(mass) == (36, 63, 63)
 
     def test_positive_side_wins_a_tie_at_the_same_subset(self):
         mass = [[0] * 5 for _ in range(5)]
         mass[0][:2] = [1, -1]
-        assert stepgraphon._exact_bilinear_max(mass) == (1, 1, 1)
-        assert stepgraphon._bilinear_max_loop(mass) == (1, 1, 1)
+        assert kernel(mass) == (1, 1, 1)
+        assert reference_bilinear_max(mass) == (1, 1, 1)
 
-    @pytest.mark.parametrize("top,takes_loop", [(2**62 - 1, False), (2**62, True),
-                                                (2**70, True)])
-    def test_int64_bound_picks_the_path(self, monkeypatch, top, takes_loop):
-        loop = stepgraphon._bilinear_max_loop
-        calls = []
-        monkeypatch.setattr(stepgraphon, "_bilinear_max_loop",
-                            lambda mass: calls.append(mass) or loop(mass))
+    @pytest.mark.parametrize("top,python_ints", [(2**62 - 1, False), (2**62, True),
+                                                 (2**70, True)])
+    def test_int64_bound_picks_the_path(self, top, python_ints):
         mass = [[0] * 5 for _ in range(5)]
         mass[2][3] = top
-        assert stepgraphon._exact_bilinear_max(mass) == (top, 6, 8)
-        assert bool(calls) == takes_loop
+        m = stepgraphon._mass_array(mass)
+        assert m.dtype == (object if python_ints else np.int64)
+        assert stepgraphon._exact_bilinear_max(m) == (top, 6, 8)
 
     def test_sums_beyond_int64_stay_exact(self):
         big = 2**60
         mass = [[big if (i + j) % 3 else -big for j in range(6)] for i in range(6)]
-        value, s_mask, t_mask = stepgraphon._exact_bilinear_max(mass)
+        value, s_mask, t_mask = kernel(mass)
         assert value > 2**63
         assert value == brute_bilinear_max(mass)
-        assert stepgraphon._rectangle_sum(mass, s_mask, t_mask) == value
+        assert rectangle_sum(mass, s_mask, t_mask) == value
+
+
+class TestHeuristicBilinearMax:
+    """``_heuristic_bilinear_max`` on the mass array gives the same value
+    and witness as ``reference_heuristic_bilinear_max``, its plain-loop
+    form with the same random draws, steps and strict comparisons."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(masses(1, 10), masses(1, 10, st.integers(-1, 1)), big_masses()),
+           st.integers(0, 2**32))
+    def test_matches_reference(self, mass, seed):
+        assert heuristic(mass, seed) == reference_heuristic_bilinear_max(mass, seed)
+
+    @pytest.mark.parametrize("k", [21, 30, 64])
+    def test_matches_reference_on_many_parts(self, k):
+        rng = random.Random(k)
+        mass = [[rng.randint(-1000, 1000) for _ in range(k)] for _ in range(k)]
+        for seed in (0, 3):
+            value, s_mask, t_mask = heuristic(mass, seed)
+            assert (value, s_mask, t_mask) == reference_heuristic_bilinear_max(mass, seed)
+            assert abs(rectangle_sum(mass, s_mask, t_mask)) == value > 0
 
 
 class TestCutDistanceUpper:
