@@ -194,16 +194,13 @@ def _cmd_wlambda(args) -> int:
 def _cmd_find_lambda0(args) -> int:
     pattern = _load_oriented(args.pattern)
     precision = parse_rational(args.precision)
-    try:
-        profile = forcing.find_lambda0(pattern, precision, grid=args.grid)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    profile = forcing.find_lambda0(pattern, precision, grid=args.grid)
     density = t_step(pattern, forcing.w_lambda(profile.lambda0))
     _emit({"lambda0": format_rational(profile.lambda0),
            "density": format_rational(density),
            "target": format_rational(profile.target),
            "precision": format_rational(precision),
-           "grid_points": len(profile.lambda_grid)})
+           "grid_points": profile.grid + 1})
     return EXIT_OK
 
 

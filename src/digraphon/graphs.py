@@ -10,7 +10,7 @@ here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -189,10 +189,7 @@ class Tournament:
     def from_bits(cls, n: int, bits: int) -> "Tournament":
         """Decode an orientation bitmask over the C(n,2) pairs in
         lexicographic order; bit 0 keeps (u,v) with u < v, bit 1 flips it."""
-        edges = []
-        for idx, (u, v) in enumerate(combinations(range(n), 2)):
-            edges.append((v, u) if (bits >> idx) & 1 else (u, v))
-        return cls(n, edges)
+        return cls(n, _decode(n, bits, _TOURNAMENT_STATES)[1])
 
     def as_oriented(self) -> OrientedGraph:
         return OrientedGraph(self.vertex_count, self.edges)
@@ -281,23 +278,6 @@ def disjoint_union(a: OrientedGraph, b: OrientedGraph) -> OrientedGraph:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def oriented_graph_from_index(n: int, index: int) -> OrientedGraph:
-    """Decode a base-3 pair-state index (0 absent, 1 forward, 2 backward)
-    over the C(n,2) vertex pairs in lexicographic order."""
-    edges = []
-    for u, v in combinations(range(n), 2):
-        index, state = divmod(index, 3)
-        if state == 1:
-            edges.append((u, v))
-        elif state == 2:
-            edges.append((v, u))
-    return OrientedGraph(n, edges)
-
-
-def tournament_from_index(n: int, index: int) -> Tournament:
-    return Tournament.from_bits(n, index)
-
-
 # Pair states of the two index encodings, as (u->v present, v->u present)
 # for the pair u < v; the state is the pair's digit of the index.  These are
 # the encodings of `oriented_graph_from_index` and `tournament_from_index`.
@@ -305,6 +285,36 @@ _ORIENTED_STATES = ((0, 0), (1, 0), (0, 1))
 _TOURNAMENT_STATES = ((1, 0), (0, 1))
 # (out-neighbour masks, in-neighbour masks, edge count) per host of a range.
 _Masks = Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]
+
+
+def _decode(n: int, index: int, states: tuple[tuple[int, int], ...]
+            ) -> tuple[list[int], list[tuple[int, int]]]:
+    """The digits of ``index`` in base ``len(states)``, lowest first, one per
+    vertex pair in lexicographic order, and the edges their states encode.
+
+    This is the only reader of the index encodings.
+    """
+    base = len(states)
+    digits, edges = [], []
+    for u, v in combinations(range(n), 2):
+        index, s = divmod(index, base)
+        digits.append(s)
+        forward, backward = states[s]
+        if forward:
+            edges.append((u, v))
+        if backward:
+            edges.append((v, u))
+    return digits, edges
+
+
+def oriented_graph_from_index(n: int, index: int) -> OrientedGraph:
+    """Decode a base-3 pair-state index (0 absent, 1 forward, 2 backward)
+    over the C(n,2) vertex pairs in lexicographic order."""
+    return OrientedGraph(n, _decode(n, index, _ORIENTED_STATES)[1])
+
+
+def tournament_from_index(n: int, index: int) -> Tournament:
+    return Tournament.from_bits(n, index)
 
 
 def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -> _Masks:
@@ -317,32 +327,22 @@ def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -
     (at most two pairs per step on average).
     """
     base = len(states)
-    pairs = list(combinations(range(n), 2))
     # moves[k][s]: the bits that take pair k from state s to state s+1 mod base.
     moves = []
-    for u, v in pairs:
+    for u, v in combinations(range(n), 2):
         row = []
         for s in range(base):
             (f0, b0), (f1, b1) = states[s], states[(s + 1) % base]
             df, db = f0 ^ f1, b0 ^ b1
             row.append((u, v, df << v, df << u, db << u, db << v, f1 + b1 - f0 - b0))
         moves.append(row)
+    digits, first = _decode(n, lo, states)
     out = [0] * n
     inn = [0] * n
-    edges = 0
-    digits = []
-    index = lo
-    for u, v in pairs:
-        index, s = divmod(index, base)
-        digits.append(s)
-        forward, backward = states[s]
-        if forward:
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        if backward:
-            out[v] |= 1 << u
-            inn[u] |= 1 << v
-        edges += forward + backward
+    for u, v in first:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    edges = len(first)
     for _ in range(lo, hi):
         yield tuple(out), tuple(inn), edges
         for k, s in enumerate(digits):
@@ -371,30 +371,41 @@ def enumerate_oriented_graphs(
     callback: Optional[Callable[[OrientedGraph], None]] = None,
     *,
     cap: int = DEFAULT_ORIENTED_ENUM_CAP,
-    start: int = 0,
-    stop: Optional[int] = None,
     dedup: bool = False,
 ) -> int:
     """Visit labeled oriented graphs on ``n`` vertices; return the visit count.
 
-    Each unordered pair has three states (absent / forward / backward), so the
-    full range visits exactly 3^C(n,2) graphs.  ``start``/``stop`` restrict
-    the visit to an index sub-range so callers may shard the space across
-    workers.  With ``dedup=True`` only one representative per isomorphism
-    class is visited (canonical-form filter; off by default since labeled
-    enumeration is what the density definitions count).  With neither a
-    callback nor ``dedup`` nothing is decoded: the range size is returned.
+    Each unordered pair has three states (absent / forward / backward), so
+    the scan visits exactly 3^C(n,2) graphs.  With ``dedup=True`` only one
+    representative per isomorphism class is visited (canonical-form filter;
+    off by default since labeled enumeration is what the density definitions
+    count).  With neither a callback nor ``dedup`` nothing is decoded.
     """
+    return _visit(n, cap, oriented_graph_count, oriented_graph_from_index, callback, dedup)
+
+
+def enumerate_tournaments(
+    n: int,
+    callback: Optional[Callable[[Tournament], None]] = None,
+    *,
+    cap: int = DEFAULT_TOURNAMENT_ENUM_CAP,
+) -> int:
+    """Visit all 2^C(n,2) labeled tournaments on ``n`` vertices; return the
+    visit count.  Without a callback nothing is decoded."""
+    return _visit(n, cap, tournament_count, tournament_from_index, callback, False)
+
+
+def _visit(n: int, cap: int, count: Callable[[int], int], decode: Callable,
+           callback: Optional[Callable], dedup: bool) -> int:
+    """The visit loop of both enumerations, over the indices 0..count(n)-1."""
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    total = oriented_graph_count(n)
-    stop = total if stop is None else min(stop, total)
     if callback is None and not dedup:
-        return len(range(start, stop))
+        return count(n)
     seen: set = set()
     visits = 0
-    for index in range(start, stop):
-        g = oriented_graph_from_index(n, index)
+    for index in range(count(n)):
+        g = decode(n, index)
         if dedup:
             key = canonical_form(g)
             if key in seen:
@@ -406,27 +417,6 @@ def enumerate_oriented_graphs(
     return visits
 
 
-def enumerate_tournaments(
-    n: int,
-    callback: Optional[Callable[[Tournament], None]] = None,
-    *,
-    cap: int = DEFAULT_TOURNAMENT_ENUM_CAP,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> int:
-    """Visit all 2^C(n,2) labeled tournaments on ``n`` vertices (or the
-    index sub-range ``start``/``stop``); return the visit count.  Without a
-    callback nothing is decoded."""
-    if n > cap:
-        raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    total = tournament_count(n)
-    stop = total if stop is None else min(stop, total)
-    if callback is not None:
-        for index in range(start, stop):
-            callback(Tournament.from_bits(n, index))
-    return len(range(start, stop))
-
-
 # ---------------------------------------------------------------------------
 # Canonical form (small-scale isomorphism key)
 # ---------------------------------------------------------------------------
@@ -434,8 +424,8 @@ def enumerate_tournaments(
 def canonical_form(graph: OrientedGraph) -> tuple:
     """Isomorphism-invariant key for a small oriented graph.
 
-    Iterated degree refinement colors the vertices, then a backtracking pass
-    over color-class-respecting vertex orderings picks the lexicographically
+    Iterated degree refinement colors the vertices, then a pass over every
+    color-class-respecting vertex ordering picks the lexicographically
     smallest edge encoding.  Adequate for the enumeration caps used here;
     not intended for large graphs.
     """
@@ -446,6 +436,9 @@ def canonical_form(graph: OrientedGraph) -> tuple:
     in_adj = [graph.in_neighbors(v) for v in range(n)]
 
     colors = [(graph.out_degree(v), graph.in_degree(v)) for v in range(n)]
+    classes = len(set(colors))
+    # Refinement only splits classes, so the partition is stable once the
+    # class count stops growing.
     while True:
         refined = [
             (colors[v],
@@ -454,38 +447,15 @@ def canonical_form(graph: OrientedGraph) -> tuple:
             for v in range(n)
         ]
         rank = {c: i for i, c in enumerate(sorted(set(refined)))}
-        new_colors = [rank[refined[v]] for v in range(n)]
-        if _partition_of(new_colors) == _partition_of(colors):
-            colors = new_colors
+        colors = [rank[refined[v]] for v in range(n)]
+        if len(rank) == classes:
             break
-        colors = new_colors
+        classes = len(rank)
 
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    ordered_classes = [classes[c] for c in sorted(classes)]
+    def encoding(order) -> tuple:
+        position = {v: i for i, v in enumerate(chain.from_iterable(order))}
+        return tuple(sorted((position[u], position[v]) for u, v in graph.edges))
 
-    best = None
-    for perm_parts in _class_orderings(ordered_classes):
-        position = {v: i for i, v in enumerate(perm_parts)}
-        enc = tuple(sorted((position[u], position[v]) for u, v in graph.edges))
-        if best is None or enc < best:
-            best = enc
+    members = [[v for v in range(n) if colors[v] == c] for c in range(classes)]
+    best = min(map(encoding, product(*map(permutations, members))))
     return (n, tuple(sorted(colors)), best)
-
-
-def _partition_of(colors: list) -> frozenset:
-    groups: dict = {}
-    for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v)
-    return frozenset(tuple(g) for g in groups.values())
-
-
-def _class_orderings(classes: list[list[int]]):
-    if not classes:
-        yield []
-        return
-    head, rest = classes[0], classes[1:]
-    for head_perm in permutations(head):
-        for tail in _class_orderings(rest):
-            yield list(head_perm) + tail

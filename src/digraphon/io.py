@@ -134,7 +134,10 @@ def parse_graphon(text: str) -> StepGraphon:
     header = lines[0].split()
     if len(header) != 2 or header[0].upper() != "W":
         raise InputFormatError(f"header {lines[0]!r} must be 'W k'")
-    k = int(header[1])
+    try:
+        k = int(header[1])
+    except ValueError as exc:
+        raise InputFormatError(f"header {lines[0]!r} must be 'W k' with an integer k") from exc
     if k < 1:
         raise InputFormatError(f"header {lines[0]!r} needs at least one part")
     if len(lines) != 2 + k:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import floor, lcm
 
 import numpy as np
@@ -290,3 +290,21 @@ def iso_class_count(graphs: list[OrientedGraph]) -> int:
         if not any(are_isomorphic(g, r) for r in reps):
             reps.append(g)
     return len(reps)
+
+
+def brute_index_edges(n: int, index: int, tournament: bool = False) -> list[tuple[int, int]]:
+    """Sorted edges of labeled host ``index`` on n vertices, read one digit
+    per vertex pair in lexicographic order, lowest digit first.  Oriented
+    hosts use base 3 (0 absent, 1 forward u->v, 2 backward v->u) and
+    tournaments base 2 (0 forward, 1 backward)."""
+    base = 2 if tournament else 3
+    edges = []
+    for u, v in combinations(range(n), 2):
+        index, digit = divmod(index, base)
+        if tournament:
+            digit += 1
+        if digit == 1:
+            edges.append((u, v))
+        elif digit == 2:
+            edges.append((v, u))
+    return sorted(edges)

@@ -5,6 +5,7 @@ criteria execute.  Every comparison is exact rational arithmetic unless the
 criterion itself states a tolerance.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -52,6 +53,11 @@ K23_BIP = BipartiteGraph(2, 3, [(i, j) for i in range(2) for j in range(3)])
 SWITCHING_PATTERNS = [K2_BIP, P3_BIP, C4_BIP, C6_BIP, K23_BIP]
 
 SIXTEENTH = Fraction(1, 16)
+# sha256 over the criterion-06 reports, one line per pattern: property,
+# verdict, hosts checked, completeness and the witness (host vertex count,
+# sorted edges, lhs, rhs, margin).  Scans promise the same witness at every
+# worker count, so this holds whatever DIGRAPHON_WORKERS is.
+CRITERION_06_DIGEST = "32ede039cb9a447b2e7073d69a6eb49e2a0f64eb7eb2e58b173c7c45d47b8bfd"
 TOL_2_POW_40 = Fraction(1, 2**40)
 
 
@@ -129,6 +135,7 @@ def test_criterion_05_graph_graphon_consistency():
 def test_criterion_06_sidorenko_necessity():
     knn2 = oriented_knn(2)
     ok = True
+    digest = hashlib.sha256()
     for n in (1, 2, 3, 4):
         for i in range(oriented_graph_count(n)):
             pattern = oriented_graph_from_index(n, i)
@@ -139,8 +146,14 @@ def test_criterion_06_sidorenko_necessity():
                 ok = False
             if t_directed(pattern, knn2) != 0:
                 ok = False
+            w = report.witness
+            host = None if w is None else (
+                w.host.vertex_count, w.host.sorted_edges(), w.lhs, w.rhs, w.margin)
+            digest.update(repr((report.property_name, report.verdict, report.instances_checked,
+                                report.complete, host)).encode() + b"\n")
     record(6, "every edge-hom-free pattern on <=4 vertices is flagged, zero on K22",
            ok)
+    assert digest.hexdigest() == CRITERION_06_DIGEST
 
 
 def test_criterion_07_counting_lemma(graphon_pairs):

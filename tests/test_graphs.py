@@ -27,9 +27,10 @@ from digraphon.graphs import (
     oriented_graph_count,
     oriented_graph_from_index,
     tournament_count,
+    tournament_from_index,
 )
 
-from oracles import iso_class_count
+from oracles import brute_index_edges, iso_class_count
 
 TRIANGLE = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -246,25 +247,15 @@ class TestEnumeration:
         enumerate_oriented_graphs(3, lambda g: seen.add(tuple(g.sorted_edges())))
         assert len(seen) == 27
 
-    def test_sharded_ranges_cover_the_space(self):
-        whole = []
-        enumerate_oriented_graphs(3, lambda g: whole.append(g.sorted_edges()))
-        pieces = []
-        for lo, hi in [(0, 10), (10, 20), (20, 27)]:
-            enumerate_oriented_graphs(
-                3, lambda g: pieces.append(g.sorted_edges()), start=lo, stop=hi)
-        assert pieces == whole
-
     def test_count_only_does_not_decode(self, monkeypatch):
         def no_decode(*args):
             raise AssertionError("a count-only enumeration decoded a graph")
 
-        monkeypatch.setattr("digraphon.graphs.oriented_graph_from_index", no_decode)
-        monkeypatch.setattr(Tournament, "from_bits", classmethod(no_decode))
+        monkeypatch.setattr("digraphon.graphs._decode", no_decode)
         assert enumerate_oriented_graphs(6) == 3 ** 15
-        assert enumerate_oriented_graphs(4, start=700, stop=10**6) == 29
         assert enumerate_tournaments(7) == 2 ** 21
-        assert enumerate_tournaments(3, start=5, stop=2) == 0
+        with pytest.raises(AssertionError, match="decoded"):
+            enumerate_tournaments(2, lambda t: None)
 
     def test_tournament_bits_round_trip(self):
         ts = set()
@@ -274,45 +265,47 @@ class TestEnumeration:
             assert tuple(sorted(t.edges)) in ts
 
 
-def _reference_masks(graph):
-    out_mask = [0] * graph.vertex_count
-    in_mask = [0] * graph.vertex_count
-    for u, v in graph.edges:
+def _reference_masks(n, edges):
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for u, v in edges:
         out_mask[u] |= 1 << v
         in_mask[v] |= 1 << u
-    return tuple(out_mask), tuple(in_mask), len(graph.edges)
+    return tuple(out_mask), tuple(in_mask), len(edges)
 
 
 class TestMaskDecoders:
-    """The scans' range decoders against the graph-building decoders."""
+    """Every decoder of host indices against the brute-force oracle."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_oriented_every_index(self, n):
         total = oriented_graph_count(n)
-        expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(total)]
-        assert list(_mask_range(n, 0, total, _ORIENTED_STATES)) == expected
+        expected = [brute_index_edges(n, i) for i in range(total)]
+        assert [oriented_graph_from_index(n, i).sorted_edges() for i in range(total)] == expected
+        masks = [_reference_masks(n, edges) for edges in expected]
+        assert list(_mask_range(n, 0, total, _ORIENTED_STATES)) == masks
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_tournament_every_index(self, n):
         total = tournament_count(n)
-        expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(total)]
-        assert list(_mask_range(n, 0, total, _TOURNAMENT_STATES)) == expected
+        expected = [brute_index_edges(n, i, tournament=True) for i in range(total)]
+        assert [sorted(tournament_from_index(n, i).edges) for i in range(total)] == expected
+        assert [sorted(Tournament.from_bits(n, i).edges) for i in range(total)] == expected
+        masks = [_reference_masks(n, edges) for edges in expected]
+        assert list(_mask_range(n, 0, total, _TOURNAMENT_STATES)) == masks
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sub_ranges(self, data):
-        tournaments = data.draw(st.booleans())
-        n = data.draw(st.integers(0, 5 if tournaments else 4))
-        total = tournament_count(n) if tournaments else oriented_graph_count(n)
+        tournament = data.draw(st.booleans())
+        n = data.draw(st.integers(0, 5 if tournament else 4))
+        total = tournament_count(n) if tournament else oriented_graph_count(n)
         lo = data.draw(st.integers(0, total))
         hi = data.draw(st.integers(lo, total))
-        if tournaments:
-            got = list(_mask_range(n, lo, hi, _TOURNAMENT_STATES))
-            expected = [_reference_masks(Tournament.from_bits(n, i)) for i in range(lo, hi)]
-        else:
-            got = list(_mask_range(n, lo, hi, _ORIENTED_STATES))
-            expected = [_reference_masks(oriented_graph_from_index(n, i)) for i in range(lo, hi)]
-        assert got == expected
+        states = _TOURNAMENT_STATES if tournament else _ORIENTED_STATES
+        expected = [_reference_masks(n, brute_index_edges(n, i, tournament))
+                    for i in range(lo, hi)]
+        assert list(_mask_range(n, lo, hi, states)) == expected
 
 
 class TestDegrees:

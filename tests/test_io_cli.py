@@ -115,6 +115,12 @@ class TestGraphonFiles:
         with pytest.raises(InputFormatError, match="at least one part"):
             parse_graphon(text)
 
+    @pytest.mark.parametrize("text", ["W x\n", "W 2.5\n"])
+    def test_non_integer_part_count_names_the_header(self, text):
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_graphon(text)
+        assert repr(text.strip()) in str(excinfo.value)
+
 
 @pytest.fixture()
 def files(tmp_path):
