@@ -2,11 +2,12 @@
 
 Counts are plain Python integers (arbitrary precision); densities are
 `fractions.Fraction`, so every equality downstream can be asserted exactly.
-Every count here, and the step-graphon density sum in `stepgraphon`, follows
-one cached plan per pattern (`_plan`): a fixed vertex order (vertices
-adjacent to the placed prefix first, then descending degree, ties broken by
-smallest index), which prunes early and is deterministic, and each
-position's edges back to earlier positions.  One masked backtracking kernel,
+Every count here follows one cached plan per pattern (`_plan`): a fixed
+vertex order (vertices adjacent to the placed prefix first, then descending
+degree, ties broken by smallest index), which prunes early and is
+deterministic, and each position's edges back to earlier positions
+(`_back_edges`; the step-graphon density sum builds its own order, chosen
+for small keys, and shares this form).  One masked backtracking kernel,
 `_count_maps`, counts maps of a compiled pattern (`_compile`: the plan as
 per-position steps) into a host given as out- and in-neighbour bitmasks:
 directed counts and labeled copies use the host's masks, undirected counts
@@ -30,35 +31,48 @@ from .parallel import map_tasks, split_range
 _PLAN_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...] = ()
-          ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Placement order of the vertices 0..v-1 and the back edges of each
-    position.
-
-    The ``free`` vertices take the first positions, in order.  ``back[i]``
-    holds ``(j, t)`` for every edge between position i and an earlier
-    position j: t is 0 when the edge runs from j to i and 1 when it runs the
-    other way.  Callers pass ``edges`` sorted so that equal patterns share a
-    cache entry.
-    """
+def _neighbours(v: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:
+    """The neighbours of each vertex 0..v-1, ignoring edge directions."""
     adj: list[set[int]] = [set() for _ in range(v)]
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    order = list(free)
-    rest = [x for x in range(v) if x not in free]
+    return adj
+
+
+def _back_edges(order: Sequence[int], edges: Sequence[tuple[int, int]]
+                ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per position i of a placement order, ``(j, t)`` for every edge
+    between position i and an earlier position j: t is 0 when the edge runs
+    from j to i and 1 when it runs the other way."""
+    pos = {x: i for i, x in enumerate(order)}
+    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        back[max(i, j)].append((min(i, j), int(i > j)))
+    return tuple(tuple(bk) for bk in back)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(v: int, edges: tuple[tuple[int, int], ...]
+          ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The hom counters' placement order of the vertices 0..v-1 and its
+    back edges (`_back_edges`).
+
+    The order prunes early: each next vertex is adjacent to a placed one
+    when any is, and of the highest degree among those, ties broken by the
+    smallest index.  Callers pass ``edges`` sorted so that equal patterns
+    share a cache entry.
+    """
+    adj = _neighbours(v, edges)
+    order: list[int] = []
+    rest = list(range(v))
     while rest:
         frontier = [x for x in rest if not adj[x].isdisjoint(order)]
         best = max(frontier or rest, key=lambda x: (len(adj[x]), -x))
         order.append(best)
         rest.remove(best)
-    pos = {x: i for i, x in enumerate(order)}
-    back: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for a, b in edges:
-        i, j = pos[a], pos[b]
-        back[max(i, j)].append((min(i, j), int(i > j)))
-    return tuple(order), tuple(tuple(bk) for bk in back)
+    return tuple(order), _back_edges(order, edges)
 
 
 def _masks(host: OrientedGraph | UndirectedGraph) -> tuple[list[int], list[int]]:

@@ -1,17 +1,22 @@
 """Step graphons: piecewise-constant [0,1]^2 -> [0,1] functions on a common
 interval partition, with exact density functionals and cut norms.
 
-All arithmetic is rational.  Every density is one sum over the maps of
-pattern vertices to parts, accumulated as integers over a common
-denominator and reduced once.  The sum places vertices in the cached plan
-the hom counters share (`counting._plan`) and prunes at zero cell values.
-It caches suffix sums: the sum over the vertices from position i of the
-plan on depends only on the images of position i's key, the earlier
-vertices with an edge to position i or later.  So each suffix sum is
-computed once per image of its key, and the work is at most
+All arithmetic is rational.  Every density, mean and rectangle integral
+is a sum of integer numerators over one common denominator, reduced once.
+A density sums over the maps of pattern vertices to parts.  It places
+vertices in a cached order of its own (`_sum_order`) and prunes at zero
+cell values.  It caches suffix sums: the sum over the vertices from
+position i of the order on depends only on the images of position i's
+key, the earlier vertices with an edge to position i or later.  So each
+suffix sum is computed once per image of its key, and the work is at most
 sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  The
-keys are computed once per plan (`_sum_plan`); only the value tables and
-the memo are built per call.
+order places next the vertex that keeps the next key smallest, so a path
+costs about (#parts)^2 steps per vertex.  The hom counters in `counting`
+keep an order chosen for pruning instead.  The keys are computed once per
+pattern (`_sum_plan`); only the value tables and the memo are built per
+call.  The exact cut norms and the cut-distance bound share one
+Gray-block subset search over a stack of integer matrices
+(`_exact_bilinear_maxes`).
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import floor, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .counting import _PLAN_CACHE_SIZE, _plan
+from .counting import _PLAN_CACHE_SIZE, _back_edges, _neighbours
 from .graphs import BipartiteGraph, OrientedGraph, to_part_oriented
 
 TERM_WARNING_THRESHOLD = 10**7
@@ -39,9 +44,11 @@ CUT_DISTANCE_PART_CAP = 7
 # The exact search takes _GRAY_BLOCK subsets per numpy step: small blocks
 # keep each temporary array near 28 KiB at 14 parts; blocks of 1024 save
 # about 2 ms per 14-part norm but leave about 0.25 MiB more in the
-# process's peak RSS.
+# process's peak RSS.  `cut_distance_upper` stacks as many permuted
+# matrices per search as keep each temporary near _STACK_BYTES.
 _INT64_EXACT_BOUND = 2**62
 _GRAY_BLOCK = 256
+_STACK_BYTES = 2**20
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,11 +101,8 @@ class StepGraphon:
 
     def integral(self) -> Fraction:
         """The mean of the graphon (its single-edge density)."""
-        total = _ZERO
-        for i, li in enumerate(self.part_lengths):
-            for j, lj in enumerate(self.part_lengths):
-                total += self.values[i][j] * li * lj
-        return total
+        mass, denom = _signed_numerators(self, _ZERO)
+        return Fraction(sum(map(sum, mass)), denom)
 
     def scale(self, c) -> "StepGraphon":
         """Pointwise multiply by c in [0,1]."""
@@ -169,19 +173,51 @@ def _warn_if_large(terms: int) -> None:
         )
 
 
+def _sum_order(v: int, edges: Sequence[tuple[int, int]], free: Sequence[int]
+               ) -> list[int]:
+    """The density sum's placement order of the vertices 0..v-1: the
+    ``free`` vertices first, in order, then a greedy minimum-boundary order.
+
+    Each next vertex x minimises (the number of placed vertices, x
+    included, with a neighbour still unplaced once x is placed; minus the
+    number of x's neighbours already placed; x).  The first term is the
+    size of the next position's key, so the order keeps the priced work
+    sum_i k^(|key_i| + 1) small: a path keeps one earlier vertex in every
+    key.  The second prefers vertices whose back edges prune at zero
+    values.  It costs O(v^3) set operations, once per cached plan.
+    """
+    adj = _neighbours(v, edges)
+    order = list(free)
+    placed = set(free)
+    rest = [x for x in range(v) if x not in placed]
+
+    def rank(x: int) -> tuple[int, int, int]:
+        now = placed | {x}
+        return sum(1 for y in now if not adj[y] <= now), -len(adj[x] & placed), x
+
+    while rest:
+        best = min(rest, key=rank)
+        order.append(best)
+        placed.add(best)
+        rest.remove(best)
+    return order
+
+
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
                          tuple[Optional[Callable], ...]]:
-    """`counting._plan`'s back edges, the key of every position, and the
+    """The back edges of `_sum_order`, the key of every position, and the
     getter of its key's images where `_map_sum` memoises.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
     depends on the earlier images only through them.  A position whose key
     is every earlier position gets no getter, as no key can repeat there.
+    Callers pass ``edges`` sorted so that equal patterns share a cache
+    entry.
     """
-    _, back = _plan(v, edges, free)
+    back = _back_edges(_sum_order(v, edges, free), edges)
     reach = list(range(v))  # the latest position each position has an edge to
     for i, bk in enumerate(back):
         for j, _ in bk:
@@ -201,8 +237,8 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
-    Variable elimination along the pattern's cached plan
-    (`counting._plan`): a depth-first search places one vertex at a time,
+    Variable elimination along the pattern's cached order
+    (`_sum_order`): a depth-first search places one vertex at a time,
     multiplies in its part weight and the values of its edges back to
     placed vertices, and drops a branch at its first zero factor.  The sum
     over the positions i..v-1 depends only on the images of position i's
@@ -349,38 +385,57 @@ def _mass_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array(rows, dtype=np.int64 if small else object)
 
 
-def _exact_bilinear_max(m: np.ndarray) -> tuple[int, int, int]:
-    """Maximize |sum_{i in S, j in T} m[i, j]| over subsets S, T.
+def _exact_bilinear_maxes(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize |sum_{i in S, j in T} m[i, j]| over subsets S, T, for each
+    matrix m of a stack ``ms`` of shape (matrices, k, k).  Returns, per
+    matrix, the maximum and the first Gray rank of S that reaches it (0,
+    the empty S, when the maximum is 0).
 
     For a fixed S the optimal T keeps exactly the columns whose S-restricted
     sums share a sign, so it suffices to enumerate S and read off both
-    signed optima.  S runs through Gray-code order, and the first maximum
-    in that order wins, the positive side before the negative one at the
-    same S.  Gray rank r adds or removes row ctz(r), the number of trailing
-    zero bits of r, so the column sums of a block of ``_GRAY_BLOCK`` ranks
-    are the previous block's last sums plus a running sum of signed rows:
-    k additions per subset, in the number type of ``m``.
+    signed optima.  S runs through Gray-code order.  Gray rank r adds or
+    removes row ctz(r), the number of trailing zero bits of r, so the column
+    sums of a block of ``_GRAY_BLOCK`` ranks are the previous block's last
+    sums plus a running sum of signed rows: k additions per subset and
+    matrix, in the number type of ``ms``.  Every temporary holds at most
+    matrices x block x k numbers.
     """
-    k = len(m)
-    signed = np.concatenate([m, -m])  # row k + i removes row i
-    carry = best_cols = signed[0] * 0
-    best = best_s = 0
-    # Rank 0, the empty S, scores 0 and never beats the initial best.
-    for start in range(1, 1 << k, _GRAY_BLOCK):
+    n, k = ms.shape[:2]
+    signed = np.concatenate([ms, -ms], axis=1)  # row k + i removes row i
+    carry = signed[:, 0] * 0
+    every = np.arange(n)
+    starts = np.arange(1, 1 << k, _GRAY_BLOCK)
+    # Per matrix and block, the block's maximum and its first rank.
+    tops = np.empty((n, len(starts)), dtype=ms.dtype)
+    top_ranks = np.empty((n, len(starts)), dtype=np.int64)
+    for b, start in enumerate(starts.tolist()):
         ranks = np.arange(start, min(start + _GRAY_BLOCK, 1 << k), dtype=np.int64)
         row = np.frexp(ranks & -ranks)[1] - 1
         # Row ctz(r) leaves the Gray code of r when bit ctz(r) + 1 of r is set.
-        cols = np.cumsum(signed[row + k * (ranks >> (row + 1) & 1)], axis=0)
-        cols += carry
-        carry = cols[-1]
-        pos = np.maximum(cols, 0).sum(axis=1)
-        neg = pos - cols.sum(axis=1)
-        top = np.maximum(pos, neg)
-        i = int(top.argmax())
-        if top[i] > best:
-            best, best_s = int(top[i]), int(ranks[i] ^ ranks[i] >> 1)
-            best_cols = cols[i] if pos[i] == top[i] else -cols[i]
-    return best, best_s, _bool_mask(best_cols > 0)
+        cols = np.cumsum(signed[:, row + k * (ranks >> (row + 1) & 1)], axis=1)
+        cols += carry[:, None]
+        carry = cols[:, -1]
+        pos = np.maximum(cols, 0).sum(axis=2)
+        top = np.maximum(pos, pos - cols.sum(axis=2))
+        top_ranks[:, b] = i = top.argmax(axis=1)
+        tops[:, b] = top[every, i]
+    # The first block that holds a matrix's maximum holds its first maximal rank.
+    block = tops.argmax(axis=1)
+    best = tops[every, block]
+    return best, np.where(best > 0, starts[block] + top_ranks[every, block], 0)
+
+
+def _exact_bilinear_max(m: np.ndarray) -> tuple[int, int, int]:
+    """`_exact_bilinear_maxes` on the single matrix ``m``, with its S and T
+    masks: S at the first maximal Gray rank, and T the columns whose
+    S-sums are positive when that side reaches the maximum, else the
+    negative ones."""
+    (best,), (rank,) = _exact_bilinear_maxes(m[None])
+    s_mask = int(rank ^ rank >> 1)
+    cols = m[[i for i in range(len(m)) if s_mask >> i & 1]].sum(axis=0)
+    if np.maximum(cols, 0).sum() != best:
+        cols = -cols
+    return int(best), s_mask, _bool_mask(cols > 0)
 
 
 def _bool_mask(flags: np.ndarray) -> int:
@@ -410,15 +465,21 @@ def _heuristic_bilinear_max(m: np.ndarray, seed: int) -> tuple[int, int, int]:
     return best, best_s, best_t
 
 
-def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[np.ndarray, int]:
-    """Integer numerators of (W - center) * length_i * length_j, as a
-    `_mass_array`, and their common positive denominator."""
+def _signed_numerators(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int]:
+    """Integer numerators of (W - center) * length_i * length_j over one
+    common positive denominator, and that denominator."""
     (lnum,), dl = _numerators([w.part_lengths])
     vnum, dv = _numerators([*w.values, (center,)])
     cnum = vnum.pop()[0]
     mass = [[(x - cnum) * li * lj for x, lj in zip(row, lnum)]
             for row, li in zip(vnum, lnum)]
-    return _mass_array(mass), dv * dl * dl
+    return mass, dv * dl * dl
+
+
+def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[np.ndarray, int]:
+    """`_signed_numerators` as a `_mass_array`, and their denominator."""
+    mass, denom = _signed_numerators(w, center)
+    return _mass_array(mass), denom
 
 
 def _cut_norm_impl(w: StepGraphon, center: Fraction, heuristic: bool,
@@ -456,13 +517,9 @@ def cut_norm_centered(w: StepGraphon, p, *, heuristic: bool = False,
 def rectangle_integral(w: StepGraphon, parts_s: Iterable[int],
                        parts_t: Iterable[int], center=0) -> Fraction:
     """Integral of (W - center) over the union-of-parts rectangle S x T."""
-    center = _as_fraction(center)
-    total = _ZERO
-    for i in parts_s:
-        li = w.part_lengths[i]
-        for j in parts_t:
-            total += (w.values[i][j] - center) * li * w.part_lengths[j]
-    return total
+    mass, denom = _signed_numerators(w, _as_fraction(center))
+    parts_t = tuple(parts_t)
+    return Fraction(sum(mass[i][j] for i in parts_s for j in parts_t), denom)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +566,8 @@ def cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
     k! * 2^k Gray-code steps (about 0.6 million at the cap
     ``CUT_DISTANCE_PART_CAP`` = 7, growing about 12x per extra part); a
     common refinement above the cap raises ``ValueError`` before any of
-    that work.
+    that work.  The permuted differences go through the Gray-block kernel
+    in stacks, and the search stops after the first stack that reaches 0.
     """
     parts = lcm(_equipartition_size(w), _equipartition_size(u))
     if parts > CUT_DISTANCE_PART_CAP:
@@ -521,16 +579,19 @@ def cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
     # absolute sum of every difference below.
     both = _mass_array(num)
     wn, un = both[:parts], both[parts:]
-    denom = dv * parts * parts
-    best: Optional[Fraction] = None
-    for perm in permutations(range(parts)):
-        val = Fraction(_exact_bilinear_max(wn - un[np.ix_(perm, perm)])[0], denom)
-        if best is None or val < best:
-            best = val
+    # Each temporary of a search holds stack x block x parts numbers.
+    stack = max(1, _STACK_BYTES // (8 * parts * min(_GRAY_BLOCK, 1 << parts)))
+    perms = permutations(range(parts))
+    best = None
+    while batch := list(islice(perms, stack)):
+        p = np.array(batch)
+        values, _ = _exact_bilinear_maxes(wn - un[p[:, :, None], p[:, None, :]])
+        low = values.min()
+        if best is None or low < best:
+            best = low
             if best == 0:
                 break
-    assert best is not None
-    return best
+    return Fraction(int(best), dv * parts * parts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import floor, lcm
 import numpy as np
 
 from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph, w_lambda
-from digraphon.stepgraphon import HEURISTIC_RESTARTS
+from digraphon.stepgraphon import HEURISTIC_RESTARTS, _exact_bilinear_max, _mass_array
 
 
 def brute_hom_directed(pattern: OrientedGraph, host: OrientedGraph) -> int:
@@ -153,6 +153,53 @@ def brute_t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
                 term *= w.values[gx[i]][gy[j]]
             total += term
     return total
+
+
+def reference_integral(w: StepGraphon) -> Fraction:
+    """The mean of W as a plain sum of rational cell masses."""
+    total = Fraction(0)
+    for i, li in enumerate(w.part_lengths):
+        for j, lj in enumerate(w.part_lengths):
+            total += w.values[i][j] * li * lj
+    return total
+
+
+def reference_rectangle_integral(w: StepGraphon, parts_s, parts_t, center) -> Fraction:
+    """The integral of (W - center) over S x T as a plain rational sum."""
+    total = Fraction(0)
+    for i in parts_s:
+        for j in parts_t:
+            total += (w.values[i][j] - center) * w.part_lengths[i] * w.part_lengths[j]
+    return total
+
+
+def reference_cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
+    """min over permutations pi of ||W - U^pi||_cut on the common equal
+    refinement, one permutation at a time: each difference of integer
+    numerators goes through the single-matrix exact search (itself checked
+    against `brute_bilinear_max`)."""
+    def ends(g):
+        return [sum(g.part_lengths[:i + 1], Fraction(0)) for i in range(g.num_parts)]
+
+    parts = lcm(*(x.denominator for x in ends(w) + ends(u)))
+
+    def refined(g):
+        bounds = ends(g)
+        owner = [next(i for i, b in enumerate(bounds) if Fraction(2 * a + 1, 2 * parts) < b)
+                 for a in range(parts)]
+        return [[g.values[owner[a]][owner[b]] for b in range(parts)] for a in range(parts)]
+
+    wv, uv = refined(w), refined(u)
+    d = lcm(*(x.denominator for row in wv + uv for x in row))
+    wn = [[int(x * d) for x in row] for row in wv]
+    un = [[int(x * d) for x in row] for row in uv]
+    best = None
+    for perm in permutations(range(parts)):
+        diff = [[wn[a][b] - un[perm[a]][perm[b]] for b in range(parts)] for a in range(parts)]
+        value = Fraction(_exact_bilinear_max(_mass_array(diff))[0], d * parts ** 2)
+        if best is None or value < best:
+            best = value
+    return best
 
 
 def brute_cut_norm_centered(w: StepGraphon, center: Fraction) -> Fraction:

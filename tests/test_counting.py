@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,13 @@ from digraphon import (
     t_undirected,
     to_part_oriented,
 )
-from digraphon.counting import _plan
+from digraphon.counting import _back_edges, _plan
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
+from digraphon.stepgraphon import _map_sum, _sum_order, _sum_plan
 
 from oracles import (
     brute_copies_directed,
+    brute_free_subtotals,
     brute_hom_bip,
     brute_hom_directed,
     brute_hom_undirected,
@@ -224,21 +227,61 @@ class TestSharedPlan:
     @settings(max_examples=80, deadline=None)
     @given(oriented_graphs(min_n=0, max_n=5), st.randoms(use_true_random=False))
     def test_back_edges_and_free_prefix(self, pattern, rng):
+        # The hom counters' plan, and the density sum's order after its
+        # free prefix, with the back edges of each.
         v = pattern.vertex_count
         free = tuple(rng.sample(range(v), rng.randint(0, v)))
         edges = tuple(pattern.sorted_edges())
-        order, back = _plan(v, edges, free)
-        assert isinstance(order, tuple) and all(isinstance(bk, tuple) for bk in back)
-        assert sorted(order) == list(range(v))
-        assert order[:len(free)] == free
-        assert len(back) == v
-        seen = []
-        for i, bk in enumerate(back):
-            for j, t in bk:
-                assert 0 <= j < i
-                earlier, later = order[j], order[i]
-                seen.append((earlier, later) if t == 0 else (later, earlier))
-        assert sorted(seen) == list(edges)
+        sum_order = tuple(_sum_order(v, edges, free))
+        assert sum_order[:len(free)] == free
+        for order, back in (_plan(v, edges), (sum_order, _back_edges(sum_order, edges))):
+            assert isinstance(order, tuple) and all(isinstance(bk, tuple) for bk in back)
+            assert sorted(order) == list(range(v))
+            assert len(back) == v
+            seen = []
+            for i, bk in enumerate(back):
+                for j, t in bk:
+                    assert 0 <= j < i
+                    earlier, later = order[j], order[i]
+                    seen.append((earlier, later) if t == 0 else (later, earlier))
+            assert sorted(seen) == list(edges)
+
+    def test_each_engine_keeps_its_order(self):
+        # A 4-cycle through 0, 2, 1, 3 and an isolated vertex 4.  The
+        # counters grow a connected prefix by degree and leave the isolated
+        # vertex, which needs no search, for last; the density sum places it
+        # first, where it adds nothing to any key.
+        edges = ((0, 2), (0, 3), (1, 2), (1, 3))
+        assert _plan(5, edges)[0] == (0, 2, 1, 3, 4)
+        assert _sum_order(5, edges, ()) == [4, 0, 2, 1, 3]
+
+    @pytest.mark.parametrize("pattern,parts,priced", [
+        # Every key of a path holds only the vertex before it.
+        (OrientedGraph(10, [(i, i + 1) for i in range(9)]), 8, 8 + 9 * 8 ** 2),
+        # Keys of a cycle hold its first vertex and the one before.
+        (OrientedGraph(6, [(i, (i + 1) % 6) for i in range(6)]), 8, 2120),
+        # Every key of a transitive tournament is its whole prefix.
+        (OrientedGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]), 8,
+         sum(8 ** (i + 1) for i in range(5))),
+    ])
+    def test_priced_density_work(self, pattern, parts, priced):
+        keys = _sum_plan(pattern.vertex_count, tuple(pattern.sorted_edges()), ())[1]
+        assert sum(parts ** (len(key) + 1) for key in keys) == priced
+
+    @settings(max_examples=80, deadline=None)
+    @given(oriented_graphs(min_n=1, max_n=6), st.integers(1, 3), st.data())
+    def test_density_sum_with_free_prefix(self, pattern, k, data):
+        v = pattern.vertex_count
+        free = tuple(data.draw(st.permutations(range(v)))[:data.draw(st.integers(0, v))])
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        values = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                    min_size=k, max_size=k))
+        w = SimpleNamespace(num_parts=k, part_lengths=weights, values=values)
+        subtotals = _map_sum(v, pattern.sorted_edges(), weights, values, free=free)
+        if free:
+            assert subtotals == brute_free_subtotals(pattern, w, free)
+        else:
+            assert subtotals == sum(brute_free_subtotals(pattern, w, ()).values())
 
     def test_scans_compile_the_pattern_once(self):
         c4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

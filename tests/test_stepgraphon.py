@@ -37,7 +37,10 @@ from oracles import (
     brute_t_step,
     rectangle_sum,
     reference_bilinear_max,
+    reference_cut_distance_upper,
     reference_heuristic_bilinear_max,
+    reference_integral,
+    reference_rectangle_integral,
 )
 
 EDGE = OrientedGraph(2, [(0, 1)])
@@ -77,6 +80,19 @@ def step_graphons(draw, parts=3, denominator=8):
     return StepGraphon([Fraction(1, parts)] * parts, matrix)
 
 
+@st.composite
+def unequal_step_graphons(draw, max_parts=5, denominator=64):
+    """Step graphons whose part lengths are drawn from 1-16 integer weights,
+    so parts are unequal and length denominators vary."""
+    parts = draw(st.integers(1, max_parts))
+    weights = draw(st.lists(st.integers(1, 16), min_size=parts, max_size=parts))
+    vals = draw(st.lists(st.integers(0, denominator), min_size=parts * parts,
+                         max_size=parts * parts))
+    return StepGraphon([Fraction(x, sum(weights)) for x in weights],
+                       [[Fraction(vals[i * parts + j], denominator) for j in range(parts)]
+                        for i in range(parts)])
+
+
 class TestStepGraphonType:
     def test_lengths_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -99,6 +115,21 @@ class TestStepGraphonType:
         assert w.values[0][0] == Fraction(1, 2)
         with pytest.raises(ValueError):
             w.scale(2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(unequal_step_graphons())
+    def test_integral_matches_rational_sum_and_edge_density(self, w):
+        assert w.integral() == reference_integral(w) == t_step(EDGE, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(unequal_step_graphons(), st.randoms(use_true_random=False),
+           st.fractions(0, 1, max_denominator=12))
+    def test_rectangle_integral_matches_rational_sum(self, w, rng, center):
+        k = w.num_parts
+        parts_s = rng.sample(range(k), rng.randint(0, k))
+        parts_t = rng.sample(range(k), rng.randint(0, k))
+        assert (rectangle_integral(w, parts_s, iter(parts_t), center)
+                == reference_rectangle_integral(w, parts_s, parts_t, center))
 
     def test_scale_zero_kills_densities(self):
         w = random_graphon(3, seed=5).scale(0)
@@ -261,8 +292,8 @@ class TestMapSum:
         assert grad == {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
 
     def test_long_path_matches_matrix_powers(self):
-        # 8^10 maps, but each suffix sum depends on at most two earlier
-        # images, so the priced work stays below the warning threshold.
+        # 8^10 maps, but each suffix sum depends on one earlier image, so
+        # the priced work is 584 steps, far below the warning threshold.
         w = random_graphon(8, seed=21)
         path = OrientedGraph(10, [(i, i + 1) for i in range(9)])
         vec = [Fraction(1)] * 8
@@ -272,15 +303,29 @@ class TestMapSum:
             warnings.simplefilter("error", RuntimeWarning)
             assert t_step(path, w) == sum(vec) / 8 ** 10
 
-    def test_dense_pattern_still_warns(self):
+    def test_dense_pattern_still_warns(self, monkeypatch):
         # Every key of a transitive tournament is its whole prefix, so the
-        # priced work is sum_i 8^(i+1) > 10^7; the warning, raised as an
-        # error, stops the call before the sum starts.
+        # priced work is sum_i 8^(i+1) = 19,173,960 > 10^7; the warning,
+        # raised as an error, stops the call before the sum starts.
+        def never(*args, **kwargs):
+            raise AssertionError("the density sum ran")
+
+        monkeypatch.setattr(stepgraphon, "_map_sum", never)
         tt8 = OrientedGraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning):
                 t_step(tt8, random_graphon(8, seed=21))
+
+    def test_long_path_on_many_parts_is_priced_below_the_threshold(self):
+        # The plan keeps one earlier vertex in every key of a path, so 100
+        # parts price the 13-vertex path at 100 + 12 * 100^2 = 120,100
+        # steps, far below the threshold that 100^13 maps would cross.
+        p = Fraction(3, 7)
+        path = OrientedGraph(13, [(i, i + 1) for i in range(12)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert t_step(path, StepGraphon.constant(p, parts=100)) == p ** 12
 
 
 class TestSwitchingIdentity:
@@ -510,10 +555,10 @@ class TestCutDistanceUpper:
             cut_distance_upper(w, u)
 
     def test_default_cap_rejects_eight_parts_before_searching(self, monkeypatch):
-        def never(mass):
+        def never(masses):
             raise AssertionError("the subset search ran")
 
-        monkeypatch.setattr(stepgraphon, "_exact_bilinear_max", never)
+        monkeypatch.setattr(stepgraphon, "_exact_bilinear_maxes", never)
         w = StepGraphon([Fraction(1, 8)] * 8, [[Fraction(1, 2)] * 8 for _ in range(8)])
         u = StepGraphon.constant(Fraction(1, 2))
         with pytest.raises(ValueError, match="8 equal parts"):
@@ -525,6 +570,27 @@ class TestCutDistanceUpper:
         d = cut_distance_upper(w, u)
         for pattern in (EDGE, TRIANGLE, OrientedGraph(3, [(0, 1), (1, 2)])):
             assert abs(t_step(pattern, w) - t_step(pattern, u)) <= pattern.edge_count * d
+
+    @pytest.mark.parametrize("parts", range(1, 8))
+    def test_stacked_search_matches_permutation_loop(self, parts):
+        for seed in range(2 if parts == 7 else 4):
+            w = random_graphon(parts, seed=100 * parts + seed)
+            u = random_graphon(parts, seed=100 * parts + seed + 50)
+            assert cut_distance_upper(w, u) == reference_cut_distance_upper(w, u)
+
+    @pytest.mark.parametrize("w_parts,u_parts", [(1, 6), (2, 3), (3, 2), (2, 4)])
+    def test_stacked_search_matches_loop_on_refinements(self, w_parts, u_parts):
+        w = random_graphon(w_parts, seed=w_parts)
+        u = random_graphon(u_parts, seed=10 + u_parts)
+        assert cut_distance_upper(w, u) == reference_cut_distance_upper(w, u)
+
+    def test_stacked_search_in_python_integers(self):
+        # Numerators near 2^70 put the masses past int64.
+        w = random_graphon(5, seed=3, denominator=2**70)
+        u = random_graphon(5, seed=4, denominator=2**70)
+        both = [list(map(int, (x * 2**70 for x in row))) for row in w.values + u.values]
+        assert stepgraphon._mass_array(both).dtype == object
+        assert cut_distance_upper(w, u) == reference_cut_distance_upper(w, u)
 
     def test_symmetry_of_bound(self):
         w = random_graphon(3, seed=2)
