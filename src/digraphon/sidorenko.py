@@ -208,6 +208,8 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     This evaluates the paper's margin identity on W.  Both sides run through
     the same exact map-sum engine, so it is not a cross-check of two
     implementations: the brute-force sums in ``tests/oracles.py`` check each.
+    The mean and both densities read the one integer form of W that the
+    density module keeps for the last graphon, so W is converted once.
     """
     bound = w.integral() ** pattern.edge_count
     d_margin = t_step(to_part_oriented(pattern), w) - bound

@@ -9,12 +9,17 @@ cell values.  It caches suffix sums: the sum over the vertices from
 position i of the order on depends only on the images of position i's
 key, the earlier vertices with an edge to position i or later.  So each
 suffix sum is computed once per image of its key, and the work is at most
-sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  The
-order places next the vertex that keeps the next key smallest, so a path
-costs about (#parts)^2 steps per vertex.  The hom counters in `counting`
-keep an order chosen for pruning instead.  The keys are computed once per
-pattern (`_sum_plan`); only the value tables and the memo are built per
-call.  The exact cut norms and the cut-distance bound share one
+sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  Each
+memo is read by the caller before it recurses, so a hit costs no call.  A
+position that no later key holds is detached: its factor is summed over
+its parts first and the next suffix sum multiplied in once.  The order
+places next the vertex that keeps the next key smallest, so a path costs
+about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
+order chosen for pruning instead.  The keys are computed once per pattern
+(`_sum_plan`); only the value tables and the memo are built per call.
+The densities, the mean and the cut norms read W as integer numerators
+(`_integer_form`), kept for the last graphon so that a margin bridge
+converts W once.  The exact cut norms and the cut-distance bound share one
 Gray-block subset search over a stack of integer matrices
 (`_exact_bilinear_maxes`).
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import random
 import warnings
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,6 +170,28 @@ def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+# The last graphon `_integer_form` converted, by weak reference, and its
+# form.  The slot is updated in place, so the module's bindings never change.
+_last_form: list = [lambda: None, ()]
+
+
+def _integer_form(w: StepGraphon) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], int]:
+    """W's part lengths over their least common denominator, and its values
+    over theirs: (lengths, length denominator, values, value denominator).
+
+    The form of the last graphon converted is kept, so that the mean and
+    the two densities of one margin bridge convert W once.  It is held by
+    a weak reference to W, which keeps no graphon alive.
+    """
+    ref, form = _last_form
+    if ref() is not w:
+        (lnum,), dl = _numerators([w.part_lengths])
+        vnum, dv = _numerators(w.values)
+        form = (tuple(lnum), dl, tuple(map(tuple, vnum)), dv)
+        _last_form[:] = weakref.ref(w), form
+    return form
+
+
 def _warn_if_large(terms: int) -> None:
     if terms > TERM_WARNING_THRESHOLD:
         warnings.warn(
@@ -206,16 +234,19 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]], free: Sequence[int]
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
-                         tuple[Optional[Callable], ...]]:
-    """The back edges of `_sum_order`, the key of every position, and the
-    getter of its key's images where `_map_sum` memoises.
+                         tuple[Optional[Callable], ...], tuple[bool, ...]]:
+    """The back edges of `_sum_order`, the key of every position, the
+    getter of its key's images where `_map_sum` memoises, and whether each
+    position is detached.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
     depends on the earlier images only through them.  A position whose key
     is every earlier position gets no getter, as no key can repeat there.
-    Callers pass ``edges`` sorted so that equal patterns share a cache
-    entry.
+    A position is detached when the next key does not hold it (the last
+    position always is): no later factor reads its image, so its factor
+    summed over its parts multiplies the next suffix sum once.  Callers
+    pass ``edges`` sorted so that equal patterns share a cache entry.
     """
     back = _back_edges(_sum_order(v, edges, free), edges)
     reach = list(range(v))  # the latest position each position has an edge to
@@ -225,7 +256,8 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
     keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
     getters = tuple((itemgetter(*key) if key else _no_key) if len(key) < i else None
                     for i, key in enumerate(keys))
-    return back, keys, getters
+    detached = tuple(reach[i] == i for i in range(v))
+    return back, keys, getters, detached
 
 
 def _no_key(img: Sequence[int]) -> tuple[()]:
@@ -242,15 +274,19 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     multiplies in its part weight and the values of its edges back to
     placed vertices, and drops a branch at its first zero factor.  The sum
     over the positions i..v-1 depends only on the images of position i's
-    key (`_sum_plan`), so it is memoised per call on them.  With k parts the
-    work is at most sum_i k^(|key_i| + 1) steps rather than k^v.  The
-    ``free`` vertices take the first positions and are never memoised; with
-    ``free`` given, the result maps each tuple of their images (in ``free``
-    order) to its nonzero subtotal, else it is the total.
+    key (`_sum_plan`), so it is memoised per call on them; the caller looks
+    the memo up before it recurses.  A detached position, one whose image
+    no later factor reads, sums its factor over its parts first and
+    multiplies the next suffix sum in once, or not at all when that factor
+    sums to 0.  With k parts the work is at most sum_i k^(|key_i| + 1)
+    steps rather than k^v.  The ``free`` vertices take the first positions
+    and are never memoised; with ``free`` given, the result maps each tuple
+    of their images (in ``free`` order) to its nonzero subtotal, else it is
+    the total.
     """
     if v == 0:
         return 1
-    back, _, getters = _sum_plan(v, tuple(sorted(edges)), tuple(free))
+    back, _, getters, detached = _sum_plan(v, tuple(sorted(edges)), tuple(free))
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
@@ -259,37 +295,56 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     parts = range(len(weights))
     tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
               for m in matrices]
-    steps = [(bk[0][0], tables[bk[0][1]], [(j, matrices[t]) for j, t in bk[1:]]) if bk
-             else (-1, [(c, weights[c]) for c in parts], ()) for bk in back]
+    steps = [(bk[0][0], tables[bk[0][1]], [(j, matrices[t]) for j, t in bk[1:]], det)
+             if bk else (-1, [(c, weights[c]) for c in parts], (), det)
+             for bk, det in zip(back, detached)]
     img = [0] * v
     last = v - 1
     m = len(free)
     memos: list[dict] = [{} for _ in range(v)]
 
+    def memoised(i: int) -> int:
+        """`suffix(i)` through position i's memo."""
+        getter = getters[i]
+        if getter is None:
+            return suffix(i)
+        key = getter(img)
+        total = memos[i].get(key)
+        if total is None:
+            total = memos[i][key] = suffix(i)
+        return total
+
     def suffix(i: int) -> int:
         """The sum over the images of positions i..v-1, given the earlier
         images in ``img``."""
-        getter = getters[i]
-        if getter is not None:
-            key = getter(img)
-            total = memos[i].get(key)
-            if total is not None:
-                return total
-        j0, table, rest = steps[i]
+        j0, table, rest, alone = steps[i]
         rows = [mat[img[j]] for j, mat in rest]
-        inner = i < last
         total = 0
+        if alone:
+            for c, f in table[img[j0]] if j0 >= 0 else table:
+                for row in rows:
+                    f *= row[c]
+                    if not f:
+                        break
+                total += f
+            return total * memoised(i + 1) if total and i < last else total
+        # `memoised(i + 1)`, inlined: this loop runs once per step.
+        getter, memo = getters[i + 1], memos[i + 1]
         for c, f in table[img[j0]] if j0 >= 0 else table:
             for row in rows:
                 f *= row[c]
                 if not f:
                     break
-            if f and inner:
+            if f:
                 img[i] = c
-                f *= suffix(i + 1)
-            total += f
-        if getter is not None:
-            memos[i][key] = total
+                if getter is None:
+                    sub = suffix(i + 1)
+                else:
+                    key = getter(img)
+                    sub = memo.get(key)
+                    if sub is None:
+                        sub = memo[key] = suffix(i + 1)
+                total += f * sub
         return total
 
     try:
@@ -305,15 +360,15 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
                 for j, t in back[i]:
                     f *= matrices[t][img[j]][img[i]]
             if f and m < v:
-                f *= suffix(m)
+                f *= memoised(m)
             if f:
                 out[images] = f
         return out
     finally:
-        # suffix refers to itself; unbinding it breaks that cycle, so the
-        # tables and memos go as soon as the call returns instead of
-        # waiting for the cyclic garbage collector.
-        del suffix
+        # suffix and memoised refer to each other; unbinding them breaks
+        # that cycle, so the tables and memos go as soon as the call
+        # returns instead of waiting for the cyclic garbage collector.
+        del suffix, memoised
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
@@ -321,8 +376,7 @@ def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     k = w.num_parts
     # The work bound of `_map_sum`, not the k^v maps it sums over.
     _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges), ())[1]))
-    (lnum,), dl = _numerators([w.part_lengths])
-    vnum, dv = _numerators(w.values)
+    lnum, dl, vnum, dv = _integer_form(w)
     total = _map_sum(v, edges, lnum, vnum)
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
@@ -468,12 +522,12 @@ def _heuristic_bilinear_max(m: np.ndarray, seed: int) -> tuple[int, int, int]:
 def _signed_numerators(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int]:
     """Integer numerators of (W - center) * length_i * length_j over one
     common positive denominator, and that denominator."""
-    (lnum,), dl = _numerators([w.part_lengths])
-    vnum, dv = _numerators([*w.values, (center,)])
-    cnum = vnum.pop()[0]
-    mass = [[(x - cnum) * li * lj for x, lj in zip(row, lnum)]
+    lnum, dl, vnum, dv = _integer_form(w)
+    d = lcm(dv, center.denominator)
+    scale, cnum = d // dv, center.numerator * (d // center.denominator)
+    mass = [[(x * scale - cnum) * li * lj for x, lj in zip(row, lnum)]
             for row, li in zip(vnum, lnum)]
-    return mass, dv * dl * dl
+    return mass, d * dl * dl
 
 
 def _signed_mass(w: StepGraphon, center: Fraction) -> tuple[np.ndarray, int]:

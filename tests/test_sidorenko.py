@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,10 +23,13 @@ from digraphon import (
     from_oriented,
     oriented_knn,
     random_graphon,
+    t_bip_step,
     t_directed,
     t_step,
+    to_part_oriented,
     w_lambda,
 )
+from digraphon import stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import brute_hom_directed
@@ -269,6 +275,46 @@ class TestBridge:
         for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
             report = check_equivalence_bridge(TREE4_BIP, w_lambda(lam))
             assert report.verdict == HOLDS
+
+    def test_one_conversion_and_two_map_sums_per_bridge(self, monkeypatch):
+        # The mean and both densities read one integer form of W, and both
+        # map sums still run.
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(stepgraphon, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(stepgraphon, "_map_sum", counted("_map_sum"))
+        monkeypatch.setattr(stepgraphon, "_numerators", counted("_numerators"))
+        report = check_equivalence_bridge(C4_BIP, random_graphon(4, seed=3))
+        assert report.verdict == HOLDS
+        # One call for the part lengths and one for the values.
+        assert calls == {"_map_sum": 2, "_numerators": 2}
+
+    def test_density_digest(self):
+        # 200 seeded 3+3 patterns on 6-part graphons with unequal parts and
+        # zero values; the digest was taken with one map sum per density
+        # that converted W on every call.
+        rng = random.Random(2024)
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        lines = []
+        for _ in range(200):
+            pattern = BipartiteGraph(3, 3, rng.sample(cells, rng.randint(1, 9)))
+            weights = [rng.randint(1, 16) for _ in range(6)]
+            values = [[Fraction(rng.choice((0, rng.randint(0, 64))), rng.choice((64, 3, 12)))
+                       for _ in range(6)] for _ in range(6)]
+            w = StepGraphon([Fraction(x, sum(weights)) for x in weights],
+                            [[min(x, Fraction(1)) for x in row] for row in values])
+            lines.append(f"{sorted(pattern.edges)} {t_step(to_part_oriented(pattern), w)} "
+                         f"{t_bip_step(pattern, w)} {w.integral()} "
+                         f"{check_equivalence_bridge(pattern, w)}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "bcc4da6aba473086cdb35e91512be99afb049d6fc2155704301dbe8e31d05c99"
 
 
 class TestSecondSidorenko:

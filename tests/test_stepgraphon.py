@@ -1,5 +1,7 @@
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -234,6 +236,17 @@ class TestDensities:
         lonely = OrientedGraph(4, [(0, 1)])
         assert t_step(lonely, w) == brute_t_step(lonely, w) == w.integral()
 
+    def test_integer_form_follows_the_graphon_and_keeps_none_alive(self):
+        # W's integer form is kept for the next call on the same W only.
+        ws = [random_graphon(3, seed=s) for s in (4, 5)]
+        for w in ws + ws[::-1]:
+            assert t_step(TRIANGLE, w) == brute_t_step(TRIANGLE, w)
+            assert w.integral() == reference_integral(w)
+        kept = weakref.ref(ws[0])
+        del ws, w
+        gc.collect()
+        assert kept() is None
+
     def test_graph_consistency_exhaustive_small(self):
         # t(B, W_G) must equal t(B, G) exactly; full sweep at tiny sizes
         # (the acceptance suite runs the larger one).
@@ -266,6 +279,55 @@ def map_sum_instances(draw, max_n=6, max_parts=3):
     return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values), free
 
 
+@st.composite
+def detached_instances(draw, max_parts=3):
+    """A pattern whose density sum has detached positions (a part-oriented
+    3+3 bipartite pattern, or an out- or in-star), with isolated vertices
+    up to 7 vertices in all and its labels shuffled; integer part weights
+    and cell values with zeros; and 0 to v free vertices."""
+    kind = draw(st.sampled_from(("bipartite", "out-star", "in-star")))
+    if kind == "bipartite":
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        keep = draw(st.lists(st.booleans(), min_size=9, max_size=9))
+        base = to_part_oriented(BipartiteGraph(3, 3, [c for c, b in zip(cells, keep) if b]))
+    else:
+        leaves = range(1, draw(st.integers(1, 4)) + 1)
+        base = OrientedGraph(len(leaves) + 1, [(0, x) if kind == "out-star" else (x, 0)
+                                               for x in leaves])
+    v = draw(st.integers(base.vertex_count, 7))
+    label = draw(st.permutations(range(v)))
+    pattern = OrientedGraph(v, [(label[a], label[b]) for a, b in base.edges])
+    k = draw(st.integers(1, max_parts))
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    values = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(k)]
+    free = tuple(draw(st.permutations(range(v)))[:draw(st.integers(0, v))])
+    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values), free
+
+
+class Counted:
+    """An integer that counts the additions made with it, the steps of a
+    density sum: one per (position, part) pair the search visits."""
+
+    additions = 0
+
+    def __init__(self, x):
+        self.x = x
+
+    def __mul__(self, other):
+        return Counted(self.x * (other.x if isinstance(other, Counted) else other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        Counted.additions += 1
+        return Counted(self.x + (other.x if isinstance(other, Counted) else other))
+
+    __radd__ = __add__
+
+    def __bool__(self):
+        return bool(self.x)
+
+
 class TestMapSum:
     @settings(max_examples=80, deadline=None)
     @given(map_sum_instances())
@@ -290,6 +352,56 @@ class TestMapSum:
                                                   free=(a, b)).items():
                 grad[cell] = grad.get(cell, 0) + sub
         assert grad == {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
+
+    @settings(max_examples=60, deadline=None)
+    @given(detached_instances())
+    def test_detached_positions_match_brute_force(self, instance):
+        pattern, w, free = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        expected = brute_free_subtotals(pattern, w, free)
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) \
+            == sum(expected.values())
+        if free:
+            subtotals = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free=free)
+            assert subtotals == expected
+            # The free images come in lexicographic order.
+            assert list(subtotals) == sorted(subtotals)
+
+    def test_star_leaves_are_detached(self):
+        # The centre goes first; no later factor reads a leaf's image.
+        star = ((0, 1), (0, 2), (0, 3))
+        assert stepgraphon._sum_plan(4, star, ())[3] == (False, True, True, True)
+        assert stepgraphon._map_sum(4, star, [1, 2], [[0, 1], [1, 1]]) \
+            == 1 * 2 ** 3 + 2 * 3 ** 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(detached_instances(max_parts=4), map_sum_instances(max_parts=4)))
+    def test_work_within_priced_bound(self, instance):
+        # Each suffix sum runs once per image of its key, so the search
+        # visits at most k^(|key_i| + 1) pairs at a position i after the
+        # free prefix.
+        pattern, w, free = instance
+        v, edges, k = pattern.vertex_count, pattern.sorted_edges(), w.num_parts
+        keys = stepgraphon._sum_plan(v, tuple(edges), free)[1]
+        Counted.additions = 0
+        total = stepgraphon._map_sum(v, edges, [Counted(x) for x in w.part_lengths],
+                                     [[Counted(x) for x in row] for row in w.values], free)
+        assert Counted.additions <= sum(k ** (len(key) + 1) for key in keys[len(free):])
+        # The sum on plain integers, which the tests above check.
+        plain = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free)
+        if free:
+            assert {images: sub.x for images, sub in total.items()} == plain
+        else:
+            assert getattr(total, "x", total) == plain
+
+    def test_free_prefix_reads_the_memo(self):
+        # Vertex 2's key is vertex 0 alone, so its suffix sum runs once per
+        # image of vertex 0, not once per pair of free images: 4 calls of 4
+        # steps each, not 16.
+        Counted.additions = 0
+        ones = [Counted(1)] * 4
+        stepgraphon._map_sum(3, [(0, 2)], ones, [ones] * 4, free=(0, 1))
+        assert Counted.additions == 16
 
     def test_long_path_matches_matrix_powers(self):
         # 8^10 maps, but each suffix sum depends on one earlier image, so
