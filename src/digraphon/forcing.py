@@ -155,13 +155,12 @@ def find_lambda0(
             "equals the target for every lambda, so no isolated root exists")
 
     target = LAMBDA_FAMILY_MEAN ** e
-    edges = pattern.sorted_edges()
     nodes = [Fraction(i, e) for i in range(e + 1)]
     values = []
     for lam in nodes:
         # t_step(pattern, w_lambda(lam)) without building the graphon.
         cells, d = _lambda_numerators(lam)
-        values.append(Fraction(_map_sum(v, edges, [1] * 4, cells), 4 ** v * d ** e))
+        values.append(Fraction(_exact_density(pattern, cells), 4 ** v * d ** e))
     if values[0] != 0:
         raise AssertionError("density at lambda=0 should vanish")
     if values[-1] != Fraction(1, 2) ** v * Fraction(1, 4) ** e or values[-1] < target:

@@ -20,10 +20,9 @@ from .graphs import (
     OrientedGraph,
     oriented_graph_count,
     oriented_graph_from_index,
-    to_part_oriented,
     underlying,
 )
-from .stepgraphon import StepGraphon, random_graphon, t_bip_step, t_step
+from .stepgraphon import StepGraphon, _part_oriented, random_graphon, t_bip_step, t_step
 
 HOLDS = "holds-on-family"
 VIOLATED = "violated"
@@ -153,6 +152,8 @@ def _random_batch(name: str, density, pattern, instances: int, parts: int,
                   seed: int, denominator: int) -> CheckReport:
     """The graphon check over seeded random rational graphons, reporting
     the minimal margin (earliest graphon on ties)."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = random.Random(seed)
     best: Optional[CheckWitness] = None
     for _ in range(instances):
@@ -208,11 +209,12 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     This evaluates the paper's margin identity on W.  Both sides run through
     the same exact map-sum engine, so it is not a cross-check of two
     implementations: the brute-force sums in ``tests/oracles.py`` check each.
-    The mean and both densities read the one integer form of W that the
-    density module keeps for the last graphon, so W is converted once.
+    The mean and both densities read the integer form that W built when it
+    was constructed, and both densities share one cached part-oriented
+    pattern, so neither is rebuilt here.
     """
     bound = w.integral() ** pattern.edge_count
-    d_margin = t_step(to_part_oriented(pattern), w) - bound
+    d_margin = t_step(_part_oriented(pattern), w) - bound
     b_margin = t_bip_step(pattern, w) - bound
     identical = d_margin == b_margin
     wit = CheckWitness(w, d_margin, b_margin,

@@ -17,9 +17,10 @@ places next the vertex that keeps the next key smallest, so a path costs
 about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
 order chosen for pruning instead.  The keys are computed once per pattern
 (`_sum_plan`); only the value tables and the memo are built per call.
-The densities, the mean and the cut norms read W as integer numerators
-(`_integer_form`), kept for the last graphon so that a margin bridge
-converts W once.  The exact cut norms and the cut-distance bound share one
+A graphon builds its integer form once, when it is constructed: its part
+lengths over their least common denominator and its values over theirs.
+The densities, the mean, the cut norms and the cut-distance bound read W
+through it.  The exact cut norms and the cut-distance bound share one
 Gray-block subset search over a stack of integer matrices
 (`_exact_bilinear_maxes`).
 """
@@ -28,11 +29,11 @@ from __future__ import annotations
 
 import random
 import warnings
-import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import accumulate, islice, permutations, product
 from math import floor, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -70,7 +71,10 @@ class StepGraphon:
 
     ``values[i][j]`` is the value on the rectangle I_i x I_j (first index is
     the x coordinate).  Part lengths are positive rationals summing to 1 and
-    all values lie in [0,1].
+    all values lie in [0,1].  The constructor checks both on the integer
+    form it keeps in ``_form``, which is not a field: (the lengths over
+    their least common denominator, that denominator, the values over
+    theirs, that denominator).
     """
 
     part_lengths: tuple[Fraction, ...]
@@ -83,17 +87,20 @@ class StepGraphon:
         object.__setattr__(self, "values", matrix)
         if not lengths:
             raise ValueError("a step graphon needs at least one part")
-        if any(l <= 0 for l in lengths):
+        (lnum,), dl = _numerators([lengths])
+        if any(l <= 0 for l in lnum):
             raise ValueError("part lengths must be positive")
-        if sum(lengths) != 1:
+        if sum(lnum) != dl:
             raise ValueError("part lengths must sum to exactly 1")
         k = len(lengths)
         if len(matrix) != k or any(len(row) != k for row in matrix):
             raise ValueError("values must be a square matrix matching the parts")
-        for row in matrix:
-            for x in row:
-                if not 0 <= x <= 1:
+        vnum, dv = _numerators(matrix)
+        for row, nums in zip(matrix, vnum):
+            for x, n in zip(row, nums):
+                if not 0 <= n <= dv:
                     raise ValueError(f"value {x} outside [0,1]")
+        object.__setattr__(self, "_form", (tuple(lnum), dl, tuple(map(tuple, vnum)), dv))
 
     @classmethod
     def constant(cls, p, parts: int = 1) -> "StepGraphon":
@@ -141,18 +148,14 @@ def from_bipartite(graph: BipartiteGraph) -> StepGraphon:
         raise ValueError("both parts must be nonempty")
     cuts = sorted(set(Fraction(i, n) for i in range(1, n + 1))
                   | set(Fraction(j, m) for j in range(1, m + 1)))
-    lengths = []
+    # Each segment lies in one block of each equipartition: its left end's.
+    lengths, row_block, col_block = [], [], []
     lo = _ZERO
     for hi in cuts:
         lengths.append(hi - lo)
+        row_block.append(floor(lo * n))
+        col_block.append(floor(lo * m))
         lo = hi
-    mids = []
-    lo = _ZERO
-    for length in lengths:
-        mids.append(lo + length / 2)
-        lo += length
-    row_block = [floor(mid * n) for mid in mids]
-    col_block = [floor(mid * m) for mid in mids]
     k = len(lengths)
     values = [[_ONE if (row_block[a], col_block[b]) in graph.edges else _ZERO
                for b in range(k)] for a in range(k)]
@@ -168,28 +171,6 @@ def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
     denominator, and that denominator."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-# The last graphon `_integer_form` converted, by weak reference, and its
-# form.  The slot is updated in place, so the module's bindings never change.
-_last_form: list = [lambda: None, ()]
-
-
-def _integer_form(w: StepGraphon) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], int]:
-    """W's part lengths over their least common denominator, and its values
-    over theirs: (lengths, length denominator, values, value denominator).
-
-    The form of the last graphon converted is kept, so that the mean and
-    the two densities of one margin bridge convert W once.  It is held by
-    a weak reference to W, which keeps no graphon alive.
-    """
-    ref, form = _last_form
-    if ref() is not w:
-        (lnum,), dl = _numerators([w.part_lengths])
-        vnum, dv = _numerators(w.values)
-        form = (tuple(lnum), dl, tuple(map(tuple, vnum)), dv)
-        _last_form[:] = weakref.ref(w), form
-    return form
 
 
 def _warn_if_large(terms: int) -> None:
@@ -376,7 +357,7 @@ def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     k = w.num_parts
     # The work bound of `_map_sum`, not the k^v maps it sums over.
     _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges), ())[1]))
-    lnum, dl, vnum, dv = _integer_form(w)
+    lnum, dl, vnum, dv = w._form
     total = _map_sum(v, edges, lnum, vnum)
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
@@ -398,7 +379,12 @@ def t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
     cell (image of i, image of j).  That is the density of the pattern with
     every edge directed from part 1 to part 2.
     """
-    return _density(to_part_oriented(pattern), w)
+    return _density(_part_oriented(pattern), w)
+
+
+# The part-oriented form of each bipartite pattern, built and validated once
+# and shared by `t_bip_step` and the margin bridge.
+_part_oriented = lru_cache(maxsize=_PLAN_CACHE_SIZE)(to_part_oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +407,7 @@ class CutNormResult:
 
 
 def _mask_to_parts(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _mass_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -522,7 +501,7 @@ def _heuristic_bilinear_max(m: np.ndarray, seed: int) -> tuple[int, int, int]:
 def _signed_numerators(w: StepGraphon, center: Fraction) -> tuple[list[list[int]], int]:
     """Integer numerators of (W - center) * length_i * length_j over one
     common positive denominator, and that denominator."""
-    lnum, dl, vnum, dv = _integer_form(w)
+    lnum, dl, vnum, dv = w._form
     d = lcm(dv, center.denominator)
     scale, cnum = d // dv, center.numerator * (d // center.denominator)
     mass = [[(x * scale - cnum) * li * lj for x, lj in zip(row, lnum)]
@@ -580,36 +559,6 @@ def rectangle_integral(w: StepGraphon, parts_s: Iterable[int],
 # Cut distance (permutation upper bound)
 # ---------------------------------------------------------------------------
 
-def _equipartition_size(w: StepGraphon) -> int:
-    cum = _ZERO
-    denoms = []
-    for length in w.part_lengths:
-        cum += length
-        denoms.append(cum.denominator)
-    return lcm(*denoms)
-
-
-def _refine_equal(w: StepGraphon, parts: int) -> list[list[Fraction]]:
-    """Values of W re-indexed on the equipartition into ``parts`` parts.
-
-    Every original breakpoint must be a multiple of 1/parts.
-    """
-    owner = []
-    cum = _ZERO
-    idx = 0
-    bounds = []
-    for length in w.part_lengths:
-        cum += length
-        bounds.append(cum)
-    for a in range(parts):
-        mid = Fraction(2 * a + 1, 2 * parts)
-        while mid > bounds[idx]:
-            idx += 1
-        owner.append(idx)
-    return [[w.values[owner[a]][owner[b]] for b in range(parts)]
-            for a in range(parts)]
-
-
 def cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
     """Upper bound on the cut distance: min over part permutations pi of
     ||W - U^pi||_cut on the common equal-length refinement.
@@ -622,13 +571,24 @@ def cut_distance_upper(w: StepGraphon, u: StepGraphon) -> Fraction:
     common refinement above the cap raises ``ValueError`` before any of
     that work.  The permuted differences go through the Gray-block kernel
     in stacks, and the search stops after the first stack that reaches 0.
+
+    Both graphons are refined from their integer forms.  W's breakpoints,
+    its cumulative length numerators over the length denominator dl, are
+    multiples of 1/dl, and of no coarser 1/n: each length is a difference
+    of two breakpoints, so its denominator would divide n.  Each equal part
+    takes the values of the first part that ends beyond its start.
     """
-    parts = lcm(_equipartition_size(w), _equipartition_size(u))
+    parts = lcm(w._form[1], u._form[1])
     if parts > CUT_DISTANCE_PART_CAP:
         raise ValueError(
             f"common refinement needs {parts} equal parts, above the cap "
             f"{CUT_DISTANCE_PART_CAP}")
-    num, dv = _numerators(_refine_equal(w, parts) + _refine_equal(u, parts))
+    dv = lcm(w._form[3], u._form[3])
+    num = []
+    for lnum, dl, vnum, d in (w._form, u._form):
+        ends = [c * parts // dl for c in accumulate(lnum)]
+        owner = [bisect_right(ends, a) for a in range(parts)]
+        num += [[vnum[i][j] * (dv // d) for j in owner] for i in owner]
     # The numerators are nonnegative, so W's and U's together bound the
     # absolute sum of every difference below.
     both = _mass_array(num)
@@ -656,6 +616,8 @@ def random_graphon(parts: int, *, seed: Optional[int] = None,
                    rng: Optional[random.Random] = None,
                    denominator: int = 64) -> StepGraphon:
     """Seeded random step graphon on equal parts with values r/denominator."""
+    if parts < 1:
+        raise ValueError(f"parts must be at least 1, got {parts}")
     if rng is None:
         rng = random.Random(seed)
     values = [[Fraction(rng.randint(0, denominator), denominator)

@@ -227,6 +227,15 @@ class TestGraphonCheck:
         assert a.instances_checked == b.instances_checked == 50
         assert a.verdict == b.verdict
 
+    @pytest.mark.parametrize("check,pattern", [(check_directed_sidorenko_random, PATH3),
+                                               (check_asym_sidorenko_random, P3_BIP)],
+                             ids=["directed", "asymmetric"])
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_random_batch_rejects_empty_family(self, check, pattern, instances):
+        # A batch over no graphons would report "holds" over nothing.
+        with pytest.raises(ValueError, match="instances must be at least 1"):
+            check(pattern, instances=instances)
+
     @settings(max_examples=40, deadline=None)
     @given(step_graphons(), st.integers(0, 8))
     def test_scaling_consistency_of_margin(self, w, num):
@@ -277,8 +286,9 @@ class TestBridge:
             assert report.verdict == HOLDS
 
     def test_one_conversion_and_two_map_sums_per_bridge(self, monkeypatch):
-        # The mean and both densities read one integer form of W, and both
-        # map sums still run.
+        # The mean and both densities read the integer form that W built when
+        # it was constructed, and both map sums still run.
+        w = random_graphon(4, seed=3)
         calls = Counter()
 
         def counted(name):
@@ -291,10 +301,26 @@ class TestBridge:
 
         monkeypatch.setattr(stepgraphon, "_map_sum", counted("_map_sum"))
         monkeypatch.setattr(stepgraphon, "_numerators", counted("_numerators"))
-        report = check_equivalence_bridge(C4_BIP, random_graphon(4, seed=3))
+        report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == HOLDS
-        # One call for the part lengths and one for the values.
-        assert calls == {"_map_sum": 2, "_numerators": 2}
+        assert calls == {"_map_sum": 2}
+
+    def test_part_oriented_pattern_built_once_over_repeated_bridges(self, monkeypatch):
+        # Both densities of every bridge share one part-oriented pattern.
+        stepgraphon._part_oriented.cache_clear()
+        w = random_graphon(3, seed=5)
+        built = Counter()
+        real = OrientedGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built["OrientedGraph"] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrientedGraph, "__init__", counted)
+        for _ in range(3):
+            for pattern in (C4_BIP, TREE4_BIP):
+                assert check_equivalence_bridge(pattern, w).verdict == HOLDS
+        assert built == {"OrientedGraph": 2}
 
     def test_density_digest(self):
         # 200 seeded 3+3 patterns on 6-part graphons with unequal parts and

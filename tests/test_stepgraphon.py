@@ -3,6 +3,7 @@ import random
 import warnings
 import weakref
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,7 +96,52 @@ def unequal_step_graphons(draw, max_parts=5, denominator=64):
                         for i in range(parts)])
 
 
+@st.composite
+def partitions(draw, total, max_parts):
+    """Unequal part lengths: the gaps between distinct cuts of [0,1] at
+    multiples of 1/total."""
+    parts = draw(st.integers(1, min(total, max_parts)))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=parts - 1,
+                               max_size=parts - 1))) if parts > 1 else []
+    return [Fraction(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+
+
 class TestStepGraphonType:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_integer_form_reproduces_lengths_and_values(self, data):
+        # Unequal parts, and length and value denominators up to 2^70.
+        lengths = data.draw(st.integers(1, 2**70).flatmap(lambda n: partitions(n, 5)))
+        cell = st.integers(1, 2**70).flatmap(
+            lambda d: st.integers(0, d).map(lambda x: Fraction(x, d)))
+        values = [[data.draw(cell) for _ in lengths] for _ in lengths]
+        w = StepGraphon(lengths, values)
+        lnum, dl, vnum, dv = w._form
+        assert dl == lcm(*(x.denominator for x in lengths))
+        assert dv == lcm(*(x.denominator for row in values for x in row))
+        assert tuple(Fraction(x, dl) for x in lnum) == w.part_lengths == tuple(lengths)
+        assert tuple(tuple(Fraction(x, dv) for x in row) for row in vnum) == w.values
+        # The form is no field: equality, hashing and repr read the fields.
+        twin = StepGraphon(w.part_lengths, w.values)
+        assert twin == w and hash(twin) == hash(w) and "_form" not in repr(w)
+
+    @pytest.mark.parametrize("lengths,values,message", [
+        ([], [], "a step graphon needs at least one part"),
+        ([Fraction(1, 2), 0, Fraction(1, 2)], [[0] * 3] * 3, "part lengths must be positive"),
+        ([Fraction(3, 2), Fraction(-1, 2)], [[0] * 2] * 2, "part lengths must be positive"),
+        ([Fraction(1, 3)] * 2, [[0] * 2] * 2, "part lengths must sum to exactly 1"),
+        ([Fraction(1, 2)] * 2, [[0, 1]], "values must be a square matrix matching the parts"),
+        ([Fraction(1, 2)] * 2, [[0, 0], [0, Fraction(65, 64)]], "value 65/64 outside [0,1]"),
+        ([Fraction(1, 2)] * 2, [[0, Fraction(-1, 3)], [2, 0]], "value -1/3 outside [0,1]"),
+        # A bad length and a non-square matrix: the lengths are checked first.
+        ([Fraction(1, 3)] * 2, [[0, 1]], "part lengths must sum to exactly 1"),
+    ], ids=["no-parts", "zero-length", "negative-length", "sum-not-one", "not-square",
+            "value-above-one", "value-below-zero", "length-before-shape"])
+    def test_invalid_input_message(self, lengths, values, message):
+        with pytest.raises(ValueError) as exc:
+            StepGraphon(lengths, values)
+        assert str(exc.value) == message
+
     def test_lengths_must_sum_to_one(self):
         with pytest.raises(ValueError):
             StepGraphon([Fraction(1, 2)], [[Fraction(1, 2)]])
@@ -237,7 +283,8 @@ class TestDensities:
         assert t_step(lonely, w) == brute_t_step(lonely, w) == w.integral()
 
     def test_integer_form_follows_the_graphon_and_keeps_none_alive(self):
-        # W's integer form is kept for the next call on the same W only.
+        # Each graphon keeps its own integer form, and the module keeps no
+        # graphon alive.
         ws = [random_graphon(3, seed=s) for s in (4, 5)]
         for w in ws + ws[::-1]:
             assert t_step(TRIANGLE, w) == brute_t_step(TRIANGLE, w)
@@ -709,8 +756,31 @@ class TestCutDistanceUpper:
         u = random_graphon(3, seed=4)
         assert cut_distance_upper(w, u) == cut_distance_upper(u, w)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_unequal_refinements_match_reference(self, data):
+        # Both graphons on unequal parts whose breakpoints are multiples of
+        # 1/n and 1/m, with m dividing n <= 6; values over 3, 64 or 2^70.
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+        def graphon(total):
+            lengths = data.draw(partitions(total, total))
+            den = data.draw(st.sampled_from([3, 64, 2**70]))
+            return StepGraphon(lengths, [[Fraction(data.draw(st.integers(0, den)), den)
+                                          for _ in lengths] for _ in lengths])
+
+        w, u = graphon(n), graphon(m)
+        assert cut_distance_upper(w, u) == reference_cut_distance_upper(w, u)
+        assert cut_distance_upper(u, w) == reference_cut_distance_upper(u, w)
+
 
 class TestRandomGraphon:
+    @pytest.mark.parametrize("parts", [0, -2])
+    def test_rejects_fewer_than_one_part(self, parts):
+        with pytest.raises(ValueError, match="parts must be at least 1"):
+            random_graphon(parts, seed=0)
+
     def test_deterministic_given_seed(self):
         assert random_graphon(4, seed=7) == random_graphon(4, seed=7)
         assert random_graphon(4, seed=7) != random_graphon(4, seed=8)
