@@ -246,7 +246,8 @@ def _map_cells(pattern: OrientedGraph, parts: int) -> np.ndarray:
 
 def _float_kernel(cells: np.ndarray, parts: int, scale: float):
     """The float density t(B, W) and its gradient in the cell values, for the
-    (edges, maps) cell indices of ``_map_cells``.
+    (edges, maps) cell indices of ``_map_cells``.  The descent minimises
+    with both, and the polish ranks its moves by the gradient.
 
     Returns ``t_and_grad(x)`` for a (parts, parts) array x.  Each map's
     products of the edge values before and after every edge are formed
@@ -319,23 +320,6 @@ def _exact_density(pattern: OrientedGraph, cells: list[list[int]]) -> int:
     return _map_sum(pattern.vertex_count, pattern.sorted_edges(), [1] * len(cells), cells)
 
 
-def _exact_density_gradient(pattern: OrientedGraph,
-                            cells: list[list[int]]) -> dict[tuple[int, int], int]:
-    """Nonzero partial derivatives of t(B, W) in the cell values, times
-    d^(e-1) * parts^v, for cells as in ``_exact_density``.
-
-    The derivative in a cell sums, over the edges, the density sum with that
-    edge left out and its two endpoints mapped onto the cell.
-    """
-    parts, v, edges = len(cells), pattern.vertex_count, pattern.sorted_edges()
-    grad: dict[tuple[int, int], int] = {}
-    for i, (a, b) in enumerate(edges):
-        rest = edges[:i] + edges[i + 1:]
-        for cell, sub in _map_sum(v, rest, [1] * parts, cells, free=(a, b)).items():
-            grad[cell] = grad.get(cell, 0) + sub
-    return grad
-
-
 def _rationalize(x: np.ndarray, unit: int) -> list[list[int]]:
     """The cells rounded to the 1/2^16 grid, clamped to [0, 1], as
     numerators over d = unit * 2^16."""
@@ -357,19 +341,31 @@ def _repair_mean(cells: list[list[int]], target_sum: int, d: int) -> bool:
     return deficit == 0
 
 
-def _polish_density(pattern: OrientedGraph, cells: list[list[int]], p: Fraction,
-                    tol: Fraction, d: int, rounds: int = 60) -> bool:
+def _scaled_gradient(t_and_grad, cells: list[list[int]], d: int, factor: int) -> list[int]:
+    """The float gradient of ``t_and_grad`` at the cell numerators ``cells``
+    over d, each partial times ``factor`` and rounded to an integer, row by
+    row.  The product is taken on the partial's exact Fraction, as
+    ``factor`` may lie past the float range."""
+    _, grad = t_and_grad(np.array([[c / d for c in row] for row in cells]))
+    return [round(Fraction(g) * factor) for g in grad.ravel().tolist()]
+
+
+def _polish_density(pattern: OrientedGraph, t_and_grad, cells: list[list[int]],
+                    p: Fraction, tol: Fraction, d: int, rounds: int = 60) -> bool:
     """Drive |t(B, W) - p^e| below ``tol`` with mean-preserving two-cell
     moves on the 1/2^16 grid, for W with cell numerators ``cells`` over d.
 
     Each move shifts one cell by +delta and another by -delta, so the mean
     stays exact; delta is the linearized correction rounded down or up to a
-    multiple of unit = d / 2^16, and candidate moves are accepted only if
-    the exactly recomputed residual shrinks.  Pairs with nearly equal
-    sensitivities provide arbitrarily fine knobs, which is what lets the
-    residual cross the tolerance despite the grid quantization.  Densities
-    are integers over d^e * parts^v; the residual is one too, so comparing
-    it with floor(tol * d^e * parts^v) is exact.
+    multiple of unit = d / 2^16.  The linearization reads the float
+    gradient of the search's density kernel ``t_and_grad`` (`_float_kernel`)
+    in the units of the residual, d^(e-1) * parts^v, rounded to integers.
+    It only ranks the moves: a move is accepted only if the exactly
+    recomputed residual shrinks.  Pairs with nearly equal sensitivities
+    provide arbitrarily fine knobs, which is what lets the residual cross
+    the tolerance despite the grid quantization.  Densities are integers
+    over d^e * parts^v; the residual is one too, so comparing it with
+    floor(tol * d^e * parts^v) is exact.
     """
     parts, v, e = len(cells), pattern.vertex_count, pattern.edge_count
     unit = d // RATIONALIZE_DENOMINATOR
@@ -381,14 +377,14 @@ def _polish_density(pattern: OrientedGraph, cells: list[list[int]], p: Fraction,
     for _ in range(rounds):
         if abs(residual) <= tol_scaled:
             return True
-        grad = _exact_density_gradient(pattern, cells)
+        grad = dict(zip(all_cells, _scaled_gradient(t_and_grad, cells, d, scale // d)))
         candidates = []
         for c_up in all_cells:
-            g_up = grad.get(c_up, 0)
+            g_up = grad[c_up]
             for c_down in all_cells:
                 if c_down == c_up:
                     continue
-                slope = g_up - grad.get(c_down, 0)
+                slope = g_up - grad[c_down]
                 if slope == 0:
                     continue
                 lo = -residual // (slope * unit)
@@ -436,11 +432,13 @@ def forcing_witness_search(
     Pipeline per restart: a projected-gradient descent on the squared float
     residuals, rationalization of the candidate to the 1/2^16 grid, an exact
     mean repair, and an exact polish of the density residual by moves on the
-    grid.  The exact stages keep every cell as an integer numerator over
-    d = lcm(2^16, denominator of p).  Every cell of a witness lies on the
-    1/2^16 grid except at most one, which absorbs the exact mean remainder:
-    when p * parts^2 is not a multiple of 1/2^16, no matrix on the grid has
-    mean exactly p.  A candidate counts as a witness only if, after
+    grid.  The descent and the polish share one float density kernel: the
+    polish ranks its moves by its gradient and accepts a move only on the
+    exact residual.  The exact stages keep every cell as an integer
+    numerator over d = lcm(2^16, denominator of p).  Every cell of a witness
+    lies on the 1/2^16 grid except at most one, which absorbs the exact mean
+    remainder: when p * parts^2 is not a multiple of 1/2^16, no matrix on
+    the grid has mean exactly p.  A candidate counts as a witness only if, after
     rationalization, |t(B,W) - p^e| <= tol, |mean(W) - p| <= tol, and the
     centered cut norm is at least 10*tol, all verified with rationals.
     Returns the lexicographically smallest certified witness across
@@ -448,7 +446,8 @@ def forcing_witness_search(
 
     The descent indexes the pattern's edge cells under every map of its
     vertices to parts, so a search with parts^v * e above
-    ``MAX_PGD_INDICES`` (2^20) raises ``ValueError`` before any work.
+    ``MAX_PGD_INDICES`` (2^20) raises ``ValueError`` before any work, as
+    do ``restarts < 1``, ``max_iterations < 0`` and ``tol < 0``.
     """
     p_exact = _as_fraction(p)
     if not 0 < p_exact < 1:
@@ -459,6 +458,12 @@ def forcing_witness_search(
     if not 1 <= parts <= 8:
         raise ValueError(f"witness search needs 1..8 parts (got {parts})")
     tol_exact = _as_fraction(tol)
+    if tol_exact < 0:
+        raise ValueError(f"tol must be nonnegative, got {tol_exact}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     v, e = pattern.vertex_count, pattern.edge_count
     if v == 0 or e == 0:
         raise ValueError("pattern must have at least one edge")
@@ -480,7 +485,7 @@ def forcing_witness_search(
         cells = _rationalize(x, unit)
         if not _repair_mean(cells, target_sum, d):
             continue
-        if not _polish_density(pattern, cells, p_exact, tol_exact, d):
+        if not _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d):
             continue
         w = StepGraphon([Fraction(1, parts)] * parts,
                         [[Fraction(c, d) for c in row] for row in cells])

@@ -292,11 +292,15 @@ def _decode(n: int, index: int, states: tuple[tuple[int, int], ...]
     """The digits of ``index`` in base ``len(states)``, lowest first, one per
     vertex pair in lexicographic order, and the edges their states encode.
 
-    This is the only reader of the index encodings.
+    This is the only reader of the index encodings, and it rejects an index
+    outside [0, base^C(n,2)).
     """
     base = len(states)
+    pairs = list(combinations(range(n), 2))
+    if not 0 <= index < base ** len(pairs):
+        raise ValueError(f"index {index} outside [0, {base ** len(pairs)}) for n = {n}")
     digits, edges = [], []
-    for u, v in combinations(range(n), 2):
+    for u, v in pairs:
         index, s = divmod(index, base)
         digits.append(s)
         forward, backward = states[s]
@@ -324,8 +328,11 @@ def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -
 
     No graph object is built.  Consecutive indices differ only in their low
     digits, so each step toggles the edges of the pairs whose digit changed
-    (at most two pairs per step on average).
+    (at most two pairs per step on average).  An empty range decodes nothing,
+    so lo may equal the index count.
     """
+    if lo >= hi:
+        return
     base = len(states)
     # moves[k][s]: the bits that take pair k from state s to state s+1 mod base.
     moves = []

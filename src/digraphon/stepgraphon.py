@@ -17,6 +17,9 @@ places next the vertex that keeps the next key smallest, so a path costs
 about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
 order chosen for pruning instead.  The keys are computed once per pattern
 (`_sum_plan`); only the value tables and the memo are built per call.
+The sum returns totals only.  Besides the densities here it gives
+`forcing` its exact residuals; the witness polish ranks its moves by the
+float kernel's gradient, so no gradient is summed exactly.
 A graphon builds its integer form once, when it is constructed: its part
 lengths over their least common denominator and its values over theirs.
 The densities, the mean, the cut norms and the cut-distance bound read W
@@ -33,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, permutations, product
+from itertools import accumulate, islice, permutations
 from math import floor, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -104,6 +107,8 @@ class StepGraphon:
 
     @classmethod
     def constant(cls, p, parts: int = 1) -> "StepGraphon":
+        if parts < 1:
+            raise ValueError(f"parts must be at least 1, got {parts}")
         p = _as_fraction(p)
         lengths = [Fraction(1, parts)] * parts
         return cls(lengths, [[p] * parts for _ in range(parts)])
@@ -182,10 +187,9 @@ def _warn_if_large(terms: int) -> None:
         )
 
 
-def _sum_order(v: int, edges: Sequence[tuple[int, int]], free: Sequence[int]
-               ) -> list[int]:
-    """The density sum's placement order of the vertices 0..v-1: the
-    ``free`` vertices first, in order, then a greedy minimum-boundary order.
+def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """The density sum's placement order of the vertices 0..v-1, a greedy
+    minimum-boundary order.
 
     Each next vertex x minimises (the number of placed vertices, x
     included, with a neighbour still unplaced once x is placed; minus the
@@ -196,9 +200,9 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]], free: Sequence[int]
     values.  It costs O(v^3) set operations, once per cached plan.
     """
     adj = _neighbours(v, edges)
-    order = list(free)
-    placed = set(free)
-    rest = [x for x in range(v) if x not in placed]
+    order: list[int] = []
+    placed: set[int] = set()
+    rest = list(range(v))
 
     def rank(x: int) -> tuple[int, int, int]:
         now = placed | {x}
@@ -213,7 +217,7 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]], free: Sequence[int]
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
+def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
                          tuple[Optional[Callable], ...], tuple[bool, ...]]:
     """The back edges of `_sum_order`, the key of every position, the
@@ -229,7 +233,7 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...], free: tuple[int, ...]
     summed over its parts multiplies the next suffix sum once.  Callers
     pass ``edges`` sorted so that equal patterns share a cache entry.
     """
-    back = _back_edges(_sum_order(v, edges, free), edges)
+    back = _back_edges(_sum_order(v, edges), edges)
     reach = list(range(v))  # the latest position each position has an edge to
     for i, bk in enumerate(back):
         for j, _ in bk:
@@ -246,7 +250,7 @@ def _no_key(img: Sequence[int]) -> tuple[()]:
 
 
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
-             values: Sequence[Sequence[int]], free: Sequence[int] = ()):
+             values: Sequence[Sequence[int]]) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
@@ -260,14 +264,11 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     no later factor reads, sums its factor over its parts first and
     multiplies the next suffix sum in once, or not at all when that factor
     sums to 0.  With k parts the work is at most sum_i k^(|key_i| + 1)
-    steps rather than k^v.  The ``free`` vertices take the first positions
-    and are never memoised; with ``free`` given, the result maps each tuple
-    of their images (in ``free`` order) to its nonzero subtotal, else it is
-    the total.
+    steps rather than k^v.
     """
     if v == 0:
         return 1
-    back, _, getters, detached = _sum_plan(v, tuple(sorted(edges)), tuple(free))
+    back, _, getters, detached = _sum_plan(v, tuple(sorted(edges)))
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
@@ -281,7 +282,6 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
              for bk, det in zip(back, detached)]
     img = [0] * v
     last = v - 1
-    m = len(free)
     memos: list[dict] = [{} for _ in range(v)]
 
     def memoised(i: int) -> int:
@@ -329,22 +329,7 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
         return total
 
     try:
-        if not free:
-            return suffix(0)
-        # Each tuple of free images, in order, gets its own subtotal.
-        out: dict[tuple[int, ...], int] = {}
-        for images in product(parts, repeat=m):
-            img[:m] = images
-            f = 1
-            for i in range(m):
-                f *= weights[img[i]]
-                for j, t in back[i]:
-                    f *= matrices[t][img[j]][img[i]]
-            if f and m < v:
-                f *= memoised(m)
-            if f:
-                out[images] = f
-        return out
+        return suffix(0)
     finally:
         # suffix and memoised refer to each other; unbinding them breaks
         # that cycle, so the tables and memos go as soon as the call
@@ -356,7 +341,7 @@ def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     v, edges = pattern.vertex_count, pattern.sorted_edges()
     k = w.num_parts
     # The work bound of `_map_sum`, not the k^v maps it sums over.
-    _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges), ())[1]))
+    _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges))[1]))
     lnum, dl, vnum, dv = w._form
     total = _map_sum(v, edges, lnum, vnum)
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
@@ -618,6 +603,8 @@ def random_graphon(parts: int, *, seed: Optional[int] = None,
     """Seeded random step graphon on equal parts with values r/denominator."""
     if parts < 1:
         raise ValueError(f"parts must be at least 1, got {parts}")
+    if denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {denominator}")
     if rng is None:
         rng = random.Random(seed)
     values = [[Fraction(rng.randint(0, denominator), denominator)

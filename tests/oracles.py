@@ -89,23 +89,6 @@ def brute_t_gradient(pattern: OrientedGraph, w: StepGraphon) -> dict[tuple[int, 
     return grad
 
 
-def brute_free_subtotals(pattern: OrientedGraph, w: StepGraphon,
-                         free: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """The terms of `brute_t_step` summed per tuple of images of the
-    ``free`` vertices, leaving out the tuples whose sum is zero."""
-    k = w.num_parts
-    sums: dict[tuple[int, ...], Fraction] = {}
-    for g in product(range(k), repeat=pattern.vertex_count):
-        term = Fraction(1)
-        for i in g:
-            term *= w.part_lengths[i]
-        for u, v in pattern.edges:
-            term *= w.values[g[u]][g[v]]
-        key = tuple(g[x] for x in free)
-        sums[key] = sums.get(key, 0) + term
-    return {key: total for key, total in sums.items() if total}
-
-
 def reference_find_lambda0(pattern: OrientedGraph, precision: Fraction, grid: int
                            ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...],
                                       Fraction, Fraction]:

@@ -26,11 +26,11 @@ from digraphon.forcing import (
     MAX_PGD_INDICES,
     RATIONALIZE_DENOMINATOR,
     _exact_density,
-    _exact_density_gradient,
     _float_kernel,
     _map_cells,
     _polish_density,
     _repair_mean,
+    _scaled_gradient,
 )
 
 import digraphon.forcing as forcing
@@ -340,6 +340,29 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             forcing_witness_search(OrientedGraph(2), Fraction(1, 2), 4, Fraction(1, 100), 0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"restarts": 0}, "restarts must be at least 1, got 0"),
+        ({"restarts": -2}, "restarts must be at least 1, got -2"),
+        ({"max_iterations": -1}, "max_iterations must be nonnegative, got -1"),
+        ({"tol": Fraction(-1, 10**8)}, "tol must be nonnegative, got -1/100000000"),
+    ])
+    def test_rejects_empty_search_before_any_work(self, kwargs, message, monkeypatch):
+        # No restart, or no tolerance a residual can meet: a None here would
+        # read as "no witness found".
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(forcing, "_map_cells", no_work)
+        with pytest.raises(ValueError, match=message):
+            forcing_witness_search(TRIANGLE, Fraction(1, 4), **kwargs)
+
+    def test_zero_tol_and_zero_iterations_stay_valid(self):
+        # No descent, and a tolerance only an exact solution meets: the search
+        # runs, and anything it returns is exact.
+        p = Fraction(1, 4)
+        w = forcing_witness_search(TRIANGLE, p, 2, 0, restarts=1, max_iterations=0)
+        assert w is None or (t_step(TRIANGLE, w) == p ** 3 and w.integral() == p)
+
     def test_oversized_search_fails_fast(self):
         # 4^12 * 11 edge-cell indices would take gigabytes to build.
         assert 4 ** 12 * 11 > MAX_PGD_INDICES
@@ -413,14 +436,22 @@ class TestExactPolishSums:
             brute_t_step(pattern, _equal_parts(cells, 16))
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_instances())
-    def test_gradient_matches_brute_force(self, instance):
-        pattern, cells = instance
-        scale = Fraction(16) ** (pattern.edge_count - 1) * len(cells) ** pattern.vertex_count
-        brute = {cell: g for cell, g in
-                 brute_t_gradient(pattern, _equal_parts(cells, 16)).items() if g}
-        assert {cell: g / scale for cell, g in
-                _exact_density_gradient(pattern, cells).items()} == brute
+    @given(st.data())
+    def test_gradient_matches_brute_force(self, data):
+        # The polish's gradient: the float kernel's partials in units of
+        # d^(e-1) * parts^v, rounded to integers, in which the exact partials
+        # are integers.
+        d = data.draw(st.sampled_from([16, 3 * RATIONALIZE_DENOMINATOR]))
+        pattern, cells = data.draw(grid_instances(denominator=d))
+        assume(pattern.edge_count > 0)
+        parts, v = len(cells), pattern.vertex_count
+        factor = d ** (pattern.edge_count - 1) * parts ** v
+        t_and_grad = _float_kernel(_map_cells(pattern, parts), parts, 1.0 / parts ** v)
+        brute = brute_t_gradient(pattern, _equal_parts(cells, d))
+        exact = [brute[i, j] * factor for i in range(parts) for j in range(parts)]
+        for g, x in zip(_scaled_gradient(t_and_grad, cells, d, factor), exact, strict=True):
+            assert x.denominator == 1
+            assert abs(g - x) <= abs(x) * 1e-9
 
 
 class TestIntegerPolish:
@@ -440,12 +471,30 @@ class TestIntegerPolish:
         cells = [[m * unit for m in grid[i * parts:(i + 1) * parts]] for i in range(parts)]
         target_sum = int(p * parts * parts * d)
         assert _repair_mean(cells, target_sum, d)
-        ok = _polish_density(pattern, cells, p, tol, d)
+        t_and_grad = _float_kernel(_map_cells(pattern, parts), parts,
+                                   1.0 / parts ** pattern.vertex_count)
+        ok = _polish_density(pattern, t_and_grad, cells, p, tol, d)
         assert sum(map(sum, cells)) == target_sum
         assert all(0 <= c <= d for row in cells for c in row)
         if ok:
             t = brute_t_step(pattern, _equal_parts(cells, d))
             assert abs(t - p ** pattern.edge_count) <= tol
+
+    def test_gradient_units_past_float_range(self):
+        # The 13-vertex transitive tournament at 2 parts: 78 edges, so the
+        # gradient's units d^77 * 2^13 are about 2^1245, far past the float
+        # range.  The scaling goes through exact Fractions.  A zero tolerance
+        # keeps every round going, as t is near 2^-78 here.
+        tt13 = OrientedGraph(13, [(u, w) for u in range(13) for w in range(u + 1, 13)])
+        d = RATIONALIZE_DENOMINATOR
+        assert d ** 77 * 2 ** 13 > 2 ** 1024
+        cells = [[40000, 25000], [30000, 36072]]
+        t_and_grad = _float_kernel(_map_cells(tt13, 2), 2, 1.0 / 2 ** 13)
+        scaled = _scaled_gradient(t_and_grad, cells, d, d ** 77 * 2 ** 13)
+        assert all(g > 2 ** 1024 for g in scaled)
+        _polish_density(tt13, t_and_grad, cells, Fraction(1, 2), Fraction(0), d, rounds=3)
+        assert sum(map(sum, cells)) == 2 * d
+        assert all(0 <= c <= d for row in cells for c in row)
 
 
 class TestFloatKernel:

@@ -294,6 +294,24 @@ class TestMaskDecoders:
         masks = [_reference_masks(n, edges) for edges in expected]
         assert list(_mask_range(n, 0, total, _TOURNAMENT_STATES)) == masks
 
+    @pytest.mark.parametrize("n,index", [(2, -1), (2, 3), (3, 27), (0, 1)])
+    def test_oriented_index_out_of_range(self, n, index):
+        count = oriented_graph_count(n)
+        with pytest.raises(ValueError, match=rf"index {index} outside \[0, {count}\)"):
+            oriented_graph_from_index(n, index)
+
+    @pytest.mark.parametrize("n,index", [(3, -1), (3, 8), (3, 100), (1, 1)])
+    def test_tournament_index_out_of_range(self, n, index):
+        count = tournament_count(n)
+        for decode in (tournament_from_index, Tournament.from_bits):
+            with pytest.raises(ValueError, match=rf"index {index} outside \[0, {count}\)"):
+                decode(n, index)
+
+    def test_range_rejects_start_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            list(_mask_range(3, -1, 2, _ORIENTED_STATES))
+        assert list(_mask_range(3, 27, 27, _ORIENTED_STATES)) == []
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sub_ranges(self, data):

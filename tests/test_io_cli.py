@@ -280,6 +280,16 @@ class TestCli:
         assert code == 2
         assert lines == []
 
+    # argparse reads "-1" as a value, but "-1/100" only after "=".
+    @pytest.mark.parametrize("tol", [["--tol", "-1"], ["--tol=-1/100"]])
+    def test_search_witness_negative_tol_is_input_error(self, capsys, files, tol):
+        # An input error (exit 2), not an empty search (exit 1).
+        code = main(["search-witness", str(files["tri.graph"]), "--p", "1/4", *tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tol must be nonnegative" in json.loads(captured.err)["error"]
+
     def test_search_witness_oversized_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "path12.graph"
         path.write_text("D 12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))

@@ -236,6 +236,14 @@ class TestGraphonCheck:
         with pytest.raises(ValueError, match="instances must be at least 1"):
             check(pattern, instances=instances)
 
+    @pytest.mark.parametrize("check,pattern", [(check_directed_sidorenko_random, PATH3),
+                                               (check_asym_sidorenko_random, P3_BIP)],
+                             ids=["directed", "asymmetric"])
+    @pytest.mark.parametrize("denominator", [0, -4])
+    def test_random_batch_rejects_denominator_below_one(self, check, pattern, denominator):
+        with pytest.raises(ValueError, match="denominator must be at least 1"):
+            check(pattern, instances=3, denominator=denominator)
+
     @settings(max_examples=40, deadline=None)
     @given(step_graphons(), st.integers(0, 8))
     def test_scaling_consistency_of_margin(self, w, num):

@@ -34,9 +34,7 @@ from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 from oracles import (
     brute_bilinear_max,
     brute_cut_norm_centered,
-    brute_free_subtotals,
     brute_t_bip_step,
-    brute_t_gradient,
     brute_t_step,
     rectangle_sum,
     reference_bilinear_max,
@@ -157,6 +155,11 @@ class TestStepGraphonType:
     def test_constant(self):
         w = StepGraphon.constant(Fraction(1, 3), parts=2)
         assert w.integral() == Fraction(1, 3)
+
+    @pytest.mark.parametrize("parts", [0, -2])
+    def test_constant_rejects_fewer_than_one_part(self, parts):
+        with pytest.raises(ValueError, match=f"parts must be at least 1, got {parts}"):
+            StepGraphon.constant(Fraction(1, 3), parts=parts)
 
     def test_scale(self):
         w = StepGraphon.constant(1).scale(Fraction(1, 2))
@@ -316,14 +319,12 @@ class TestDensities:
 def map_sum_instances(draw, max_n=6, max_parts=3):
     """A pattern (isolated vertices and several components allowed), integer
     part weights and cell values with zeros, as the weighted graphon the
-    oracles read, and 1-3 distinct free vertices."""
+    oracles read."""
     pattern = draw(oriented_graphs(max_n=max_n))
     k = draw(st.integers(1, max_parts))
     weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
     values = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(k)]
-    order = draw(st.permutations(range(pattern.vertex_count)))
-    free = tuple(order[:draw(st.integers(1, min(3, pattern.vertex_count)))])
-    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values), free
+    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values)
 
 
 @st.composite
@@ -331,7 +332,7 @@ def detached_instances(draw, max_parts=3):
     """A pattern whose density sum has detached positions (a part-oriented
     3+3 bipartite pattern, or an out- or in-star), with isolated vertices
     up to 7 vertices in all and its labels shuffled; integer part weights
-    and cell values with zeros; and 0 to v free vertices."""
+    and cell values with zeros."""
     kind = draw(st.sampled_from(("bipartite", "out-star", "in-star")))
     if kind == "bipartite":
         cells = [(i, j) for i in range(3) for j in range(3)]
@@ -347,8 +348,7 @@ def detached_instances(draw, max_parts=3):
     k = draw(st.integers(1, max_parts))
     weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
     values = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(k)]
-    free = tuple(draw(st.permutations(range(v)))[:draw(st.integers(0, v))])
-    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values), free
+    return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values)
 
 
 class Counted:
@@ -378,46 +378,22 @@ class Counted:
 class TestMapSum:
     @settings(max_examples=80, deadline=None)
     @given(map_sum_instances())
-    def test_total_and_free_subtotals_match_brute_force(self, instance):
-        pattern, w, free = instance
+    def test_total_matches_brute_force(self, instance):
+        pattern, w = instance
         v, edges = pattern.vertex_count, pattern.sorted_edges()
         assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
-        subtotals = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free=free)
-        assert subtotals == brute_free_subtotals(pattern, w, free)
-
-    @settings(max_examples=60, deadline=None)
-    @given(map_sum_instances(max_n=5))
-    def test_gradient_matches_brute_force(self, instance):
-        # The gradient in a cell sums, over the edges, the sum without that
-        # edge with its endpoints free and mapped onto the cell.
-        pattern, w, _ = instance
-        v, edges = pattern.vertex_count, pattern.sorted_edges()
-        grad: dict[tuple[int, int], int] = {}
-        for i, (a, b) in enumerate(edges):
-            rest = edges[:i] + edges[i + 1:]
-            for cell, sub in stepgraphon._map_sum(v, rest, w.part_lengths, w.values,
-                                                  free=(a, b)).items():
-                grad[cell] = grad.get(cell, 0) + sub
-        assert grad == {cell: g for cell, g in brute_t_gradient(pattern, w).items() if g}
 
     @settings(max_examples=60, deadline=None)
     @given(detached_instances())
     def test_detached_positions_match_brute_force(self, instance):
-        pattern, w, free = instance
+        pattern, w = instance
         v, edges = pattern.vertex_count, pattern.sorted_edges()
-        expected = brute_free_subtotals(pattern, w, free)
-        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) \
-            == sum(expected.values())
-        if free:
-            subtotals = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free=free)
-            assert subtotals == expected
-            # The free images come in lexicographic order.
-            assert list(subtotals) == sorted(subtotals)
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
 
     def test_star_leaves_are_detached(self):
         # The centre goes first; no later factor reads a leaf's image.
         star = ((0, 1), (0, 2), (0, 3))
-        assert stepgraphon._sum_plan(4, star, ())[3] == (False, True, True, True)
+        assert stepgraphon._sum_plan(4, star)[3] == (False, True, True, True)
         assert stepgraphon._map_sum(4, star, [1, 2], [[0, 1], [1, 1]]) \
             == 1 * 2 ** 3 + 2 * 3 ** 3
 
@@ -425,30 +401,17 @@ class TestMapSum:
     @given(st.one_of(detached_instances(max_parts=4), map_sum_instances(max_parts=4)))
     def test_work_within_priced_bound(self, instance):
         # Each suffix sum runs once per image of its key, so the search
-        # visits at most k^(|key_i| + 1) pairs at a position i after the
-        # free prefix.
-        pattern, w, free = instance
+        # visits at most k^(|key_i| + 1) pairs at a position i.
+        pattern, w = instance
         v, edges, k = pattern.vertex_count, pattern.sorted_edges(), w.num_parts
-        keys = stepgraphon._sum_plan(v, tuple(edges), free)[1]
+        keys = stepgraphon._sum_plan(v, tuple(edges))[1]
         Counted.additions = 0
         total = stepgraphon._map_sum(v, edges, [Counted(x) for x in w.part_lengths],
-                                     [[Counted(x) for x in row] for row in w.values], free)
-        assert Counted.additions <= sum(k ** (len(key) + 1) for key in keys[len(free):])
+                                     [[Counted(x) for x in row] for row in w.values])
+        assert Counted.additions <= sum(k ** (len(key) + 1) for key in keys)
         # The sum on plain integers, which the tests above check.
-        plain = stepgraphon._map_sum(v, edges, w.part_lengths, w.values, free)
-        if free:
-            assert {images: sub.x for images, sub in total.items()} == plain
-        else:
-            assert getattr(total, "x", total) == plain
-
-    def test_free_prefix_reads_the_memo(self):
-        # Vertex 2's key is vertex 0 alone, so its suffix sum runs once per
-        # image of vertex 0, not once per pair of free images: 4 calls of 4
-        # steps each, not 16.
-        Counted.additions = 0
-        ones = [Counted(1)] * 4
-        stepgraphon._map_sum(3, [(0, 2)], ones, [ones] * 4, free=(0, 1))
-        assert Counted.additions == 16
+        assert getattr(total, "x", total) == stepgraphon._map_sum(v, edges, w.part_lengths,
+                                                                  w.values)
 
     def test_long_path_matches_matrix_powers(self):
         # 8^10 maps, but each suffix sum depends on one earlier image, so
@@ -780,6 +743,12 @@ class TestRandomGraphon:
     def test_rejects_fewer_than_one_part(self, parts):
         with pytest.raises(ValueError, match="parts must be at least 1"):
             random_graphon(parts, seed=0)
+
+    @pytest.mark.parametrize("denominator", [0, -4])
+    def test_rejects_denominator_below_one(self, denominator):
+        with pytest.raises(ValueError,
+                           match=f"denominator must be at least 1, got {denominator}"):
+            random_graphon(2, seed=0, denominator=denominator)
 
     def test_deterministic_given_seed(self):
         assert random_graphon(4, seed=7) == random_graphon(4, seed=7)
