@@ -46,6 +46,10 @@ def _emit(obj) -> None:
 
 
 def _graph_json(graph) -> dict:
+    # A tournament is also an OrientedGraph, so it is tested first.
+    if isinstance(graph, Tournament):
+        return {"kind": "tournament", "vertices": graph.vertex_count,
+                "edges": [list(e) for e in graph.sorted_edges()]}
     if isinstance(graph, OrientedGraph):
         return {"kind": "oriented", "vertices": graph.vertex_count,
                 "edges": [list(e) for e in graph.sorted_edges()]}
@@ -56,9 +60,6 @@ def _graph_json(graph) -> dict:
         return {"kind": "bipartite", "part1": graph.part1_count,
                 "part2": graph.part2_count,
                 "edges": [list(e) for e in graph.sorted_edges()]}
-    if isinstance(graph, Tournament):
-        return {"kind": "tournament", "vertices": graph.vertex_count,
-                "edges": [list(e) for e in sorted(graph.edges)]}
     raise TypeError(f"cannot serialize {type(graph).__name__}")
 
 

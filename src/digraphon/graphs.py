@@ -1,7 +1,8 @@
 """Graph types and small-graph constructions.
 
 Oriented graphs are loopless digraphs with no anti-parallel edge pair
-(no digons); bipartite graphs carry a fixed bipartition.  Vertices are
+(no digons), and a tournament is an oriented graph with an edge on every
+vertex pair; bipartite graphs carry a fixed bipartition.  Vertices are
 always indices ``0..n-1``; named vertices exist only in the file-format
 layer.  All types are immutable after construction and every operation
 here is pure.
@@ -70,14 +71,14 @@ class OrientedGraph:
         return self.out_degree(v) + self.in_degree(v)
 
     def reverse(self) -> "OrientedGraph":
-        return OrientedGraph(self.vertex_count, ((v, u) for u, v in self.edges))
+        return type(self)(self.vertex_count, ((v, u) for u, v in self.edges))
 
     def relabel(self, mapping: Iterable[int]) -> "OrientedGraph":
         """Apply a vertex permutation; ``mapping[old] = new``."""
         perm = list(mapping)
         if sorted(perm) != list(range(self.vertex_count)):
             raise ValueError("mapping is not a permutation of the vertices")
-        return OrientedGraph(self.vertex_count, ((perm[u], perm[v]) for u, v in self.edges))
+        return type(self)(self.vertex_count, ((perm[u], perm[v]) for u, v in self.edges))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -164,38 +165,24 @@ class BipartiteGraph:
 
 
 @dataclass(frozen=True)
-class Tournament:
-    """Oriented complete graph: every vertex pair carries exactly one edge."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+class Tournament(OrientedGraph):
+    """Oriented graph in which every vertex pair carries exactly one edge."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in edges))
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        super().__init__(vertex_count, edges)
         if len(self.edges) != comb(vertex_count, 2):
             raise ValueError("a tournament needs exactly C(n,2) edges")
-        for u, v in self.edges:
-            _validate_endpoint(u, vertex_count)
-            _validate_endpoint(v, vertex_count)
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if (v, u) in self.edges:
-                raise ValueError(f"both orientations of {{{u},{v}}} present")
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "Tournament":
         """Decode an orientation bitmask over the C(n,2) pairs in
         lexicographic order; bit 0 keeps (u,v) with u < v, bit 1 flips it."""
-        return cls(n, _decode(n, bits, _TOURNAMENT_STATES)[1])
+        return _from_index(cls, n, bits, _TOURNAMENT_STATES)
 
     def as_oriented(self) -> OrientedGraph:
+        """The same edges as a plain `OrientedGraph`.  Equality compares
+        classes, so a tournament never equals that graph."""
         return OrientedGraph(self.vertex_count, self.edges)
-
-    def reverse(self) -> "Tournament":
-        return Tournament(self.vertex_count, ((v, u) for u, v in self.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -280,41 +267,37 @@ def disjoint_union(a: OrientedGraph, b: OrientedGraph) -> OrientedGraph:
 
 # Pair states of the two index encodings, as (u->v present, v->u present)
 # for the pair u < v; the state is the pair's digit of the index.  These are
-# the encodings of `oriented_graph_from_index` and `tournament_from_index`.
+# the encodings of `oriented_graph_from_index` and `tournament_from_index`,
+# and `_mask_range` is their only reader: the graph decoders and the
+# callback enumerations build graphs from its out-neighbour masks.
 _ORIENTED_STATES = ((0, 0), (1, 0), (0, 1))
 _TOURNAMENT_STATES = ((1, 0), (0, 1))
 # (out-neighbour masks, in-neighbour masks, edge count) per host of a range.
 _Masks = Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]
 
 
-def _decode(n: int, index: int, states: tuple[tuple[int, int], ...]
-            ) -> tuple[list[int], list[tuple[int, int]]]:
-    """The digits of ``index`` in base ``len(states)``, lowest first, one per
-    vertex pair in lexicographic order, and the edges their states encode.
-
-    This is the only reader of the index encodings, and it rejects an index
-    outside [0, base^C(n,2)).
-    """
-    base = len(states)
-    pairs = list(combinations(range(n), 2))
-    if not 0 <= index < base ** len(pairs):
-        raise ValueError(f"index {index} outside [0, {base ** len(pairs)}) for n = {n}")
-    digits, edges = [], []
-    for u, v in pairs:
-        index, s = divmod(index, base)
-        digits.append(s)
-        forward, backward = states[s]
-        if forward:
+def _graph(cls: type, n: int, out_masks: tuple[int, ...]) -> OrientedGraph:
+    """The ``cls`` graph on n vertices with these out-neighbour masks, its
+    edges listed pair by pair in lexicographic order, forward edge first."""
+    edges = []
+    for u, v in combinations(range(n), 2):
+        if out_masks[u] >> v & 1:
             edges.append((u, v))
-        if backward:
+        if out_masks[v] >> u & 1:
             edges.append((v, u))
-    return digits, edges
+    return cls(n, edges)
+
+
+def _from_index(cls: type, n: int, index: int,
+                states: tuple[tuple[int, int], ...]) -> OrientedGraph:
+    """The ``cls`` graph of one index, read by `_mask_range`."""
+    return _graph(cls, n, next(_mask_range(n, index, index + 1, states))[0])
 
 
 def oriented_graph_from_index(n: int, index: int) -> OrientedGraph:
     """Decode a base-3 pair-state index (0 absent, 1 forward, 2 backward)
     over the C(n,2) vertex pairs in lexicographic order."""
-    return OrientedGraph(n, _decode(n, index, _ORIENTED_STATES)[1])
+    return _from_index(OrientedGraph, n, index, _ORIENTED_STATES)
 
 
 def tournament_from_index(n: int, index: int) -> Tournament:
@@ -326,32 +309,47 @@ def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -
     the encoding whose k-th digit, base ``len(states)``, is the state of the
     k-th vertex pair in lexicographic order.
 
-    No graph object is built.  Consecutive indices differ only in their low
-    digits, so each step toggles the edges of the pairs whose digit changed
-    (at most two pairs per step on average).  An empty range decodes nothing,
-    so lo may equal the index count.
+    No graph object is built.  The digits of lo are read once; consecutive
+    indices differ only in their low digits, so each step toggles the edges
+    of the pairs whose digit changed (at most two pairs per step on
+    average).  A range with lo or hi - 1 outside [0, base^C(n,2)) raises
+    ``ValueError``; an empty range decodes nothing, so lo may equal the
+    index count.
     """
     if lo >= hi:
         return
     base = len(states)
-    # moves[k][s]: the bits that take pair k from state s to state s+1 mod base.
+    pairs = list(combinations(range(n), 2))
+    count = base ** len(pairs)
+    for index in (lo, hi - 1):
+        if not 0 <= index < count:
+            raise ValueError(f"index {index} outside [0, {count}) for n = {n}")
+    out = [0] * n
+    inn = [0] * n
+    edges = 0
+    digits = []
+    index = lo
+    for u, v in pairs:
+        index, digit = divmod(index, base)
+        digits.append(digit)
+        forward, backward = states[digit]
+        out[u] |= forward << v
+        inn[v] |= forward << u
+        out[v] |= backward << u
+        inn[u] |= backward << v
+        edges += forward + backward
+    yield tuple(out), tuple(inn), edges
+    # moves[k][s]: the bits that take pair k from state s to state s+1 mod
+    # base, built only once a second host is asked for.
     moves = []
-    for u, v in combinations(range(n), 2):
+    for u, v in pairs:
         row = []
         for s in range(base):
             (f0, b0), (f1, b1) = states[s], states[(s + 1) % base]
             df, db = f0 ^ f1, b0 ^ b1
             row.append((u, v, df << v, df << u, db << u, db << v, f1 + b1 - f0 - b0))
         moves.append(row)
-    digits, first = _decode(n, lo, states)
-    out = [0] * n
-    inn = [0] * n
-    for u, v in first:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    edges = len(first)
-    for _ in range(lo, hi):
-        yield tuple(out), tuple(inn), edges
+    for _ in range(lo + 1, hi):
         for k, s in enumerate(digits):
             u, v, out_u, in_v, out_v, in_u, delta = moves[k][s]
             out[u] ^= out_u
@@ -363,6 +361,7 @@ def _mask_range(n: int, lo: int, hi: int, states: tuple[tuple[int, int], ...]) -
                 digits[k] = s + 1
                 break
             digits[k] = 0
+        yield tuple(out), tuple(inn), edges
 
 
 def oriented_graph_count(n: int) -> int:
@@ -388,7 +387,7 @@ def enumerate_oriented_graphs(
     off by default since labeled enumeration is what the density definitions
     count).  With neither a callback nor ``dedup`` nothing is decoded.
     """
-    return _visit(n, cap, oriented_graph_count, oriented_graph_from_index, callback, dedup)
+    return _visit(n, cap, _ORIENTED_STATES, OrientedGraph, callback, dedup)
 
 
 def enumerate_tournaments(
@@ -399,20 +398,22 @@ def enumerate_tournaments(
 ) -> int:
     """Visit all 2^C(n,2) labeled tournaments on ``n`` vertices; return the
     visit count.  Without a callback nothing is decoded."""
-    return _visit(n, cap, tournament_count, tournament_from_index, callback, False)
+    return _visit(n, cap, _TOURNAMENT_STATES, Tournament, callback, False)
 
 
-def _visit(n: int, cap: int, count: Callable[[int], int], decode: Callable,
+def _visit(n: int, cap: int, states: tuple[tuple[int, int], ...], cls: type,
            callback: Optional[Callable], dedup: bool) -> int:
-    """The visit loop of both enumerations, over the indices 0..count(n)-1."""
+    """The visit loop of both enumerations, one walk of `_mask_range` over
+    the indices of the ``states`` encoding in order."""
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    count = len(states) ** comb(n, 2)
     if callback is None and not dedup:
-        return count(n)
+        return count
     seen: set = set()
     visits = 0
-    for index in range(count(n)):
-        g = decode(n, index)
+    for out_masks, _, _ in _mask_range(n, 0, count, states):
+        g = _graph(cls, n, out_masks)
         if dedup:
             key = canonical_form(g)
             if key in seen:

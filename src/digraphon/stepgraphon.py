@@ -534,9 +534,16 @@ def cut_norm_centered(w: StepGraphon, p, *, heuristic: bool = False,
 
 def rectangle_integral(w: StepGraphon, parts_s: Iterable[int],
                        parts_t: Iterable[int], center=0) -> Fraction:
-    """Integral of (W - center) over the union-of-parts rectangle S x T."""
+    """Integral of (W - center) over the union-of-parts rectangle S x T.
+
+    S and T are sets of parts: a part listed twice counts once, and a part
+    outside [0, k) raises ``ValueError``.
+    """
+    parts_s, parts_t = set(parts_s), set(parts_t)
+    for i in parts_s | parts_t:
+        if not 0 <= i < w.num_parts:
+            raise ValueError(f"part {i} outside [0, {w.num_parts})")
     mass, denom = _signed_numerators(w, _as_fraction(center))
-    parts_t = tuple(parts_t)
     return Fraction(sum(mass[i][j] for i in parts_s for j in parts_t), denom)
 
 

@@ -29,7 +29,7 @@ DEFAULT_ANTI_SIDORENKO_CAP = 5
 
 def copies_in_tournament(pattern: OrientedGraph, tournament: Tournament) -> int:
     """Labeled copies of the pattern in the tournament."""
-    return labeled_copies(pattern, tournament.as_oriented())
+    return labeled_copies(pattern, tournament)
 
 
 @dataclass(frozen=True)

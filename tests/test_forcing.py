@@ -23,6 +23,7 @@ from digraphon import (
     w_lambda,
 )
 from digraphon.forcing import (
+    MAX_LAMBDA_GRID,
     MAX_PGD_INDICES,
     RATIONALIZE_DENOMINATOR,
     _exact_density,
@@ -169,6 +170,20 @@ class TestFindLambda0:
         # The endpoint checks read the grid's first and last densities.
         with pytest.raises(ValueError, match="grid must be"):
             find_lambda0(TRIANGLE, PRECISION, grid=grid)
+
+    def test_rejects_grid_above_cap(self, monkeypatch):
+        # Checked before any density is summed: the first-crossing scan is
+        # linear in the grid.
+        def no_map_sum(*args, **kwargs):
+            raise AssertionError("a density was summed")
+
+        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        with pytest.raises(ValueError, match=f"grid must be at most {MAX_LAMBDA_GRID}"):
+            find_lambda0(TRIANGLE, PRECISION, grid=MAX_LAMBDA_GRID + 1)
+
+    def test_grid_cap_is_accepted(self):
+        profile = find_lambda0(TRIANGLE, PRECISION, grid=MAX_LAMBDA_GRID)
+        assert profile.lambda0 == Fraction(1, 2)
 
     @pytest.mark.parametrize("pattern", [PATH3, TRIANGLE])
     @pytest.mark.parametrize("precision", [0, Fraction(-1, 8)])

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -251,11 +252,21 @@ class TestEnumeration:
         def no_decode(*args):
             raise AssertionError("a count-only enumeration decoded a graph")
 
-        monkeypatch.setattr("digraphon.graphs._decode", no_decode)
+        monkeypatch.setattr("digraphon.graphs._mask_range", no_decode)
         assert enumerate_oriented_graphs(6) == 3 ** 15
         assert enumerate_tournaments(7) == 2 ** 21
         with pytest.raises(AssertionError, match="decoded"):
             enumerate_tournaments(2, lambda t: None)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_callback_visits_hosts_in_index_order(self, n):
+        oriented, tournaments = [], []
+        enumerate_oriented_graphs(n, oriented.append)
+        enumerate_tournaments(n, tournaments.append)
+        assert oriented == [oriented_graph_from_index(n, i)
+                            for i in range(oriented_graph_count(n))]
+        assert tournaments == [tournament_from_index(n, i) for i in range(tournament_count(n))]
+        assert all(type(t) is Tournament for t in tournaments)
 
     def test_tournament_bits_round_trip(self):
         ts = set()
@@ -311,6 +322,14 @@ class TestMaskDecoders:
         with pytest.raises(ValueError, match="outside"):
             list(_mask_range(3, -1, 2, _ORIENTED_STATES))
         assert list(_mask_range(3, 27, 27, _ORIENTED_STATES)) == []
+
+    def test_range_rejects_end_out_of_range(self):
+        # Past the index count the odometer would wrap round to index 0.
+        with pytest.raises(ValueError, match=r"index 4 outside \[0, 3\) for n = 2"):
+            list(_mask_range(2, 0, 5, _ORIENTED_STATES))
+        with pytest.raises(ValueError, match=r"index 8 outside \[0, 8\)"):
+            list(_mask_range(3, 7, 9, _TOURNAMENT_STATES))
+        assert list(_mask_range(2, 5, 5, _ORIENTED_STATES)) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -373,3 +392,40 @@ class TestReversal:
     def test_tournament_reverse(self):
         t = Tournament.from_bits(3, 0)
         assert t.reverse().edges == frozenset({(1, 0), (2, 1), (2, 0)})
+
+
+class TestTournamentType:
+    """A tournament is an oriented graph with an edge on every pair."""
+
+    def test_is_an_oriented_graph(self):
+        t = Tournament.from_bits(4, 27)
+        assert isinstance(t, OrientedGraph)
+        assert t.edge_count == 6
+
+    def test_reverse_and_relabel_stay_tournaments(self):
+        t = Tournament.from_bits(4, 27)
+        assert type(t.reverse()) is Tournament
+        assert type(t.relabel([2, 0, 3, 1])) is Tournament
+        assert t.reverse().reverse() == t
+
+    def test_differs_from_its_oriented_graph(self):
+        t = Tournament.from_bits(3, 5)
+        assert t != t.as_oriented()
+        assert type(t.as_oriented()) is OrientedGraph
+        assert t.as_oriented().edges == t.edges
+
+    def test_pickle_round_trip(self):
+        # Pooled scans pickle their hosts.
+        t = Tournament.from_bits(4, 27)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is Tournament
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, [(0, 1)], r"C\(n,2\)"),
+        (2, [(0, 1), (1, 0)], "anti-parallel"),
+        (1, [(0, 0)], "loop"),
+        (2, [(0, 3)], "out of range"),
+    ])
+    def test_rejects_non_tournaments(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Tournament(n, edges)

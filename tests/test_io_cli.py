@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from digraphon import BipartiteGraph, OrientedGraph, StepGraphon, UndirectedGraph, w_lambda
+from digraphon import (
+    BipartiteGraph,
+    OrientedGraph,
+    StepGraphon,
+    Tournament,
+    UndirectedGraph,
+    w_lambda,
+)
 from digraphon.cli import main
+from digraphon.forcing import MAX_LAMBDA_GRID
 from digraphon.io import (
     InputFormatError,
     dump_graph,
@@ -47,6 +55,11 @@ class TestGraphFiles:
     def test_bipartite_round_trip(self):
         g = BipartiteGraph(2, 3, [(0, 0), (1, 2)])
         assert parse_graph(dump_graph(g)) == g
+
+    def test_tournament_is_written_as_its_oriented_graph(self):
+        t = Tournament(3, [(0, 1), (2, 1), (2, 0)])
+        assert dump_graph(t) == "D 3 3\n0 1\n2 0\n2 1\n"
+        assert parse_graph(dump_graph(t)) == t.as_oriented()
 
     def test_digon_rejected_on_load(self):
         with pytest.raises(InputFormatError):
@@ -254,6 +267,13 @@ class TestCli:
         assert captured.out == ""
         assert "precision must be positive" in json.loads(captured.err)["error"]
 
+    def test_find_lambda0_grid_above_cap_is_input_error(self, capsys, files):
+        code = main(["find-lambda0", files["tri.graph"], "--grid", str(MAX_LAMBDA_GRID + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "grid must be at most" in json.loads(captured.err)["error"]
+
     def test_quasirandom_trace(self, capsys, files, tmp_path):
         listing = tmp_path / "list.txt"
         listing.write_text(files["edge.graph"] + "\n" + files["tri.graph"] + "\n")
@@ -321,6 +341,13 @@ class TestCli:
         code, lines = run_cli(capsys, "anti-sidorenko", files["path3.graph"], "--n", "3")
         assert code == 0
         assert lines[0]["verdict"] == "holds-on-family"
+
+    def test_anti_sidorenko_witness_is_a_tournament(self, capsys, files):
+        code, lines = run_cli(capsys, "anti-sidorenko", files["path3.graph"], "--n", "4")
+        assert code == 0
+        assert lines[0]["witness"]["host"] == {
+            "kind": "tournament", "vertices": 4,
+            "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 0]]}
 
     def test_enumerate(self, capsys):
         code, lines = run_cli(capsys, "enumerate", "--oriented", "3")

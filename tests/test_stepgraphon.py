@@ -182,6 +182,19 @@ class TestStepGraphonType:
         assert (rectangle_integral(w, parts_s, iter(parts_t), center)
                 == reference_rectangle_integral(w, parts_s, parts_t, center))
 
+    def test_rectangle_integral_counts_each_part_once(self):
+        w = StepGraphon([Fraction(1, 2)] * 2, [[1, 0], [0, Fraction(1, 2)]])
+        assert rectangle_integral(w, [0], [0]) == Fraction(1, 4)
+        assert rectangle_integral(w, [0, 0], [0]) == Fraction(1, 4)
+        assert rectangle_integral(w, [1, 0, 1], [1, 1]) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("parts_s,parts_t,bad", [
+        ([-1], [0], -1), ([0], [2], 2), ([0, 1], [1, 5], 5)])
+    def test_rectangle_integral_rejects_parts_out_of_range(self, parts_s, parts_t, bad):
+        w = StepGraphon([Fraction(1, 2)] * 2, [[1, 0], [0, Fraction(1, 2)]])
+        with pytest.raises(ValueError, match=rf"part {bad} outside \[0, 2\)"):
+            rectangle_integral(w, parts_s, parts_t)
+
     def test_scale_zero_kills_densities(self):
         w = random_graphon(3, seed=5).scale(0)
         assert t_step(EDGE, w) == 0

@@ -14,6 +14,7 @@ from digraphon import (
     copies_in_tournament,
     impartiality_check,
 )
+from digraphon.counting import labeled_copies
 from digraphon.graphs import (
     oriented_graph_count,
     oriented_graph_from_index,
@@ -45,6 +46,12 @@ class TestCopies:
 
     def test_triangle_in_transitive(self):
         assert copies_in_tournament(TRIANGLE, TRANSITIVE_T3) == 0
+
+    @pytest.mark.parametrize("pattern", [EDGE, PATH3, TRIANGLE, IMPARTIAL4])
+    def test_tournament_is_counted_as_its_oriented_graph(self, pattern):
+        for idx in range(tournament_count(4)):
+            t = tournament_from_index(4, idx)
+            assert labeled_copies(pattern, t) == labeled_copies(pattern, t.as_oriented())
 
     def test_reversal_duality(self):
         # copies(B,T) + copies(B, rev T) is unchanged when B is reversed.
