@@ -26,6 +26,7 @@ from .graphs import (
     oriented_knn,
 )
 from .io import (
+    _GRAPH_KINDS,
     InputFormatError,
     format_rational,
     load_graph,
@@ -45,34 +46,29 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+# The JSON kind of each graph class, looked up by exact class: a
+# `Tournament` is also an `OrientedGraph` but prints as a tournament.
+_JSON_KINDS = {Tournament: "tournament", OrientedGraph: "oriented",
+               UndirectedGraph: "undirected", BipartiteGraph: "bipartite"}
+
+
 def _graph_json(graph) -> dict:
-    # A tournament is also an OrientedGraph, so it is tested first.
-    if isinstance(graph, Tournament):
-        return {"kind": "tournament", "vertices": graph.vertex_count,
-                "edges": [list(e) for e in graph.sorted_edges()]}
-    if isinstance(graph, OrientedGraph):
-        return {"kind": "oriented", "vertices": graph.vertex_count,
-                "edges": [list(e) for e in graph.sorted_edges()]}
-    if isinstance(graph, UndirectedGraph):
-        return {"kind": "undirected", "vertices": graph.vertex_count,
-                "edges": [list(e) for e in graph.sorted_edges()]}
-    if isinstance(graph, BipartiteGraph):
-        return {"kind": "bipartite", "part1": graph.part1_count,
-                "part2": graph.part2_count,
-                "edges": [list(e) for e in graph.sorted_edges()]}
-    raise TypeError(f"cannot serialize {type(graph).__name__}")
+    if isinstance(graph, StepGraphon):
+        return _graphon_json(graph)
+    kind = _JSON_KINDS.get(type(graph))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(graph).__name__}")
+    if kind == "bipartite":
+        sizes = {"part1": graph.part1_count, "part2": graph.part2_count}
+    else:
+        sizes = {"vertices": graph.vertex_count}
+    return {"kind": kind, **sizes, "edges": [list(e) for e in graph.sorted_edges()]}
 
 
 def _graphon_json(w: StepGraphon) -> dict:
     return {"kind": "step-graphon",
             "part_lengths": [format_rational(x) for x in w.part_lengths],
             "values": [[format_rational(x) for x in row] for row in w.values]}
-
-
-def _host_json(host) -> dict:
-    if isinstance(host, StepGraphon):
-        return _graphon_json(host)
-    return _graph_json(host)
 
 
 def _report_json(report: sidorenko.CheckReport) -> dict:
@@ -83,7 +79,7 @@ def _report_json(report: sidorenko.CheckReport) -> dict:
     if report.witness is not None:
         wit = report.witness
         out["witness"] = {
-            "host": _host_json(wit.host),
+            "host": _graph_json(wit.host),
             "lhs": format_rational(wit.lhs),
             "rhs": format_rational(wit.rhs),
             "margin": format_rational(wit.margin),
@@ -92,24 +88,12 @@ def _report_json(report: sidorenko.CheckReport) -> dict:
     return out
 
 
-def _load_oriented(path: str) -> OrientedGraph:
+def _load(path: str, kind: str):
+    """The graph in ``path``, which must have the header letter ``kind``."""
     g = load_graph(path)
-    if not isinstance(g, OrientedGraph):
-        raise InputFormatError(f"{path}: expected a directed graph (header 'D')")
-    return g
-
-
-def _load_undirected(path: str) -> UndirectedGraph:
-    g = load_graph(path)
-    if not isinstance(g, UndirectedGraph):
-        raise InputFormatError(f"{path}: expected an undirected graph (header 'U')")
-    return g
-
-
-def _load_bipartite(path: str) -> BipartiteGraph:
-    g = load_graph(path)
-    if not isinstance(g, BipartiteGraph):
-        raise InputFormatError(f"{path}: expected a bipartite graph (header 'B')")
+    cls, noun, _ = _GRAPH_KINDS[kind]
+    if not isinstance(g, cls):
+        raise InputFormatError(f"{path}: expected {noun} graph (header '{kind}')")
     return g
 
 
@@ -118,23 +102,23 @@ def _load_bipartite(path: str) -> BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 def _cmd_density(args) -> int:
-    pattern = _load_oriented(args.pattern)
-    host = _load_oriented(args.host)
+    pattern = _load(args.pattern, "D")
+    host = _load(args.host, "D")
     _emit({"t": format_rational(t_directed(pattern, host)),
            "hom_count": str(hom_count_directed(pattern, host))})
     return EXIT_OK
 
 
 def _cmd_density_bip(args) -> int:
-    pattern = _load_bipartite(args.pattern)
-    host = _load_bipartite(args.host)
+    pattern = _load(args.pattern, "B")
+    host = _load(args.host, "B")
     _emit({"t_bip": format_rational(t_bip(pattern, host)),
            "hom_count": str(hom_count_bip(pattern, host))})
     return EXIT_OK
 
 
 def _cmd_density_graphon(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     w = load_graphon(args.graphon)
     _emit({"t": format_rational(t_step(pattern, w))})
     return EXIT_OK
@@ -155,26 +139,26 @@ def _cmd_cutnorm(args) -> int:
 
 
 def _cmd_check_sidorenko(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     if args.nmax is not None:
         report = sidorenko.check_directed_sidorenko_exhaustive(pattern, args.nmax)
     elif args.graphon is not None:
         report = sidorenko.check_directed_sidorenko_graphon(pattern, load_graphon(args.graphon))
     else:
-        report = sidorenko.check_second_sidorenko(pattern, _load_oriented(args.second))
+        report = sidorenko.check_second_sidorenko(pattern, _load(args.second, "D"))
     _emit(_report_json(report))
     return EXIT_VIOLATED if report.violated else EXIT_OK
 
 
 def _cmd_check_asym(args) -> int:
-    pattern = _load_bipartite(args.pattern)
+    pattern = _load(args.pattern, "B")
     report = sidorenko.check_asym_sidorenko(pattern, load_graphon(args.graphon))
     _emit(_report_json(report))
     return EXIT_VIOLATED if report.violated else EXIT_OK
 
 
 def _cmd_bridge(args) -> int:
-    pattern = _load_bipartite(args.pattern)
+    pattern = _load(args.pattern, "B")
     w = load_graphon(args.graphon)
     report = sidorenko.check_equivalence_bridge(pattern, w)
     _emit(_report_json(report))
@@ -193,7 +177,7 @@ def _cmd_wlambda(args) -> int:
 
 
 def _cmd_find_lambda0(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     precision = parse_rational(args.precision)
     profile = forcing.find_lambda0(pattern, precision, grid=args.grid)
     density = t_step(pattern, forcing.w_lambda(profile.lambda0))
@@ -209,7 +193,7 @@ def _cmd_quasirandom_trace(args) -> int:
     p = parse_rational(args.p)
     with open(args.list_file, "r", encoding="utf-8") as fh:
         paths = [line.strip() for line in fh if line.strip()]
-    graphs = [_load_oriented(path) for path in paths]
+    graphs = [_load(path, "D") for path in paths]
     values = forcing.quasirandom_trace(graphs, p, heuristic=args.heuristic,
                                        seed=args.seed)
     for path, value in zip(paths, values):
@@ -218,7 +202,7 @@ def _cmd_quasirandom_trace(args) -> int:
 
 
 def _cmd_search_witness(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     p = parse_rational(args.p)
     tol = parse_rational(args.tol)
     witness = forcing.forcing_witness_search(pattern, p, args.parts, tol, args.seed)
@@ -243,7 +227,7 @@ def _cmd_search_witness(args) -> int:
 
 
 def _cmd_impartial(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     stats = tournaments.impartiality_check(pattern, args.n)
     _emit({"n": stats.n,
            "constant": stats.constant,
@@ -255,7 +239,7 @@ def _cmd_impartial(args) -> int:
 
 
 def _cmd_anti_sidorenko(args) -> int:
-    pattern = _load_oriented(args.pattern)
+    pattern = _load(args.pattern, "D")
     report = tournaments.anti_sidorenko_check(pattern, args.n)
     _emit(_report_json(report))
     return EXIT_VIOLATED if report.violated else EXIT_OK
@@ -272,7 +256,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_double_cover(args) -> int:
-    graph = _load_undirected(args.graph)
+    graph = _load(args.graph, "U")
     cover = double_cover(graph)
     if args.emit:
         save_graph(cover, args.emit)

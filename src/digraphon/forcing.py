@@ -31,6 +31,9 @@ DEFAULT_GRID = 256
 # find_lambda0's first-crossing scan is linear in the grid: about 0.7 s at
 # 10^6 points for the directed 4-cycle plus a chord (Xeon, Python 3.11).
 MAX_LAMBDA_GRID = 2**20
+# Its bisection runs about log2(1/precision) steps on integers that grow
+# with them: about 0.6 s at 2^-4096 for the same pattern, 19 s at 2^-16384.
+MIN_PRECISION = Fraction(1, 2**4096)
 RATIONALIZE_DENOMINATOR = 2**16
 PGD_STEP_SIZE = 0.05
 # The float descent indexes parts^v x e cells; larger searches are refused.
@@ -124,10 +127,10 @@ def find_lambda0(
     """Locate lambda0 with t(B, W^(lambda0)) = (1/16)^e(B) up to ``precision``.
 
     Requires a pattern with no isolated vertices and no homomorphism onto a
-    single edge, ``precision > 0`` and 1 <= grid <= ``MAX_LAMBDA_GRID``
-    (2^20), all checked before any density is computed.  Then the density
-    is 0 at lambda = 0 and (1/2)^v * (1/4)^e >= (1/16)^e at lambda = 1, so
-    a root exists.
+    single edge, ``precision >= MIN_PRECISION`` (2^-4096) and 1 <= grid <=
+    ``MAX_LAMBDA_GRID`` (2^20), all checked before any density is computed.
+    Then the density is 0 at lambda = 0 and (1/2)^v * (1/4)^e >= (1/16)^e
+    at lambda = 1, so a root exists.
 
     Every cell of W^(lambda) is affine in lambda, so the density is a
     polynomial of degree at most e = e(B).  It is computed exactly at
@@ -147,6 +150,8 @@ def find_lambda0(
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
+    if precision < MIN_PRECISION:
+        raise ValueError("precision must be at least MIN_PRECISION = 2^-4096")
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
     if grid > MAX_LAMBDA_GRID:

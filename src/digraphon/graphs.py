@@ -29,7 +29,20 @@ def _validate_endpoint(v: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class OrientedGraph:
+class _Graph:
+    """The edge accessors of every graph kind.  Each kind declares its size
+    fields and then ``edges``, a frozenset of index pairs."""
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges)
+
+
+@dataclass(frozen=True)
+class OrientedGraph(_Graph):
     """Loopless digraph in which at most one of (u,v), (v,u) is an edge."""
 
     vertex_count: int
@@ -47,10 +60,6 @@ class OrientedGraph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if (v, u) in self.edges:
                 raise ValueError(f"anti-parallel pair {(u, v)}/{(v, u)} not allowed")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
@@ -80,12 +89,9 @@ class OrientedGraph:
             raise ValueError("mapping is not a permutation of the vertices")
         return type(self)(self.vertex_count, ((perm[u], perm[v]) for u, v in self.edges))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(_Graph):
     """Simple undirected graph; edges are stored as (min, max) pairs."""
 
     vertex_count: int
@@ -103,10 +109,6 @@ class UndirectedGraph:
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -122,12 +124,9 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Graph):
     """Undirected graph with a fixed bipartition.
 
     Edges are pairs ``(i, j)`` with ``i`` indexing part 1 and ``j`` part 2;
@@ -153,15 +152,8 @@ class BipartiteGraph:
     def vertex_count(self) -> int:
         return self.part1_count + self.part2_count
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)

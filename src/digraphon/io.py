@@ -13,6 +13,7 @@ bit-exact.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 from typing import Union
 
@@ -24,6 +25,18 @@ Graph = Union[OrientedGraph, UndirectedGraph, BipartiteGraph]
 DECIMAL_LENGTH_TOLERANCE = Fraction(1, 10**12)
 
 _POWER_RE = re.compile(r"^([+-]?\d+)\^([+-]?\d+)$")
+_DECIMAL_EXPONENT_RE = re.compile(r"^[+-]?[\d_.]*[eE]([+-]?[\d_]+)$")
+# Building b^e exactly takes about |e| * bit_length(|b|) bits.
+_MAX_POWER_BITS = 2**16
+
+# Each graph file header letter: its class, the noun that messages name it
+# by, and the header fields before the edge count.  The classes are
+# disjoint; a `Tournament` is an `OrientedGraph` and is written as one.
+_GRAPH_KINDS = {
+    "D": (OrientedGraph, "a directed", ("n",)),
+    "U": (UndirectedGraph, "an undirected", ("n",)),
+    "B": (BipartiteGraph, "a bipartite", ("n1", "n2")),
+}
 
 
 class InputFormatError(ValueError):
@@ -31,18 +44,35 @@ class InputFormatError(ValueError):
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q``, decimal, integer, or ``b^e`` power notation exactly."""
+    """Parse ``p/q``, decimal, integer, or ``b^e`` power notation exactly.
+
+    A power b^e, or a decimal with exponent e (base 10), is refused when
+    |e| * bit_length(|b|) exceeds 2^16, before the power is built."""
     token = token.strip()
-    m = _POWER_RE.match(token)
-    if m:
-        base, exp = int(m.group(1)), int(m.group(2))
-        if base == 0 and exp < 0:
-            raise InputFormatError(f"cannot parse {token!r}: zero base with negative exponent")
-        return Fraction(base) ** exp
     try:
+        m = _POWER_RE.match(token)
+        if m:
+            base, exp = int(m.group(1)), int(m.group(2))
+            if base == 0 and exp < 0:
+                raise InputFormatError(
+                    f"cannot parse {token!r}: zero base with negative exponent")
+            _check_power(token, base, exp)
+            return Fraction(base) ** exp
+        m = _DECIMAL_EXPONENT_RE.match(token)
+        if m:
+            _check_power(token, 10, int(m.group(1)))
         return Fraction(token)
+    except InputFormatError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"cannot parse rational {token!r}") from exc
+
+
+def _check_power(token: str, base: int, exp: int) -> None:
+    if abs(exp) * abs(base).bit_length() > _MAX_POWER_BITS:
+        raise InputFormatError(
+            f"cannot parse {token!r}: exponent too large "
+            f"(|e| * bit_length(|base|) above {_MAX_POWER_BITS})")
 
 
 def format_rational(x: Fraction) -> str:
@@ -60,22 +90,14 @@ def parse_graph(text: str) -> Graph:
         raise InputFormatError("empty graph file")
     header = lines[0].split()
     kind = header[0].upper()
+    if kind not in _GRAPH_KINDS:
+        raise InputFormatError(f"unknown graph kind {kind!r}")
+    cls, _, sizes = _GRAPH_KINDS[kind]
+    if len(header) != len(sizes) + 2:
+        raise InputFormatError(f"header {lines[0]!r} must be '{kind} {' '.join(sizes)} m'")
     try:
-        if kind in ("D", "U"):
-            if len(header) != 3:
-                raise InputFormatError(f"header {lines[0]!r} must be '{kind} n m'")
-            n, m = int(header[1]), int(header[2])
-            edges = _parse_edge_lines(lines[1:], m)
-            cls = OrientedGraph if kind == "D" else UndirectedGraph
-            graph = cls(n, edges)
-        elif kind == "B":
-            if len(header) != 4:
-                raise InputFormatError(f"header {lines[0]!r} must be 'B n1 n2 m'")
-            n1, n2, m = int(header[1]), int(header[2]), int(header[3])
-            edges = _parse_edge_lines(lines[1:], m)
-            graph = BipartiteGraph(n1, n2, edges)
-        else:
-            raise InputFormatError(f"unknown graph kind {kind!r}")
+        *counts, m = map(int, header[1:])
+        graph = cls(*counts, _parse_edge_lines(lines[1:], m))
     except ValueError as exc:
         if isinstance(exc, InputFormatError):
             raise
@@ -99,17 +121,14 @@ def _parse_edge_lines(lines: list[str], m: int) -> list[tuple[int, int]]:
 
 
 def dump_graph(graph: Graph) -> str:
-    if isinstance(graph, OrientedGraph):
-        header = f"D {graph.vertex_count} {graph.edge_count}"
-    elif isinstance(graph, UndirectedGraph):
-        header = f"U {graph.vertex_count} {graph.edge_count}"
-    elif isinstance(graph, BipartiteGraph):
-        header = f"B {graph.part1_count} {graph.part2_count} {graph.edge_count}"
-    else:
-        raise TypeError(f"cannot serialize {type(graph).__name__}")
-    lines = [header]
-    lines.extend(f"{u} {v}" for u, v in graph.sorted_edges())
-    return "\n".join(lines) + "\n"
+    for kind, (cls, _, _) in _GRAPH_KINDS.items():
+        if isinstance(graph, cls):
+            # The size fields precede `edges`, in header order.
+            sizes = [getattr(graph, field.name) for field in fields(cls)[:-1]]
+            lines = [" ".join(map(str, [kind, *sizes, graph.edge_count]))]
+            lines.extend(f"{u} {v}" for u, v in graph.sorted_edges())
+            return "\n".join(lines) + "\n"
+    raise TypeError(f"cannot serialize {type(graph).__name__}")
 
 
 def load_graph(path: str) -> Graph:

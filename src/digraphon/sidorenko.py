@@ -93,7 +93,8 @@ def check_directed_sidorenko_exhaustive(
 ) -> CheckReport:
     """Test t(B,G) >= t(edge,G)^e(B) over all labeled oriented hosts with
     1..``n_max`` vertices (up to ``instance_cap`` hosts; the report is
-    marked incomplete when the cap cuts the scan short).
+    marked incomplete when the cap cuts the scan short).  ``n_max`` and
+    ``instance_cap`` must be at least 1.
 
     The reported witness is the host with the most negative margin, scanning
     hosts by vertex count and then by enumeration index; ties keep the
@@ -101,6 +102,8 @@ def check_directed_sidorenko_exhaustive(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if instance_cap < 1:
+        raise ValueError(f"instance_cap must be at least 1, got {instance_cap}")
     workers = parallel.resolve_workers(workers)
     v, e = pattern.vertex_count, pattern.edge_count
     remaining = instance_cap

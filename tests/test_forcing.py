@@ -25,6 +25,7 @@ from digraphon import (
 from digraphon.forcing import (
     MAX_LAMBDA_GRID,
     MAX_PGD_INDICES,
+    MIN_PRECISION,
     RATIONALIZE_DENOMINATOR,
     _exact_density,
     _float_kernel,
@@ -184,6 +185,27 @@ class TestFindLambda0:
     def test_grid_cap_is_accepted(self):
         profile = find_lambda0(TRIANGLE, PRECISION, grid=MAX_LAMBDA_GRID)
         assert profile.lambda0 == Fraction(1, 2)
+
+    @pytest.mark.parametrize("pattern", [PATH3, TRIANGLE])
+    def test_rejects_precision_below_floor(self, pattern, monkeypatch):
+        # Checked before any density is summed: the bisection runs about
+        # log2(1/precision) steps on integers that grow with them.
+        def no_map_sum(*args, **kwargs):
+            raise AssertionError("a density was summed")
+
+        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        with pytest.raises(ValueError, match="precision must be at least MIN_PRECISION"):
+            find_lambda0(pattern, MIN_PRECISION / 2)
+
+    def test_precision_floor_is_accepted(self):
+        # The directed 4-vertex path has no grid root, so this bisects down
+        # to the floor.
+        path4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        profile = find_lambda0(path4, MIN_PRECISION)
+        assert MIN_PRECISION == Fraction(1, 2**4096)
+        assert profile.lambda0.denominator > 2**4000
+        density = t_step(path4, w_lambda(profile.lambda0))
+        assert 0 < abs(density - profile.target) <= MIN_PRECISION
 
     @pytest.mark.parametrize("pattern", [PATH3, TRIANGLE])
     @pytest.mark.parametrize("precision", [0, Fraction(-1, 8)])

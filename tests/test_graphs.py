@@ -429,3 +429,44 @@ class TestTournamentType:
     def test_rejects_non_tournaments(self, n, edges, message):
         with pytest.raises(ValueError, match=message):
             Tournament(n, edges)
+
+
+class TestGraphKinds:
+    """Every kind keeps its dataclass repr, equality, hash and pickling."""
+
+    GRAPHS = [
+        (OrientedGraph(3, [(0, 1), (2, 1)]),
+         "OrientedGraph(vertex_count=3, edges=frozenset({(0, 1), (2, 1)}))", (3,)),
+        (UndirectedGraph(3, [(1, 0), (1, 2)]),
+         "UndirectedGraph(vertex_count=3, edges=frozenset({(0, 1), (1, 2)}))", (3,)),
+        (BipartiteGraph(2, 3, [(0, 2), (1, 0)]),
+         "BipartiteGraph(part1_count=2, part2_count=3, edges=frozenset({(1, 0), (0, 2)}))",
+         (2, 3)),
+        (Tournament(3, [(0, 1), (2, 1), (2, 0)]),
+         "Tournament(vertex_count=3, edges=frozenset({(0, 1), (2, 0), (2, 1)}))", (3,)),
+    ]
+
+    @pytest.mark.parametrize("graph,text,sizes", GRAPHS)
+    def test_repr_equality_and_hash(self, graph, text, sizes):
+        assert repr(graph) == text
+        assert hash(graph) == hash((*sizes, graph.edges))
+        same = type(graph)(*sizes, sorted(graph.edges))
+        assert same == graph and hash(same) == hash(graph)
+        assert graph.edge_count == len(graph.edges)
+        assert graph.sorted_edges() == sorted(graph.edges)
+
+    @pytest.mark.parametrize("graph,text,sizes", GRAPHS)
+    def test_pickle_round_trip(self, graph, text, sizes):
+        back = pickle.loads(pickle.dumps(graph))
+        assert back == graph and type(back) is type(graph) and repr(back) == text
+
+    def test_kinds_with_equal_fields_differ(self):
+        oriented = OrientedGraph(3, [(0, 1), (1, 2)])
+        undirected = UndirectedGraph(3, [(0, 1), (1, 2)])
+        assert oriented.edges == undirected.edges
+        assert oriented != undirected
+
+    @pytest.mark.parametrize("graph,text,sizes", GRAPHS)
+    def test_frozen(self, graph, text, sizes):
+        with pytest.raises(AttributeError):
+            graph.edges = frozenset()

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from digraphon import (
     UndirectedGraph,
     w_lambda,
 )
-from digraphon.cli import main
-from digraphon.forcing import MAX_LAMBDA_GRID
+from digraphon.cli import _graph_json, main
+from digraphon.forcing import MAX_LAMBDA_GRID, MIN_PRECISION
 from digraphon.io import (
     InputFormatError,
     dump_graph,
@@ -41,6 +42,37 @@ class TestParseRational:
             parse_rational("one half")
         with pytest.raises(InputFormatError):
             parse_rational("1/0")
+
+    @pytest.mark.parametrize("token,expected", [
+        # |e| * bit_length(|base|) = 2^16 exactly.
+        ("2^32768", Fraction(2**32768)),
+        ("2^-32768", Fraction(1, 2**32768)),
+        ("-2^32767", Fraction(-2) ** 32767),
+        ("1e16384", Fraction(10**16384)),
+        ("1.5e-16384", Fraction(15, 10**16385)),
+        ("1/100000000", Fraction(1, 10**8)),
+    ])
+    def test_exponent_at_cap_is_accepted(self, token, expected):
+        assert parse_rational(token) == expected
+
+    @pytest.mark.parametrize("token", [
+        "2^32769", "2^-32769", "3^-32769", "1e16385", "1E-16385", "-0.5e16385",
+        "1e-1000000", "2^-1000000",
+    ])
+    def test_exponent_above_cap_is_refused(self, token):
+        # Fraction builds 10^|e| exactly: 1e-10000000 took 7.7 s to parse.
+        with pytest.raises(InputFormatError, match="exponent too large") as excinfo:
+            parse_rational(token)
+        assert repr(token) in str(excinfo.value)
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() in (0, None),
+                        reason="int() has no digit limit on this interpreter")
+    @pytest.mark.parametrize("token", ["2^" + "9" * 5000, "9" * 5000 + "^1", "1e" + "9" * 5000])
+    def test_integer_too_long_to_convert_is_an_input_error(self, token):
+        # int() refuses strings of more than 4300 digits (the default limit)
+        # with a bare ValueError.
+        with pytest.raises(InputFormatError, match="cannot parse rational"):
+            parse_rational(token)
 
 
 class TestGraphFiles:
@@ -78,6 +110,40 @@ class TestGraphFiles:
     def test_unknown_header(self):
         with pytest.raises(InputFormatError):
             parse_graph("X 2 1\n0 1\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("X 2 1\n0 1\n", "unknown graph kind 'X'"),
+        ("x\n", "unknown graph kind 'X'"),
+        ("D 3\n", "header 'D 3' must be 'D n m'"),
+        ("d 3\n", "header 'd 3' must be 'D n m'"),
+        ("U 3 2 1\n", "header 'U 3 2 1' must be 'U n m'"),
+        ("B 2 2\n", "header 'B 2 2' must be 'B n1 n2 m'"),
+        ("b 1 2 3 4 5\n", "header 'b 1 2 3 4 5' must be 'B n1 n2 m'"),
+        ("D 3 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("D 2 1\n0 1\n1 0\n", "expected 1 edge lines, found 2"),
+        ("B 2 2 1\n0 5\n", "vertex 5 out of range for 2 vertices"),
+        ("U 2 1\n0 0\n", "loop at vertex 0 not allowed"),
+    ])
+    def test_header_messages(self, text, message):
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_graph(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("graph,text", [
+        (OrientedGraph(3, [(2, 1), (0, 1)]), "D 3 2\n0 1\n2 1\n"),
+        (UndirectedGraph(3, [(1, 0), (1, 2)]), "U 3 2\n0 1\n1 2\n"),
+        (BipartiteGraph(2, 3, [(1, 0), (0, 2)]), "B 2 3 2\n0 2\n1 0\n"),
+        (OrientedGraph(0), "D 0 0\n"),
+        (BipartiteGraph(1, 0), "B 1 0 0\n"),
+    ])
+    def test_each_kind_round_trips(self, graph, text):
+        assert dump_graph(graph) == text
+        back = parse_graph(text)
+        assert back == graph and type(back) is type(graph)
+
+    def test_dump_refuses_a_non_graph(self):
+        with pytest.raises(TypeError, match="cannot serialize StepGraphon"):
+            dump_graph(w_lambda(Fraction(1, 2)))
 
     def test_comments_and_blank_lines_skipped(self):
         g = parse_graph("# pattern\nD 2 1\n\n0 1\n")
@@ -152,6 +218,32 @@ def files(tmp_path):
     write("c4.graph", "B 2 2 4\n0 0\n0 1\n1 0\n1 1\n")
     paths["tmp"] = str(tmp_path)
     return paths
+
+
+class TestGraphJson:
+    @pytest.mark.parametrize("graph,expected", [
+        (OrientedGraph(3, [(2, 1), (0, 1)]),
+         {"kind": "oriented", "vertices": 3, "edges": [[0, 1], [2, 1]]}),
+        (Tournament(3, [(0, 1), (2, 1), (2, 0)]),
+         {"kind": "tournament", "vertices": 3, "edges": [[0, 1], [2, 0], [2, 1]]}),
+        (UndirectedGraph(3, [(1, 0), (1, 2)]),
+         {"kind": "undirected", "vertices": 3, "edges": [[0, 1], [1, 2]]}),
+        (BipartiteGraph(2, 3, [(1, 0), (0, 2)]),
+         {"kind": "bipartite", "part1": 2, "part2": 3, "edges": [[0, 2], [1, 0]]}),
+    ])
+    def test_graph_kinds(self, graph, expected):
+        assert _graph_json(graph) == expected
+        assert list(_graph_json(graph)) == list(expected)
+
+    def test_step_graphon(self):
+        w = StepGraphon([Fraction(1, 3), Fraction(2, 3)],
+                        [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]])
+        assert _graph_json(w) == {"kind": "step-graphon", "part_lengths": ["1/3", "2/3"],
+                                  "values": [["0", "1/2"], ["1/2", "1"]]}
+
+    def test_refuses_other_types(self):
+        with pytest.raises(TypeError, match="cannot serialize tuple"):
+            _graph_json((3, [(0, 1)]))
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +358,25 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert "precision must be positive" in json.loads(captured.err)["error"]
+
+    def test_find_lambda0_precision_floor(self, capsys, files):
+        code, lines = run_cli(capsys, "find-lambda0", files["tri.graph"],
+                              "--precision", "2^-4096")
+        assert code == 0
+        assert Fraction(lines[0]["precision"]) == MIN_PRECISION
+        assert lines[0]["lambda0"] == "1/2"
+
+    @pytest.mark.parametrize("precision,message", [
+        ("2^-4097", "precision must be at least MIN_PRECISION = 2^-4096"),
+        ("1e-1000000", "cannot parse '1e-1000000': exponent too large"),
+    ])
+    def test_find_lambda0_precision_below_floor_is_input_error(self, capsys, files,
+                                                                 precision, message):
+        code = main(["find-lambda0", files["tri.graph"], "--precision", precision])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(message)
 
     def test_find_lambda0_grid_above_cap_is_input_error(self, capsys, files):
         code = main(["find-lambda0", files["tri.graph"], "--grid", str(MAX_LAMBDA_GRID + 1)])
@@ -391,6 +502,19 @@ class TestCli:
     def test_wrong_kind_is_input_error(self, capsys, files):
         code, _ = run_cli(capsys, "density", files["k3.graph"], files["tri.graph"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,name,expected", [
+        (["density", "k3.graph", "tri.graph"], "k3.graph", "a directed graph (header 'D')"),
+        (["density-bip", "path3.graph", "c4.graph"], "path3.graph",
+         "a bipartite graph (header 'B')"),
+        (["double-cover", "path3.graph"], "path3.graph", "an undirected graph (header 'U')"),
+    ])
+    def test_wrong_kind_message(self, capsys, files, argv, name, expected):
+        code = main([files.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": f"{files[name]}: expected {expected}"}) + "\n"
 
     def test_usage_error_exit_code(self, capsys, files):
         code = main(["check-sidorenko", files["path3.graph"]])

@@ -187,11 +187,16 @@ class TestExhaustiveDifferential:
         report = check_directed_sidorenko_exhaustive(EDGE, 3, instance_cap=30)
         assert report.complete is False and report.instances_checked == 30
 
-    @pytest.mark.parametrize("cap", [0, -5])
-    def test_nonpositive_cap_checks_nothing(self, cap):
-        report = check_directed_sidorenko_exhaustive(PATH3, 3, instance_cap=cap)
-        assert report.instances_checked == 0 and report.complete is False
-        assert report.verdict == HOLDS and report.witness is None
+    @pytest.mark.parametrize("cap", [0, -3, -5])
+    def test_rejects_nonpositive_cap(self, monkeypatch, cap):
+        # A cap below 1 used to report holds-on-family with 0 hosts checked.
+        def no_count(n):
+            raise AssertionError("a host size was counted")
+
+        monkeypatch.setattr("digraphon.sidorenko.oriented_graph_count", no_count)
+        for pattern in (EDGE, PATH3, TRIANGLE):
+            with pytest.raises(ValueError, match=f"instance_cap must be at least 1, got {cap}"):
+                check_directed_sidorenko_exhaustive(pattern, 3, instance_cap=cap)
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_rejects_empty_family(self, n_max):
