@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import comb, floor, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .graphs import OrientedGraph, hom_to_edge_bipartition, underlying_has_cycle
 from .stepgraphon import (
     StepGraphon,
+    _as_fraction,
     _map_sum,
     cut_norm_centered,
     from_oriented,
@@ -40,10 +41,6 @@ PGD_STEP_SIZE = 0.05
 MAX_PGD_INDICES = 2**20
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _lambda_numerators(lam: Fraction) -> tuple[list[list[int]], int]:
     """The values of W^(lambda) as integer numerators over their common
     denominator 4b, for lambda = a/b."""
@@ -58,25 +55,6 @@ def w_lambda(lam) -> StepGraphon:
         raise ValueError("lambda must lie in [0,1]")
     values, d = _lambda_numerators(lam)
     return StepGraphon([Fraction(1, 4)] * 4, [[Fraction(x, d) for x in row] for row in values])
-
-
-def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Monomial coefficients, lowest degree first, of the polynomial of
-    degree below len(xs) through the points (xs[i], ys[i]): Newton's divided
-    differences, then the Newton form expanded from the innermost factor."""
-    dd = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    coefficients = [dd[-1]]
-    for x, c in zip(xs[-2::-1], dd[-2::-1]):
-        # coefficients * (lambda - x) + c
-        shifted = [Fraction(0)] + coefficients
-        for k, a in enumerate(coefficients):
-            shifted[k] -= a * x
-        shifted[0] += c
-        coefficients = shifted
-    return tuple(coefficients)
 
 
 def _homogeneous(poly: Sequence[int], a: int, b: int) -> int:
@@ -109,13 +87,11 @@ class LambdaProfile:
 
     @property
     def densities(self) -> tuple[Fraction, ...]:
-        out = []
-        for lam in self.lambda_grid:
-            acc = Fraction(0)
-            for c in reversed(self.coefficients):
-                acc = acc * lam + c
-            out.append(acc)
-        return tuple(out)
+        scale = lcm(*(c.denominator for c in self.coefficients))
+        poly = [int(c * scale) for c in self.coefficients]
+        den = scale * self.grid ** (len(poly) - 1)
+        return tuple(Fraction(_homogeneous(poly, i, self.grid), den)
+                     for i in range(self.grid + 1))
 
 
 def find_lambda0(
@@ -132,11 +108,16 @@ def find_lambda0(
     Then the density is 0 at lambda = 0 and (1/2)^v * (1/4)^e >= (1/16)^e
     at lambda = 1, so a root exists.
 
-    Every cell of W^(lambda) is affine in lambda, so the density is a
-    polynomial of degree at most e = e(B).  It is computed exactly at
-    lambda = i/e for i = 0..e (one map sum each; the two endpoint values are
-    checked against the facts above) and interpolated exactly.  Subtracting
-    the target and scaling by the lcm L of the coefficient, target and
+    Every cell of W^(lambda) is 0, 1-lambda or lambda/4, so
+    4^(v+e) * t(B, W^(lambda)) = sum_k D_k (1-lambda)^k lambda^(e-k), with
+    v = v(B), e = e(B) and D_k = 4^k times the number of maps with k edges
+    on the cell (1, 0) and the rest in the lambda/4 block.  Every
+    D_k < 4^(v+e) < B = 2^(2(v+e)+1).  One map sum, on the family's cells
+    at lambda = 1/(B+1) (4B on (1, 0), 1 on the block), returns
+    sum_k D_k B^k, and its base-B digits are the D_k.  The two endpoint
+    facts above are checked on them: D_e = 0 and D_0 = 2^v.  Expanding
+    the powers of 1-lambda gives the monomial coefficients.  Subtracting
+    the target and scaling by the lcm L of 4^(v+e) and the target and
     precision denominators gives an integer polynomial P = L * (t - target),
     and every test below is exact in integers: b^e * P(a/b) by homogeneous
     Horner for its sign, and |P(mid)| <= L * precision for the stop.
@@ -167,21 +148,24 @@ def find_lambda0(
             "equals the target for every lambda, so no isolated root exists")
 
     target = LAMBDA_FAMILY_MEAN ** e
-    nodes = [Fraction(i, e) for i in range(e + 1)]
-    values = []
-    for lam in nodes:
-        # t_step(pattern, w_lambda(lam)) without building the graphon.
-        cells, d = _lambda_numerators(lam)
-        values.append(Fraction(_exact_density(pattern, cells), 4 ** v * d ** e))
-    if values[0] != 0:
+    # The digits D_k of one density at lambda = 1/(B+1), B = 2^bits.
+    unit, bits = 4 ** (v + e), 2 * (v + e) + 1
+    cells, _ = _lambda_numerators(Fraction(1, 2 ** bits + 1))
+    total = _exact_density(pattern, cells)
+    digits = [total >> (k * bits) & (2 ** bits - 1) for k in range(e + 1)]
+    if digits[e] != 0:
         raise AssertionError("density at lambda=0 should vanish")
-    if values[-1] != Fraction(1, 2) ** v * Fraction(1, 4) ** e or values[-1] < target:
+    if digits[0] != 2 ** v or Fraction(digits[0], unit) < target:
         raise AssertionError("density at lambda=1 should be the closed form above the target")
-    coefficients = _interpolate(nodes, values)
+    # unit * t = sum_k D_k (1-lambda)^k lambda^(e-k), expanded in lambda.
+    numerators = [0] * (e + 1)
+    for k, digit in enumerate(digits):
+        for j in range(k + 1):
+            numerators[e - k + j] += (-1) ** j * comb(k, j) * digit
+    coefficients = tuple(Fraction(c, unit) for c in numerators)
 
-    scale = lcm(target.denominator, precision.denominator,
-                *(c.denominator for c in coefficients))
-    poly = [int(c * scale) for c in coefficients]
+    scale = lcm(unit, target.denominator, precision.denominator)
+    poly = [c * (scale // unit) for c in numerators]
     poly[0] -= int(target * scale)
     tolerance = int(precision * scale)
 

@@ -23,9 +23,10 @@ class EnumerationCapExceeded(ValueError):
     """An exhaustive enumeration would exceed its configured vertex cap."""
 
 
-def _validate_endpoint(v: int, n: int) -> None:
+def _validate_endpoint(v: int, n: int, part: Optional[int] = None) -> None:
     if not isinstance(v, int) or not 0 <= v < n:
-        raise ValueError(f"vertex {v!r} out of range for {n} vertices")
+        where = f"{n} vertices" if part is None else f"part {part} of size {n}"
+        raise ValueError(f"vertex {v!r} out of range for {where}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ class BipartiteGraph(_Graph):
         if part1_count < 0 or part2_count < 0:
             raise ValueError("part sizes must be nonnegative")
         for i, j in self.edges:
-            _validate_endpoint(i, part1_count)
-            _validate_endpoint(j, part2_count)
+            _validate_endpoint(i, part1_count, 1)
+            _validate_endpoint(j, part2_count, 2)
 
     @property
     def vertex_count(self) -> int:

@@ -93,10 +93,14 @@ def parse_graph(text: str) -> Graph:
     if kind not in _GRAPH_KINDS:
         raise InputFormatError(f"unknown graph kind {kind!r}")
     cls, _, sizes = _GRAPH_KINDS[kind]
+    shape = f"header {lines[0]!r} must be '{kind} {' '.join(sizes)} m'"
     if len(header) != len(sizes) + 2:
-        raise InputFormatError(f"header {lines[0]!r} must be '{kind} {' '.join(sizes)} m'")
+        raise InputFormatError(shape)
     try:
         *counts, m = map(int, header[1:])
+    except ValueError as exc:
+        raise InputFormatError(f"{shape} with integer fields") from exc
+    try:
         graph = cls(*counts, _parse_edge_lines(lines[1:], m))
     except ValueError as exc:
         if isinstance(exc, InputFormatError):
@@ -116,7 +120,10 @@ def _parse_edge_lines(lines: list[str], m: int) -> list[tuple[int, int]]:
         fields = line.split()
         if len(fields) != 2:
             raise InputFormatError(f"edge line {line!r} must have two endpoints")
-        edges.append((int(fields[0]), int(fields[1])))
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError as exc:
+            raise InputFormatError(f"edge line {line!r} must have two integer endpoints") from exc
     return edges
 
 

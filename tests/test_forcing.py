@@ -16,6 +16,7 @@ from digraphon import (
     cut_norm_centered,
     find_lambda0,
     forcing_witness_search,
+    hom_to_edge_bipartition,
     necessary_conditions,
     oriented_knn,
     quasirandom_trace,
@@ -34,6 +35,7 @@ from digraphon.forcing import (
     _repair_mean,
     _scaled_gradient,
 )
+from digraphon.stepgraphon import _map_sum
 
 import digraphon.forcing as forcing
 from oracles import (
@@ -49,6 +51,7 @@ TRIANGLE = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
 DIRECTED_C4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 PATH12 = OrientedGraph(12, [(i, i + 1) for i in range(11)])
 ALT_C4 = OrientedGraph(4, [(0, 1), (2, 1), (2, 3), (0, 3)])
+TT6 = OrientedGraph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
 
 SIXTEENTH = Fraction(1, 16)
 PRECISION = Fraction(1, 2**40)
@@ -75,6 +78,25 @@ EDGE_HOM_FREE = _edge_hom_free_patterns()
 
 def closed_form_at_one(pattern):
     return Fraction(1, 2) ** pattern.vertex_count * Fraction(1, 4) ** pattern.edge_count
+
+
+@st.composite
+def oriented_patterns(draw, max_n=4, min_n=1):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+    return OrientedGraph(n, edges)
+
+
+@st.composite
+def edge_hom_free_patterns(draw, max_n=5):
+    """A pattern that `find_lambda0` accepts: no isolated vertex and no
+    homomorphism onto a single edge."""
+    pattern = draw(oriented_patterns(max_n, min_n=3))
+    assume(all(pattern.degree(x) for x in range(pattern.vertex_count)))
+    assume(hom_to_edge_bipartition(pattern) is None)
+    return pattern
 
 
 class TestLambdaFamily:
@@ -221,7 +243,6 @@ class TestFindLambda0:
             find_lambda0(pattern, precision)
 
     def test_every_valid_three_vertex_pattern_has_root(self):
-        from digraphon import hom_to_edge_bipartition
         from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
         target_tol = Fraction(1, 2**30)
@@ -270,11 +291,58 @@ class TestLambdaPolynomial:
     def test_coefficients_reproduce_density(self, pattern, lam):
         v, edges = pattern
         pattern = OrientedGraph(v, edges)
-        assume((lam * pattern.edge_count).denominator != 1)  # not a node i/e
         coefficients = find_lambda0(pattern, Fraction(1, 2), grid=1).coefficients
         assert len(coefficients) == pattern.edge_count + 1
         assert sum(c * lam**k for k, c in enumerate(coefficients)) \
             == brute_t_step(pattern, w_lambda(lam))
+
+    @pytest.mark.parametrize("pattern", [PATH3, TRIANGLE, DIRECTED_C4, TT6])
+    def test_one_map_sum_per_call(self, pattern, monkeypatch):
+        # Every coefficient is read from the digits of one exact density.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _map_sum(*args, **kwargs)
+
+        monkeypatch.setattr(forcing, "_map_sum", counted)
+        find_lambda0(pattern)
+        assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(edge_hom_free_patterns(max_n=5),
+           st.fractions(min_value=0, max_value=1, max_denominator=10**4))
+    def test_digit_read_matches_density(self, pattern, lam):
+        coefficients = find_lambda0(pattern, Fraction(1, 2), grid=1).coefficients
+        horner = Fraction(0)
+        for c in reversed(coefficients):
+            horner = horner * lam + c
+        w = w_lambda(lam)
+        assert horner == t_step(pattern, w) == brute_t_step(pattern, w)
+
+    def test_digit_at_its_largest(self):
+        # K33 oriented from one side to the other, beside a cyclic
+        # triangle: 4^(v+e) t has the digit D_9 = 4^9 * 2^3 = 2^(v+e) at
+        # (1-lambda)^9 lambda^3, so it needs the base 2^(2(v+e)+1) > 2^(v+e).
+        pattern = OrientedGraph(9, [(a, b) for a in range(3) for b in range(3, 6)]
+                                + [(6, 7), (7, 8), (8, 6)])
+        coefficients = find_lambda0(pattern).coefficients
+        for lam in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+            closed_form = ((1 - lam) ** 9 / 4**6 + (lam / 4) ** 9 / 2**6) * lam**3 / 512
+            horner = Fraction(0)
+            for c in reversed(coefficients):
+                horner = horner * lam + c
+            assert horner == closed_form == t_step(pattern, w_lambda(lam))
+
+    def test_dense_pattern_matches_reference(self):
+        # TT6 has 15 edges: its digits run up to 4^21.  Grid 4 brackets
+        # the root in [1/4, 1/2], and a precision below the target 2^-60
+        # makes the bisection run.
+        precision = Fraction(1, 2**64)
+        profile = find_lambda0(TT6, precision, grid=4)
+        assert (profile.lambda_grid, profile.densities, profile.target, profile.lambda0) \
+            == reference_find_lambda0(TT6, precision, 4)
+        assert profile.lambda0 == Fraction(169, 512)
 
 
 class TestNecessaryConditions:
@@ -436,15 +504,6 @@ class TestWitnessSearch:
                 lines.append(f"{name} {p} 0 {cells}\n")
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "69986247caadb0fdb5881b7f35cb758ab726ddfdd1f163950f189ca7591a06ca"
-
-
-@st.composite
-def oriented_patterns(draw, max_n=4):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    states = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
-    edges = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-    return OrientedGraph(n, edges)
 
 
 @st.composite

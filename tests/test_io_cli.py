@@ -119,9 +119,14 @@ class TestGraphFiles:
         ("U 3 2 1\n", "header 'U 3 2 1' must be 'U n m'"),
         ("B 2 2\n", "header 'B 2 2' must be 'B n1 n2 m'"),
         ("b 1 2 3 4 5\n", "header 'b 1 2 3 4 5' must be 'B n1 n2 m'"),
-        ("D 3 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("D 3 x\n", "header 'D 3 x' must be 'D n m' with integer fields"),
+        ("B 2 1/2 0\n", "header 'B 2 1/2 0' must be 'B n1 n2 m' with integer fields"),
         ("D 2 1\n0 1\n1 0\n", "expected 1 edge lines, found 2"),
-        ("B 2 2 1\n0 5\n", "vertex 5 out of range for 2 vertices"),
+        ("D 3 1\n0 x\n", "edge line '0 x' must have two integer endpoints"),
+        ("U 2 1\n1 1.5\n", "edge line '1 1.5' must have two integer endpoints"),
+        ("B 2 2 1\n0 5\n", "vertex 5 out of range for part 2 of size 2"),
+        ("B 2 3 1\n2 0\n", "vertex 2 out of range for part 1 of size 2"),
+        ("D 2 1\n0 2\n", "vertex 2 out of range for 2 vertices"),
         ("U 2 1\n0 0\n", "loop at vertex 0 not allowed"),
     ])
     def test_header_messages(self, text, message):
