@@ -7,16 +7,18 @@ vertex order (vertices adjacent to the placed prefix first, then descending
 degree, ties broken by smallest index), which prunes early and is
 deterministic, and each position's edges back to earlier positions
 (`_back_edges`; the step-graphon density sum builds its own order, chosen
-for small keys, and shares this form).  One masked backtracking kernel,
-`_count_maps`, counts maps of a compiled pattern (`_compile`: the plan as
-per-position steps) into a host given as out- and in-neighbour bitmasks:
-directed counts and labeled copies use the host's masks, undirected counts
-use the adjacency mask for both, and part-respecting bipartite counts are
-the directed counts of the part-oriented pattern in the part-oriented host,
-with each pattern vertex kept to its host part.  The exhaustive scans in
-`sidorenko` and `tournaments` share one tally engine, `_tally`: it counts
-the hosts of an index range on masks decoded straight from the indices and
-tallies them by (count, edge count) with each key's first index.
+for small keys, and shares this form).  One backtracking kernel,
+`_count_maps`, counts maps along a plan's back edges (`_compile`) into a
+host given as out- and in-neighbour bitmasks: directed counts and labeled
+copies use the host's masks, and undirected counts use the adjacency mask
+for both.  Part-respecting bipartite counts are directed counts of the
+part-oriented pattern in the part-oriented host, whose edges all run from
+part 1 to part 2; only the pattern's isolated vertices need their part, and
+each adds a factor of its host part's size.  The exhaustive scans in
+`sidorenko` and `tournaments` share one tally engine, `_tally`: it compiles
+the pattern once, counts the hosts of an index range on masks decoded
+straight from the indices and tallies them by (count, edge count) with each
+key's first index.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import BipartiteGraph, OrientedGraph, UndirectedGraph, _mask_range, to_part_oriented
-from .parallel import map_tasks, split_range
+from .parallel import map_tasks, resolve_workers, split_range
 
 _PLAN_CACHE_SIZE = 4096
 
@@ -86,24 +88,20 @@ def _masks(host: OrientedGraph | UndirectedGraph) -> tuple[list[int], list[int]]
 
 
 def _compile(pattern: OrientedGraph | UndirectedGraph
-             ) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The pattern's steps for `_count_maps`: per position of its plan, the
-    pattern vertex placed there and its back edges ``(j, t)``.  Scans
-    compile once and count many hosts."""
-    order, back = _plan(pattern.vertex_count, tuple(pattern.sorted_edges()))
-    return tuple(zip(order, back))
+             ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The pattern's back edges for `_count_maps`, per position of its plan.
+    Scans compile once and count many hosts."""
+    return _plan(pattern.vertex_count, tuple(pattern.sorted_edges()))[1]
 
 
-def _count_maps(steps: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+def _count_maps(back: Sequence[Sequence[tuple[int, int]]],
                 out_mask: Sequence[int], in_mask: Sequence[int],
-                allowed: Optional[Sequence[int]] = None, injective: bool = False) -> int:
-    """Count maps f of a compiled pattern (``_compile``) into a host with
-    every pattern edge (a, b) sent into the host's edges: f(b) in
+                injective: bool = False) -> int:
+    """Count maps f of a pattern, given as its plan's back edges
+    (``_compile``), into a host with every pattern edge (a, b) sent into the host's edges: f(b) in
     ``out_mask[f(a)]``, equivalently f(a) in ``in_mask[f(b)]``.
-    ``allowed[x]`` is the host-vertex bitmask pattern vertex x may use at
-    all (default: any).
     """
-    v = len(steps)
+    v = len(back)
     if v == 0:
         return 1
     full = (1 << len(out_mask)) - 1
@@ -112,11 +110,8 @@ def _count_maps(steps: Sequence[tuple[int, Sequence[tuple[int, int]]]],
     last = v - 1
 
     def rec(i: int, used: int) -> int:
-        x, checks = steps[i]
-        cand = full if allowed is None else allowed[x]
-        if injective:
-            cand &= ~used
-        for j, t in checks:
+        cand = full & ~used if injective else full
+        for j, t in back[i]:
             cand &= masks[t][images[j]]
             if not cand:
                 return 0
@@ -140,21 +135,23 @@ _Tally = dict[tuple[int, int], list[int]]
 def _tally_chunk(task) -> _Tally:
     """Tally the hosts with indices in [lo, hi) of the ``states`` encoding
     (see `graphs._mask_range`) by their map count and edge count."""
-    pattern, n, lo, hi, states, injective = task
-    steps = _compile(pattern)
+    back, n, lo, hi, states, injective = task
     tally: _Tally = {}
     for index, (out_mask, in_mask, edges) in enumerate(_mask_range(n, lo, hi, states), lo):
-        key = (_count_maps(steps, out_mask, in_mask, injective=injective), edges)
+        key = (_count_maps(back, out_mask, in_mask, injective), edges)
         tally.setdefault(key, [0, index])[0] += 1
     return tally
 
 
-def _tally(pattern: OrientedGraph, n: int, count: int,
-           states: tuple[tuple[int, int], ...], injective: bool, workers: int) -> _Tally:
+def _tally(pattern: OrientedGraph, n: int, count: int, states: tuple[tuple[int, int], ...],
+           injective: bool, workers: Optional[int]) -> _Tally:
     """Tally of the hosts with indices in [0, count) on n vertices, split
-    over ``workers``.  Chunks are merged in index order, so each key keeps
-    its earliest index whatever the worker count."""
-    tasks = [(pattern, n, lo, hi, states, injective)
+    over ``workers`` (`parallel.resolve_workers`).  Chunks are merged in
+    index order, so each key keeps its earliest index whatever the worker
+    count."""
+    workers = resolve_workers(workers)
+    back = _compile(pattern)
+    tasks = [(back, n, lo, hi, states, injective)
              for lo, hi in split_range(0, count, workers * 4)]
     merged: _Tally = {}
     for part in map_tasks(_tally_chunk, tasks, workers):
@@ -199,12 +196,17 @@ def t_undirected(pattern: UndirectedGraph, host: UndirectedGraph) -> Fraction:
 def hom_count_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> int:
     """Part-respecting homomorphisms: part-1 vertices land in the host's
     part 1, part-2 vertices in part 2, edges on edges."""
-    # Host vertices share one index space: part 1 first, then part 2.
-    part1_mask = (1 << host.part1_count) - 1
-    part2_mask = ((1 << host.vertex_count) - 1) ^ part1_mask
-    allowed = [part1_mask] * pattern.part1_count + [part2_mask] * pattern.part2_count
-    return _count_maps(_compile(to_part_oriented(pattern)),
-                       *_masks(to_part_oriented(host)), allowed)
+    # Every part-oriented host edge runs from part 1 to part 2, so a directed
+    # map already sends each vertex with an edge into its own part, and each
+    # isolated vertex may go anywhere in its part: an empty host part gives
+    # 0 ** k, which is 0 for k >= 1 isolated vertices and 1 for none.
+    tails = sorted({i for i, _ in pattern.edges})
+    heads = sorted({j for _, j in pattern.edges})
+    core = BipartiteGraph(len(tails), len(heads),
+                          ((tails.index(i), heads.index(j)) for i, j in pattern.edges))
+    return (hom_count_directed(to_part_oriented(core), to_part_oriented(host))
+            * host.part1_count ** (pattern.part1_count - len(tails))
+            * host.part2_count ** (pattern.part2_count - len(heads)))
 
 
 def t_bip(pattern: BipartiteGraph, host: BipartiteGraph) -> Fraction:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import parallel
 from .counting import _tally, t_directed, t_undirected
 from .graphs import (
     _ORIENTED_STATES,
@@ -104,7 +103,6 @@ def check_directed_sidorenko_exhaustive(
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if instance_cap < 1:
         raise ValueError(f"instance_cap must be at least 1, got {instance_cap}")
-    workers = parallel.resolve_workers(workers)
     v, e = pattern.vertex_count, pattern.edge_count
     remaining = instance_cap
     complete = True

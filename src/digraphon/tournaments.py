@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import parallel
 from .counting import _tally, labeled_copies
 from .graphs import (
     _TOURNAMENT_STATES,
@@ -62,8 +61,7 @@ def impartiality_check(
     ``constant=True`` certifies impartiality at this n."""
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds impartiality cap {cap}")
-    tally = _tally(pattern, n, tournament_count(n), _TOURNAMENT_STATES, True,
-                   parallel.resolve_workers(workers))
+    tally = _tally(pattern, n, tournament_count(n), _TOURNAMENT_STATES, True, workers)
     # Every tournament on n vertices has the same edge count, so the tally
     # keys differ only in the copy count.
     hist = {copies: hosts for (copies, _), (hosts, _) in tally.items()}
@@ -90,8 +88,7 @@ def anti_sidorenko_check(
     if n < 1:
         raise ValueError("need at least one vertex")
     total = tournament_count(n)
-    tally = _tally(pattern, n, total, _TOURNAMENT_STATES, False,
-                   parallel.resolve_workers(workers))
+    tally = _tally(pattern, n, total, _TOURNAMENT_STATES, False, workers)
     best = max(hom for hom, _ in tally)
     best_index = min(first for (hom, _), (_, first) in tally.items() if hom == best)
     max_density = Fraction(best, n ** pattern.vertex_count)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digraphon import (
@@ -145,6 +145,10 @@ class TestBipartiteCounts:
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs(max_part=2), bipartite_graphs(max_part=3))
+    # An edgeless pattern (4^2 * 5^3 maps), and an isolated vertex in each
+    # pattern part beside an empty host part 2.
+    @example(BipartiteGraph(2, 3), BipartiteGraph(4, 5, [(0, 0), (3, 4)]))
+    @example(BipartiteGraph(2, 2, [(0, 0)]), BipartiteGraph(3, 0))
     def test_matches_brute_force(self, pattern, host):
         assert hom_count_bip(pattern, host) == brute_hom_bip(pattern, host)
 

@@ -305,6 +305,16 @@ class TestMaskDecoders:
         masks = [_reference_masks(n, edges) for edges in expected]
         assert list(_mask_range(n, 0, total, _TOURNAMENT_STATES)) == masks
 
+    @pytest.mark.parametrize("n,index", [(10, 3 ** 45 - 1), (11, 3 ** 55 // 7)])
+    def test_oriented_large_index(self, n, index):
+        # Indices past int64 stay Python integers.
+        assert oriented_graph_from_index(n, index).sorted_edges() == brute_index_edges(n, index)
+
+    @pytest.mark.parametrize("decode,index", [
+        (tournament_from_index, 2 ** 66 - 1), (Tournament.from_bits, 2 ** 65 + 12345)])
+    def test_tournament_large_index(self, decode, index):
+        assert sorted(decode(12, index).edges) == brute_index_edges(12, index, tournament=True)
+
     @pytest.mark.parametrize("n,index", [(2, -1), (2, 3), (3, 27), (0, 1)])
     def test_oriented_index_out_of_range(self, n, index):
         count = oriented_graph_count(n)
