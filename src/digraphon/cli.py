@@ -196,8 +196,10 @@ def _cmd_quasirandom_trace(args) -> int:
     graphs = [_load(path, "D") for path in paths]
     values = forcing.quasirandom_trace(graphs, p, heuristic=args.heuristic,
                                        seed=args.seed)
+    # A heuristic value is only a lower bound on the cut norm.
     for path, value in zip(paths, values):
-        _emit({"path": path, "cut_norm_centered": format_rational(value)})
+        _emit({"path": path, "cut_norm_centered": format_rational(value),
+               "exact": not args.heuristic})
     return EXIT_OK
 
 

@@ -218,12 +218,11 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     d_margin = t_step(_part_oriented(pattern), w) - bound
     b_margin = t_bip_step(pattern, w) - bound
     identical = d_margin == b_margin
-    wit = CheckWitness(w, d_margin, b_margin,
-                       Fraction(0) if identical else -abs(d_margin - b_margin))
     return CheckReport(
         property_name="directed-bipartite-margin-bridge",
         verdict=HOLDS if identical else VIOLATED,
-        witness=None if identical else wit,
+        witness=None if identical
+        else CheckWitness(w, d_margin, b_margin, -abs(d_margin - b_margin)),
         instances_checked=1,
     )
 

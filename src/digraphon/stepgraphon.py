@@ -12,7 +12,10 @@ suffix sum is computed once per image of its key, and the work is at most
 sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  Each
 memo is read by the caller before it recurses, so a hit costs no call.  A
 position that no later key holds is detached: its factor is summed over
-its parts first and the next suffix sum multiplied in once.  The order
+its parts first and the next suffix sum multiplied in once.  Every other
+position is in the next key, as its last entry, so that memo keeps one
+row of #parts suffix sums per image of the rest of the key: the caller
+fetches the row once and reads its parts' entries by index.  The order
 places next the vertex that keeps the next key smallest, so a path costs
 about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
 order chosen for pruning instead.  The keys are computed once per pattern
@@ -219,10 +222,12 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
-                         tuple[Optional[Callable], ...], tuple[bool, ...]]:
+                         tuple[Optional[Callable], ...], tuple[bool, ...],
+                         tuple[Optional[Callable], ...]]:
     """The back edges of `_sum_order`, the key of every position, the
-    getter of its key's images where `_map_sum` memoises, and whether each
-    position is detached.
+    getter of its key's images where `_map_sum` memoises, whether each
+    position is detached, and the getter of its key prefix's images where
+    `_map_sum` keeps memo rows.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
@@ -230,8 +235,11 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
     is every earlier position gets no getter, as no key can repeat there.
     A position is detached when the next key does not hold it (the last
     position always is): no later factor reads its image, so its factor
-    summed over its parts multiplies the next suffix sum once.  Callers
-    pass ``edges`` sorted so that equal patterns share a cache entry.
+    summed over its parts multiplies the next suffix sum once.  Otherwise
+    the next position is attached: its key ends with this position, and
+    its prefix is that key without its last entry (it gets a prefix getter
+    only where it has a getter).  Callers pass ``edges`` sorted so that
+    equal patterns share a cache entry.
     """
     back = _back_edges(_sum_order(v, edges), edges)
     reach = list(range(v))  # the latest position each position has an edge to
@@ -239,10 +247,17 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
         for j, _ in bk:
             reach[j] = i
     keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
-    getters = tuple((itemgetter(*key) if key else _no_key) if len(key) < i else None
-                    for i, key in enumerate(keys))
+    getters = tuple(_images(key) if len(key) < i else None for i, key in enumerate(keys))
     detached = tuple(reach[i] == i for i in range(v))
-    return back, keys, getters, detached
+    prefixes = tuple(_images(key[:-1]) if getter and not detached[i - 1] else None
+                     for i, (key, getter) in enumerate(zip(keys, getters)))
+    return back, keys, getters, detached, prefixes
+
+
+def _images(key: tuple[int, ...]) -> Callable:
+    """A getter of the images of ``key``'s positions: a tuple, a single
+    image for a one-entry key, and () for the empty key."""
+    return itemgetter(*key) if key else _no_key
 
 
 def _no_key(img: Sequence[int]) -> tuple[()]:
@@ -250,7 +265,7 @@ def _no_key(img: Sequence[int]) -> tuple[()]:
 
 
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
-             values: Sequence[Sequence[int]]) -> int:
+             values: Sequence[Sequence[int]], plan: Optional[tuple] = None) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
@@ -259,22 +274,29 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     multiplies in its part weight and the values of its edges back to
     placed vertices, and drops a branch at its first zero factor.  The sum
     over the positions i..v-1 depends only on the images of position i's
-    key (`_sum_plan`), so it is memoised per call on them; the caller looks
-    the memo up before it recurses.  A detached position, one whose image
-    no later factor reads, sums its factor over its parts first and
-    multiplies the next suffix sum in once, or not at all when that factor
-    sums to 0.  With k parts the work is at most sum_i k^(|key_i| + 1)
-    steps rather than k^v.
+    key (`_sum_plan`), so it is memoised per call on them.  An attached
+    position's key ends with the position before it, so its memo keeps one
+    row of k suffix sums per image of the key's prefix, indexed by that
+    last image: the caller fetches the row once and reads each part's
+    entry before it recurses, and sets the new image only on a miss.  A
+    detached position, one whose image no later factor reads, sums its
+    factor over its parts first and multiplies the next suffix sum in
+    once, or not at all when that factor sums to 0.  With k parts the work
+    is at most sum_i k^(|key_i| + 1) steps rather than k^v.  ``plan`` is
+    `_sum_plan` of the sorted edges, for a caller that already holds it.
     """
     if v == 0:
         return 1
-    back, _, getters, detached = _sum_plan(v, tuple(sorted(edges)))
+    if plan is None:
+        plan = _sum_plan(v, tuple(sorted(edges)))
+    back, _, getters, detached, prefixes = plan
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
     # The first back edge of a position selects a row of nonzero
     # (part, weight * value) pairs; the other back edges multiply in.
-    parts = range(len(weights))
+    k = len(weights)
+    parts = range(k)
     tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
               for m in matrices]
     steps = [(bk[0][0], tables[bk[0][1]], [(j, matrices[t]) for j, t in bk[1:]], det)
@@ -285,7 +307,8 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     memos: list[dict] = [{} for _ in range(v)]
 
     def memoised(i: int) -> int:
-        """`suffix(i)` through position i's memo."""
+        """`suffix(i)` through position i's memo, for a position after a
+        detached one."""
         getter = getters[i]
         if getter is None:
             return suffix(i)
@@ -299,7 +322,7 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
         """The sum over the images of positions i..v-1, given the earlier
         images in ``img``."""
         j0, table, rest, alone = steps[i]
-        rows = [mat[img[j]] for j, mat in rest]
+        rows = [mat[img[j]] for j, mat in rest] if rest else ()
         total = 0
         if alone:
             for c, f in table[img[j0]] if j0 >= 0 else table:
@@ -309,22 +332,27 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
                         break
                 total += f
             return total * memoised(i + 1) if total and i < last else total
-        # `memoised(i + 1)`, inlined: this loop runs once per step.
-        getter, memo = getters[i + 1], memos[i + 1]
+        # Position i + 1's memo row for the earlier images; a position
+        # whose key is every earlier one gets a fresh row, as no key
+        # repeats there.
+        prefix = prefixes[i + 1]
+        if prefix is None:
+            subs = [None] * k
+        else:
+            memo, pre = memos[i + 1], prefix(img)
+            subs = memo.get(pre)
+            if subs is None:
+                subs = memo[pre] = [None] * k
         for c, f in table[img[j0]] if j0 >= 0 else table:
             for row in rows:
                 f *= row[c]
                 if not f:
                     break
             if f:
-                img[i] = c
-                if getter is None:
-                    sub = suffix(i + 1)
-                else:
-                    key = getter(img)
-                    sub = memo.get(key)
-                    if sub is None:
-                        sub = memo[key] = suffix(i + 1)
+                sub = subs[c]
+                if sub is None:
+                    img[i] = c
+                    sub = subs[c] = suffix(i + 1)
                 total += f * sub
         return total
 
@@ -340,10 +368,11 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     v, edges = pattern.vertex_count, pattern.sorted_edges()
     k = w.num_parts
+    plan = _sum_plan(v, tuple(edges))
     # The work bound of `_map_sum`, not the k^v maps it sums over.
-    _warn_if_large(sum(k ** (len(key) + 1) for key in _sum_plan(v, tuple(edges))[1]))
+    _warn_if_large(sum(k ** (len(key) + 1) for key in plan[1]))
     lnum, dl, vnum, dv = w._form
-    total = _map_sum(v, edges, lnum, vnum)
+    total = _map_sum(v, edges, lnum, vnum, plan)
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
 

@@ -505,6 +505,23 @@ class TestWitnessSearch:
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "69986247caadb0fdb5881b7f35cb758ab726ddfdd1f163950f189ca7591a06ca"
 
+    def test_witness_script_digest(self):
+        # The 45-line witness script: seeds 0-2, then C3, C4 and C4+chord,
+        # then p = 1/16, 1/8, 1/4, 1/3, 1/2, one restart each.  Its seed-0
+        # lines are the 15 that test_witness_digest hashes.
+        patterns = {"C3": TRIANGLE, "C4": DIRECTED_C4,
+                    "C4+chord": OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])}
+        lines = []
+        for seed in range(3):
+            for name, pattern in patterns.items():
+                for p in ("1/16", "1/8", "1/4", "1/3", "1/2"):
+                    w = forcing_witness_search(pattern, Fraction(p), seed=seed, restarts=1)
+                    cells = None if w is None else [[str(x) for x in row] for row in w.values]
+                    lines.append(f"{name} {p} {seed} {cells}\n")
+        assert len(lines) == 45
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "1a996c5cada57dc241abcd0ab5827c5f430154fee6ab63f40af9a14ef7762d1b"
+
 
 @st.composite
 def grid_instances(draw, max_n=4, max_parts=3, denominator=16):

@@ -393,10 +393,11 @@ class TestCli:
     def test_quasirandom_trace(self, capsys, files, tmp_path):
         listing = tmp_path / "list.txt"
         listing.write_text(files["edge.graph"] + "\n" + files["tri.graph"] + "\n")
-        code, lines = run_cli(capsys, "quasirandom-trace", str(listing), "--p", "1/4")
-        assert code == 0
-        assert len(lines) == 2
-        assert all("cut_norm_centered" in line for line in lines)
+        assert main(["quasirandom-trace", str(listing), "--p", "1/4"]) == 0
+        edge, tri = json.dumps(files["edge.graph"]), json.dumps(files["tri.graph"])
+        assert capsys.readouterr().out == (
+            f'{{"path": {edge}, "cut_norm_centered": "3/16", "exact": true}}\n'
+            f'{{"path": {tri}, "cut_norm_centered": "1/9", "exact": true}}\n')
 
     def test_search_witness(self, capsys, files, tmp_path):
         out = tmp_path / "wit.graphon"
@@ -478,10 +479,12 @@ class TestCli:
     def test_quasirandom_trace_heuristic_flag(self, capsys, files, tmp_path):
         listing = tmp_path / "list.txt"
         listing.write_text(files["tri.graph"] + "\n")
-        code, lines = run_cli(capsys, "quasirandom-trace", str(listing),
-                              "--p", "1/4", "--heuristic", "--seed", "3")
-        assert code == 0
-        assert Fraction(lines[0]["cut_norm_centered"]) >= 0
+        assert main(["quasirandom-trace", str(listing), "--p", "1/4",
+                     "--heuristic", "--seed", "3"]) == 0
+        # The heuristic value is a lower bound, so its line says it is not exact.
+        tri = json.dumps(files["tri.graph"])
+        assert capsys.readouterr().out == \
+            f'{{"path": {tri}, "cut_norm_centered": "1/9", "exact": false}}\n'
 
     def test_double_cover_and_knn_emit(self, capsys, files, tmp_path):
         out = tmp_path / "cover.graph"

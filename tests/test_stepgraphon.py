@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import random
 import warnings
 import weakref
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from types import SimpleNamespace
 
@@ -364,6 +366,47 @@ def detached_instances(draw, max_parts=3):
     return pattern, SimpleNamespace(num_parts=k, part_lengths=weights, values=values)
 
 
+# An attached position's key ends with the position before it, and
+# `_map_sum` keeps one memo row per image of the rest of the key, its
+# prefix.  The prefix has no entry on a path, holds the first vertex on a
+# cycle and two vertices on K_{3,3}; every key of a transitive tournament
+# is its whole prefix, so its positions get no getter.
+MEMO_ROW_BASES = {
+    "path": OrientedGraph(5, [(i, i + 1) for i in range(4)]),
+    "cycle": OrientedGraph(4, [(i, (i + 1) % 4) for i in range(4)]),
+    "k33": to_part_oriented(BipartiteGraph(3, 3, [(i, j) for i in range(3) for j in range(3)])),
+    "tt4": OrientedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+}
+
+
+def attached_prefix_sizes(pattern) -> set:
+    """The prefix size of every attached position of the pattern's plan,
+    or "none" for one without a getter."""
+    _, keys, getters, detached, _ = stepgraphon._sum_plan(pattern.vertex_count,
+                                                          tuple(pattern.sorted_edges()))
+    return {"none" if getters[i] is None else len(keys[i]) - 1
+            for i in range(1, pattern.vertex_count) if not detached[i - 1]}
+
+
+@st.composite
+def memo_row_instances(draw, max_maps=4096):
+    """A memo-row base pattern, relabelled and with its edges reversed at
+    random; 1-6 parts (as many as keep k^v <= ``max_maps`` for the
+    brute-force sum) and integer weights and values, about half of them 0."""
+    base = MEMO_ROW_BASES[draw(st.sampled_from(sorted(MEMO_ROW_BASES)))]
+    v = base.vertex_count
+    label = draw(st.permutations(range(v)))
+    flips = draw(st.lists(st.booleans(), min_size=base.edge_count, max_size=base.edge_count))
+    edges = [(label[b], label[a]) if flip else (label[a], label[b])
+             for (a, b), flip in zip(base.sorted_edges(), flips)]
+    k = draw(st.integers(1, max(c for c in range(1, 7) if c ** v <= max_maps)))
+    entry = st.one_of(st.just(0), st.integers(0, 4))
+    weights = draw(st.lists(entry, min_size=k, max_size=k))
+    values = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+    return OrientedGraph(v, edges), SimpleNamespace(num_parts=k, part_lengths=weights,
+                                                    values=values)
+
+
 class Counted:
     """An integer that counts the additions made with it, the steps of a
     density sum: one per (position, part) pair the search visits."""
@@ -425,6 +468,38 @@ class TestMapSum:
         # The sum on plain integers, which the tests above check.
         assert getattr(total, "x", total) == stepgraphon._map_sum(v, edges, w.part_lengths,
                                                                   w.values)
+
+    @pytest.mark.parametrize("name,sizes", [
+        ("path", {0, "none"}), ("cycle", {1, "none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
+    ])
+    def test_memo_row_bases_cover_every_prefix_size(self, name, sizes):
+        assert attached_prefix_sizes(MEMO_ROW_BASES[name]) == sizes
+
+    @settings(max_examples=80, deadline=None)
+    @given(memo_row_instances())
+    def test_memo_rows_match_brute_force(self, instance):
+        pattern, w = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
+
+    def test_map_sum_digest(self):
+        # 3,000 seeded sums: up to 7 vertices, each pair joined with
+        # probability 0.45 in a random direction, 1-6 parts, and zero
+        # weights and values drawn often.  The digest was taken before
+        # the memo kept rows per key prefix.
+        rng = random.Random(2026)
+        lines = []
+        for _ in range(3000):
+            v = rng.randint(1, 7)
+            edges = [(a, b) if rng.random() < 0.5 else (b, a)
+                     for a, b in combinations(range(v), 2) if rng.random() < 0.45]
+            k = rng.randint(1, 6)
+            weights = [rng.choice((0, rng.randint(1, 9))) for _ in range(k)]
+            values = [[rng.choice((0, 0, rng.randint(1, 9))) for _ in range(k)]
+                      for _ in range(k)]
+            lines.append(f"{stepgraphon._map_sum(v, edges, weights, values)}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "7be43d86790c672ce61f4fd244a8e5c88bbe0171f605cebdfcb68d6c77be02f0"
 
     def test_long_path_matches_matrix_powers(self):
         # 8^10 maps, but each suffix sum depends on one earlier image, so
