@@ -9,6 +9,7 @@ moves continuously in lambda, which is what the root-finder exploits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
@@ -280,11 +281,73 @@ def _float_kernel(cells: np.ndarray, parts: int, scale: float):
     return t_and_grad
 
 
+# numpy's SeedSequence hash constants and PCG64 multiplier.
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _start_point(seed: int, parts: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).uniform(0.0, 1.0, (parts, parts))``, bit
+    for bit, in pure Python, so that no process imports numpy's random
+    module for it.  numpy's SeedSequence mixes the seed's 32-bit words into
+    a pool of four and expands it into PCG64's 128-bit state and increment;
+    each draw steps the generator, takes its XSL-RR output x and yields
+    (x >> 11) * 2^-53, in C order.  ``seed`` is a nonnegative integer."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, uint64): eight words read in pairs,
+    # low word first; then PCG64 takes (state, increment) as two 128-bit
+    # numbers, high half first.
+    out, hash_const = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
+    # PCG64's seeding: from state 0, one step, add the seed, one step.
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+    draws = []
+    for _ in range(parts * parts):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        draws.append((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0 ** -53)
+    return np.array(draws).reshape(parts, parts)
+
+
 def _pgd_candidate(t_and_grad, parts: int, e: int, p: float, seed: int,
                    max_iterations: int) -> np.ndarray:
     """One projected-gradient restart on the squared constraint residuals,
-    with the density kernel ``t_and_grad`` of ``_float_kernel``."""
-    rng = np.random.default_rng(seed)
+    with the density kernel ``t_and_grad`` of ``_float_kernel``.  It starts
+    from numpy's ``default_rng(seed).uniform(0, 1, (parts, parts))``
+    stream, reproduced in pure Python by ``_start_point``, so the start
+    does not depend on the installed numpy."""
     target_t = p ** e
     mean_coeff = 1.0 / parts ** 2
 
@@ -295,7 +358,7 @@ def _pgd_candidate(t_and_grad, parts: int, e: int, p: float, seed: int,
         grad = 2.0 * (t - target_t) * grad_t + 2.0 * (mean - p) * mean_coeff
         return f, grad
 
-    x = rng.uniform(0.0, 1.0, size=(parts, parts))
+    x = _start_point(seed, parts)
     f, grad = objective(x)
     step = PGD_STEP_SIZE
     for _ in range(max_iterations):
@@ -426,7 +489,10 @@ def forcing_witness_search(
     density equals p^e(B), certifying the candidate in exact arithmetic.
 
     Pipeline per restart: a projected-gradient descent on the squared float
-    residuals, rationalization of the candidate to the 1/2^16 grid, an exact
+    residuals, restart r starting from numpy's
+    ``default_rng(seed + r).uniform(0, 1, (parts, parts))`` stream,
+    reproduced in pure Python so that it does not depend on the installed
+    numpy; rationalization of the candidate to the 1/2^16 grid, an exact
     mean repair, and an exact polish of the density residual by moves on the
     grid.  The descent and the polish share one float density kernel: the
     polish ranks its moves by its gradient and accepts a move only on the
@@ -443,7 +509,8 @@ def forcing_witness_search(
     The descent indexes the pattern's edge cells under every map of its
     vertices to parts, so a search with parts^v * e above
     ``MAX_PGD_INDICES`` (2^20) raises ``ValueError`` before any work, as
-    do ``restarts < 1``, ``max_iterations < 0`` and ``tol < 0``.
+    do ``restarts < 1``, ``max_iterations < 0``, ``tol < 0`` and a negative
+    ``seed``.  Any integer type is accepted as the seed (``operator.index``).
     """
     p_exact = _as_fraction(p)
     if not 0 < p_exact < 1:
@@ -460,6 +527,9 @@ def forcing_witness_search(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     v, e = pattern.vertex_count, pattern.edge_count
     if v == 0 or e == 0:
         raise ValueError("pattern must have at least one edge")

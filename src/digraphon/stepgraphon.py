@@ -232,7 +232,10 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
     depends on the earlier images only through them.  A position whose key
-    is every earlier position gets no getter, as no key can repeat there.
+    is every earlier position gets no getter, as no key can repeat there;
+    nor does a position whose key equals that of the detached position
+    before it, as every call of that position brings a new image of the
+    key.
     A position is detached when the next key does not hold it (the last
     position always is): no later factor reads its image, so its factor
     summed over its parts multiplies the next suffix sum once.  Otherwise
@@ -247,8 +250,9 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
         for j, _ in bk:
             reach[j] = i
     keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
-    getters = tuple(_images(key) if len(key) < i else None for i, key in enumerate(keys))
     detached = tuple(reach[i] == i for i in range(v))
+    getters = tuple(_images(key) if len(key) < i and not (detached[i - 1] and key == keys[i - 1])
+                    else None for i, key in enumerate(keys))
     prefixes = tuple(_images(key[:-1]) if getter and not detached[i - 1] else None
                      for i, (key, getter) in enumerate(zip(keys, getters)))
     return back, keys, getters, detached, prefixes

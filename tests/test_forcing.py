@@ -1,9 +1,14 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +455,7 @@ class TestWitnessSearch:
         ({"restarts": -2}, "restarts must be at least 1, got -2"),
         ({"max_iterations": -1}, "max_iterations must be nonnegative, got -1"),
         ({"tol": Fraction(-1, 10**8)}, "tol must be nonnegative, got -1/100000000"),
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
     ])
     def test_rejects_empty_search_before_any_work(self, kwargs, message, monkeypatch):
         # No restart, or no tolerance a residual can meet: a None here would
@@ -460,6 +466,16 @@ class TestWitnessSearch:
         monkeypatch.setattr(forcing, "_map_cells", no_work)
         with pytest.raises(ValueError, match=message):
             forcing_witness_search(TRIANGLE, Fraction(1, 4), **kwargs)
+
+    def test_seed_of_any_integer_type(self):
+        # A numpy integer seed gives the same witness as the Python int; a
+        # seed past 2^64 still runs.
+        p, tol = Fraction(1, 4), Fraction(1, 10**6)
+        w = forcing_witness_search(TRIANGLE, p, 2, tol, seed=5, restarts=2)
+        assert w is not None
+        assert forcing_witness_search(TRIANGLE, p, 2, tol, seed=np.int64(5), restarts=2).values \
+            == w.values
+        forcing_witness_search(TRIANGLE, p, 2, tol, seed=2**64, restarts=1, max_iterations=10)
 
     def test_zero_tol_and_zero_iterations_stay_valid(self):
         # No descent, and a tolerance only an exact solution meets: the search
@@ -537,6 +553,51 @@ def grid_instances(draw, max_n=4, max_parts=3, denominator=16):
 def _equal_parts(cells, d):
     return StepGraphon([Fraction(1, len(cells))] * len(cells),
                        [[Fraction(c, d) for c in row] for row in cells])
+
+
+class TestStartPoint:
+    # The test may import numpy.random; the library draws without it.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3])
+    def test_equals_numpy_stream(self, seed):
+        for parts in range(1, 9):
+            expected = np.random.default_rng(seed).uniform(0.0, 1.0, size=(parts, parts))
+            assert np.array_equal(forcing._start_point(seed, parts), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**160), st.integers(1, 8))
+    def test_equals_numpy_stream_on_any_seed(self, seed, parts):
+        expected = np.random.default_rng(seed).uniform(0.0, 1.0, size=(parts, parts))
+        assert np.array_equal(forcing._start_point(seed, parts), expected)
+
+    def test_no_layer_imports_numpy_random(self):
+        # One call into each layer in a fresh interpreter, then a look at
+        # sys.modules.  The first line tells whether numpy loaded its random
+        # module by itself, as some numpy versions do on import.
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            import numpy
+            print("numpy.random" in sys.modules)
+            import digraphon as dg
+            tri = dg.OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+            path = dg.OrientedGraph(3, [(0, 1), (1, 2)])
+            dg.check_directed_sidorenko_exhaustive(path, 3)
+            dg.impartiality_check(path, 4)
+            b22 = dg.BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+            dg.check_equivalence_bridge(b22, dg.random_graphon(3, seed=1))
+            dg.find_lambda0(tri)
+            dg.forcing_witness_search(tri, Fraction(1, 4), 2, seed=0, restarts=1)
+            dg.quasirandom_trace([tri, path], Fraction(1, 4))
+            print("numpy.random" in sys.modules)
+        """)
+        src = str(Path(forcing.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        if out[0] == "True":
+            pytest.skip("this numpy imports numpy.random when numpy is imported")
+        assert out == ["False", "False"]
 
 
 class TestExactPolishSums:

@@ -427,6 +427,13 @@ class TestCli:
         assert captured.out == ""
         assert "tol must be nonnegative" in json.loads(captured.err)["error"]
 
+    def test_search_witness_negative_seed_is_input_error(self, capsys, files):
+        code = main(["search-witness", str(files["tri.graph"]), "--p", "1/4", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "seed must be a nonnegative integer, got -1"
+
     def test_search_witness_oversized_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "path12.graph"
         path.write_text("D 12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))

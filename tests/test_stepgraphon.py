@@ -453,6 +453,17 @@ class TestMapSum:
         assert stepgraphon._map_sum(4, star, [1, 2], [[0, 1], [1, 1]]) \
             == 1 * 2 ** 3 + 2 * 3 ** 3
 
+    def test_no_memo_after_a_detached_position_with_its_key(self):
+        # Positions 4 and 5 of the part-oriented K_{3,3} share the key
+        # (0, 2, 3), and position 4 is detached: each sum from position 5
+        # comes with a new image of that key, so a memo there never hits.
+        k33 = MEMO_ROW_BASES["k33"]
+        _, keys, getters, detached, _ = stepgraphon._sum_plan(6, tuple(k33.sorted_edges()))
+        assert keys[4] == keys[5] == (0, 2, 3)
+        assert detached[4]
+        assert getters[4] is not None
+        assert getters[5] is None
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(detached_instances(max_parts=4), map_sum_instances(max_parts=4)))
     def test_work_within_priced_bound(self, instance):
