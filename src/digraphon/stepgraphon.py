@@ -20,6 +20,11 @@ places next the vertex that keeps the next key smallest, so a path costs
 about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
 order chosen for pruning instead.  The keys are computed once per pattern
 (`_sum_plan`); only the value tables and the memo are built per call.
+A position's first back edge selects a table row of nonzero (part,
+weight * value) pairs, parts of weight 0 left out; its loop is chosen by
+its number of further back edges: none (each entry goes straight to the
+memo), one (its value row is read once per call and multiplied in), or
+two and more (a loop over their rows).
 The sum returns totals only.  Besides the densities here it gives
 `forcing` its exact residuals; the witness polish ranks its moves by the
 float kernel's gradient, so no gradient is summed exactly.
@@ -285,9 +290,15 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     entry before it recurses, and sets the new image only on a miss.  A
     detached position, one whose image no later factor reads, sums its
     factor over its parts first and multiplies the next suffix sum in
-    once, or not at all when that factor sums to 0.  With k parts the work
-    is at most sum_i k^(|key_i| + 1) steps rather than k^v.  ``plan`` is
-    `_sum_plan` of the sorted edges, for a caller that already holds it.
+    once, or not at all when that factor sums to 0.  Each position runs
+    one of three loops, attached or detached, by its back edges beyond
+    the first: with none it reads its table's entries as they are, with
+    one it multiplies in that edge's value row, fetched once per call,
+    and with two or more it multiplies in each of their rows and stops at
+    the first 0.  Parts of weight 0 are left out of every table, so no
+    loop places them.  With k parts the work is at most
+    sum_i k^(|key_i| + 1) steps rather than k^v.  ``plan`` is `_sum_plan`
+    of the sorted edges, for a caller that already holds it.
     """
     if v == 0:
         return 1
@@ -298,56 +309,94 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
     # The first back edge of a position selects a row of nonzero
-    # (part, weight * value) pairs; the other back edges multiply in.
+    # (part, weight * value) pairs, with the parts of weight 0 left out;
+    # the other back edges, its extra rows, multiply in.
     k = len(weights)
-    parts = range(k)
+    parts = [c for c in range(k) if weights[c]]
     tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
               for m in matrices]
-    steps = [(bk[0][0], tables[bk[0][1]], [(j, matrices[t]) for j, t in bk[1:]], det)
-             if bk else (-1, [(c, weights[c]) for c in parts], (), det)
-             for bk, det in zip(back, detached)]
-    img = [0] * v
     last = v - 1
     memos: list[dict] = [{} for _ in range(v)]
-
-    def memoised(i: int) -> int:
-        """`suffix(i)` through position i's memo, for a position after a
-        detached one."""
-        getter = getters[i]
-        if getter is None:
-            return suffix(i)
-        key = getter(img)
-        total = memos[i].get(key)
-        if total is None:
-            total = memos[i][key] = suffix(i)
-        return total
+    # Per position: its first back edge's earlier position and table, its
+    # count of extra rows (0, 1, or 2 for two or more) and their (earlier
+    # position, matrix) pairs (the pair itself when there is one), whether
+    # it is detached, and the next position's memo, getter and prefix
+    # getter.
+    steps = []
+    for i, (bk, det) in enumerate(zip(back, detached)):
+        if bk:
+            j0, table = bk[0][0], tables[bk[0][1]]
+        else:
+            j0, table = -1, [(c, weights[c]) for c in parts]
+        rest = [(j, matrices[t]) for j, t in bk[1:]]
+        extra = min(len(rest), 2)
+        nxt = (memos[i + 1], getters[i + 1], prefixes[i + 1]) if i < last else (None, None, None)
+        steps.append((j0, table, extra, rest[0] if extra == 1 else rest, det) + nxt)
+    img = [0] * v
 
     def suffix(i: int) -> int:
         """The sum over the images of positions i..v-1, given the earlier
         images in ``img``."""
-        j0, table, rest, alone = steps[i]
-        rows = [mat[img[j]] for j, mat in rest] if rest else ()
+        j0, table, extra, rest, alone, memo, getter, prefix = steps[i]
+        entries = table[img[j0]] if j0 >= 0 else table
         total = 0
         if alone:
-            for c, f in table[img[j0]] if j0 >= 0 else table:
-                for row in rows:
-                    f *= row[c]
-                    if not f:
-                        break
-                total += f
-            return total * memoised(i + 1) if total and i < last else total
+            if not extra:
+                for _, f in entries:
+                    total += f
+            elif extra == 1:
+                r1 = rest[1][img[rest[0]]]
+                for c, f in entries:
+                    total += f * r1[c]
+            else:
+                rows = [mat[img[j]] for j, mat in rest]
+                for c, f in entries:
+                    for row in rows:
+                        f *= row[c]
+                        if not f:
+                            break
+                    total += f
+            if not total or i == last:
+                return total
+            # The next suffix sum, through its memo where it has a getter.
+            if getter is None:
+                return total * suffix(i + 1)
+            key = getter(img)
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = suffix(i + 1)
+            return total * sub
         # Position i + 1's memo row for the earlier images; a position
         # whose key is every earlier one gets a fresh row, as no key
         # repeats there.
-        prefix = prefixes[i + 1]
         if prefix is None:
             subs = [None] * k
         else:
-            memo, pre = memos[i + 1], prefix(img)
+            pre = prefix(img)
             subs = memo.get(pre)
             if subs is None:
                 subs = memo[pre] = [None] * k
-        for c, f in table[img[j0]] if j0 >= 0 else table:
+        if not extra:
+            for c, f in entries:
+                sub = subs[c]
+                if sub is None:
+                    img[i] = c
+                    sub = subs[c] = suffix(i + 1)
+                total += f * sub
+            return total
+        if extra == 1:
+            r1 = rest[1][img[rest[0]]]
+            for c, f in entries:
+                f *= r1[c]
+                if f:
+                    sub = subs[c]
+                    if sub is None:
+                        img[i] = c
+                        sub = subs[c] = suffix(i + 1)
+                    total += f * sub
+            return total
+        rows = [mat[img[j]] for j, mat in rest]
+        for c, f in entries:
             for row in rows:
                 f *= row[c]
                 if not f:
@@ -363,10 +412,10 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     try:
         return suffix(0)
     finally:
-        # suffix and memoised refer to each other; unbinding them breaks
-        # that cycle, so the tables and memos go as soon as the call
-        # returns instead of waiting for the cyclic garbage collector.
-        del suffix, memoised
+        # suffix refers to itself; unbinding it breaks that cycle, so the
+        # tables and memos go as soon as the call returns instead of
+        # waiting for the cyclic garbage collector.
+        del suffix
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:

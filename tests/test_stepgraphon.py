@@ -379,6 +379,25 @@ MEMO_ROW_BASES = {
 }
 
 
+# `_map_sum` runs one of three loops at a position, by its count of back
+# edges beyond the first (0, 1, or 2 and more), in an attached or a
+# detached form.  A transitive tournament's positions have 0, 1, 2, ...
+# back edges, and only its last is detached; a path's last position and
+# a cycle's are detached with 0 and 1 extra back edges.
+LOOP_KIND_BASES = {
+    **MEMO_ROW_BASES,
+    "tt5": OrientedGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+}
+
+
+def loop_kinds(pattern) -> set:
+    """The (extra back edges, capped at 2; detached) kind of every
+    position of the pattern's plan."""
+    back, _, _, detached, _ = stepgraphon._sum_plan(pattern.vertex_count,
+                                                    tuple(pattern.sorted_edges()))
+    return {(min(max(len(bk) - 1, 0), 2), det) for bk, det in zip(back, detached)}
+
+
 def attached_prefix_sizes(pattern) -> set:
     """The prefix size of every attached position of the pattern's plan,
     or "none" for one without a getter."""
@@ -389,11 +408,12 @@ def attached_prefix_sizes(pattern) -> set:
 
 
 @st.composite
-def memo_row_instances(draw, max_maps=4096):
-    """A memo-row base pattern, relabelled and with its edges reversed at
-    random; 1-6 parts (as many as keep k^v <= ``max_maps`` for the
-    brute-force sum) and integer weights and values, about half of them 0."""
-    base = MEMO_ROW_BASES[draw(st.sampled_from(sorted(MEMO_ROW_BASES)))]
+def memo_row_instances(draw, max_maps=4096, bases=MEMO_ROW_BASES):
+    """A base pattern (a memo-row base unless ``bases`` says otherwise),
+    relabelled and with its edges reversed at random; 1-6 parts (as many
+    as keep k^v <= ``max_maps`` for the brute-force sum) and integer
+    weights and values, about half of them 0."""
+    base = bases[draw(st.sampled_from(sorted(bases)))]
     v = base.vertex_count
     label = draw(st.permutations(range(v)))
     flips = draw(st.lists(st.booleans(), min_size=base.edge_count, max_size=base.edge_count))
@@ -489,6 +509,29 @@ class TestMapSum:
     @settings(max_examples=80, deadline=None)
     @given(memo_row_instances())
     def test_memo_rows_match_brute_force(self, instance):
+        pattern, w = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
+
+    @pytest.mark.parametrize("name,kinds", [
+        ("path", {(0, False), (0, True)}),
+        ("cycle", {(0, False), (1, True)}),
+        ("k33", {(0, False), (2, True)}),
+        ("tt4", {(0, False), (1, False), (2, True)}),
+        ("tt5", {(0, False), (1, False), (2, False), (2, True)}),
+    ])
+    def test_loop_kind_bases(self, name, kinds):
+        assert loop_kinds(LOOP_KIND_BASES[name]) == kinds
+
+    def test_loop_kind_bases_cover_every_kind(self):
+        kinds = set().union(*map(loop_kinds, LOOP_KIND_BASES.values()))
+        assert kinds == {(extra, det) for extra in (0, 1, 2) for det in (False, True)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(memo_row_instances(bases=LOOP_KIND_BASES))
+    def test_loop_kinds_match_brute_force(self, instance):
+        # Zero weights are left out of every table, the first position's
+        # included, so a part of weight 0 is never placed.
         pattern, w = instance
         v, edges = pattern.vertex_count, pattern.sorted_edges()
         assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
