@@ -21,7 +21,16 @@ from .graphs import (
     oriented_graph_from_index,
     underlying,
 )
-from .stepgraphon import StepGraphon, _part_oriented, random_graphon, t_bip_step, t_step
+from .stepgraphon import (
+    _WARNED,
+    StepGraphon,
+    _part_oriented,
+    _priced_terms,
+    _warn_if_large,
+    random_graphon,
+    t_bip_step,
+    t_step,
+)
 
 HOLDS = "holds-on-family"
 VIOLATED = "violated"
@@ -207,22 +216,33 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     """Assert the directed check on the part-oriented pattern and the
     bipartite check on the pattern itself produce identical margins on W.
 
-    This evaluates the paper's margin identity on W.  Both sides run through
-    the same exact map-sum engine, so it is not a cross-check of two
-    implementations: the brute-force sums in ``tests/oracles.py`` check each.
-    The mean and both densities read the integer form that W built when it
-    was constructed, and both densities share one cached part-oriented
-    pattern, so neither is rebuilt here.
+    This evaluates the paper's margin identity on W.  Both margins subtract
+    the same (integral W)^e, so they are equal exactly when the two
+    densities are: the bridge compares the densities, and computes the
+    mean and the margins only for the witness of a violation.  Both sides
+    run through the same exact map-sum engine, so it is not a cross-check
+    of two implementations: the brute-force sums in ``tests/oracles.py``
+    check each.  Both densities read the integer form that W built when it
+    was constructed and share its value tables and one cached
+    part-oriented pattern, so none of them is rebuilt here.  Their sums
+    price alike, so a large one is warned of once, at the caller.
     """
-    bound = w.integral() ** pattern.edge_count
-    d_margin = t_step(_part_oriented(pattern), w) - bound
-    b_margin = t_bip_step(pattern, w) - bound
-    identical = d_margin == b_margin
+    oriented = _part_oriented(pattern)
+    warned = _warn_if_large(_priced_terms(oriented, w.num_parts), 3) and _WARNED.set(True)
+    try:
+        d = t_step(oriented, w)
+        b = t_bip_step(pattern, w)
+    finally:
+        if warned:
+            _WARNED.reset(warned)
+    witness = None
+    if d != b:
+        bound = w.integral() ** pattern.edge_count
+        witness = CheckWitness(w, d - bound, b - bound, -abs(d - b))
     return CheckReport(
         property_name="directed-bipartite-margin-bridge",
-        verdict=HOLDS if identical else VIOLATED,
-        witness=None if identical
-        else CheckWitness(w, d_margin, b_margin, -abs(d_margin - b_margin)),
+        verdict=HOLDS if witness is None else VIOLATED,
+        witness=witness,
         instances_checked=1,
     )
 

@@ -19,7 +19,11 @@ fetches the row once and reads its parts' entries by index.  The order
 places next the vertex that keeps the next key smallest, so a path costs
 about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
 order chosen for pruning instead.  The keys are computed once per pattern
-(`_sum_plan`); only the value tables and the memo are built per call.
+(`_sum_plan`).  The value tables depend on W alone
+(`_value_tables`): a density builds them once per graphon form and keeps
+the last form's, so the two densities of a margin bridge share them; a
+caller that passes plain cell lists, which it may change between sums,
+gets new tables every call.  Only the memo is built per call of the sum.
 A position's first back edge selects a table row of nonzero (part,
 weight * value) pairs, parts of weight 0 left out; its loop is chosen by
 its number of further back edges: none (each entry goes straight to the
@@ -41,6 +45,7 @@ from __future__ import annotations
 import random
 import warnings
 from bisect import bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -186,13 +191,35 @@ def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _warn_if_large(terms: int) -> None:
-    if terms > TERM_WARNING_THRESHOLD:
+# True while a caller that has already warned of its large sums runs them.
+_WARNED = ContextVar("_WARNED", default=False)
+
+
+def _warn_if_large(terms: int, stacklevel: int = 4) -> bool:
+    """Warn, ``stacklevel`` frames up, that a density sum prices at
+    ``terms`` steps when that is above the threshold, unless a caller has
+    already warned of it (`_WARNED`); return whether it is above."""
+    large = terms > TERM_WARNING_THRESHOLD
+    if large and not _WARNED.get():
         warnings.warn(
             f"density sum has {terms} terms; expect a long exact computation",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
+    return large
+
+
+def _priced_terms(pattern: OrientedGraph, k: int) -> int:
+    """The work bound of `_map_sum` for ``pattern`` on k parts,
+    sum_i k^(|key_i| + 1), not the k^v maps it sums over, where it can be
+    above the warning threshold, and 0 elsewhere.  Every key i holds at
+    most i < v positions, so the bound is at most v * k^v, and below the
+    threshold the plan is not priced."""
+    v = pattern.vertex_count
+    if v * k ** v <= TERM_WARNING_THRESHOLD:
+        return 0
+    keys = _sum_plan(v, tuple(pattern.sorted_edges()))[1]
+    return sum(k ** (len(key) + 1) for key in keys)
 
 
 def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -273,8 +300,33 @@ def _no_key(img: Sequence[int]) -> tuple[()]:
     return ()
 
 
+def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]
+                  ) -> tuple[tuple, list, list[tuple[int, int]]]:
+    """The tables `_map_sum` reads, which depend on the weights and values
+    alone: the value matrix and its transpose, each matrix's table rows of
+    nonzero (part, weight * value) pairs, and the (part, weight) pairs of
+    the first position.  Parts of weight 0 are left out of every table."""
+    # An edge is checked when its later endpoint is placed: it reads the
+    # value matrix at (earlier image, new image), or the transpose there.
+    matrices = (values, [list(col) for col in zip(*values)])
+    parts = [c for c in range(len(weights)) if weights[c]]
+    tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
+              for m in matrices]
+    return matrices, tables, [(c, weights[c]) for c in parts]
+
+
+@lru_cache(maxsize=1)
+def _form_tables(form: tuple) -> tuple:
+    """`_value_tables` of a graphon's integer form.  The last form's are
+    kept: the two densities of a margin bridge read the same W one after
+    the other."""
+    lnum, _, vnum, _ = form
+    return _value_tables(lnum, vnum)
+
+
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
-             values: Sequence[Sequence[int]], plan: Optional[tuple] = None) -> int:
+             values: Sequence[Sequence[int]], plan: Optional[tuple] = None,
+             tables: Optional[tuple] = None) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
@@ -298,23 +350,19 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     the first 0.  Parts of weight 0 are left out of every table, so no
     loop places them.  With k parts the work is at most
     sum_i k^(|key_i| + 1) steps rather than k^v.  ``plan`` is `_sum_plan`
-    of the sorted edges, for a caller that already holds it.
+    of the sorted edges and ``tables`` is `_value_tables` of the weights
+    and values, for a caller that already holds them; only the memo is
+    built on every call.
     """
     if v == 0:
         return 1
     if plan is None:
         plan = _sum_plan(v, tuple(sorted(edges)))
     back, _, getters, detached, prefixes = plan
-    # An edge is checked when its later endpoint is placed: it reads the
-    # value matrix at (earlier image, new image), or the transpose there.
-    matrices = (values, [list(col) for col in zip(*values)])
-    # The first back edge of a position selects a row of nonzero
-    # (part, weight * value) pairs, with the parts of weight 0 left out;
-    # the other back edges, its extra rows, multiply in.
+    # The first back edge of a position selects a table row; the other
+    # back edges, its extra rows, multiply in.
+    matrices, tables, first = tables or _value_tables(weights, values)
     k = len(weights)
-    parts = [c for c in range(k) if weights[c]]
-    tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
-              for m in matrices]
     last = v - 1
     memos: list[dict] = [{} for _ in range(v)]
     # Per position: its first back edge's earlier position and table, its
@@ -327,7 +375,7 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
         if bk:
             j0, table = bk[0][0], tables[bk[0][1]]
         else:
-            j0, table = -1, [(c, weights[c]) for c in parts]
+            j0, table = -1, first
         rest = [(j, matrices[t]) for j, t in bk[1:]]
         extra = min(len(rest), 2)
         nxt = (memos[i + 1], getters[i + 1], prefixes[i + 1]) if i < last else (None, None, None)
@@ -419,13 +467,10 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
+    _warn_if_large(_priced_terms(pattern, w.num_parts))
     v, edges = pattern.vertex_count, pattern.sorted_edges()
-    k = w.num_parts
-    plan = _sum_plan(v, tuple(edges))
-    # The work bound of `_map_sum`, not the k^v maps it sums over.
-    _warn_if_large(sum(k ** (len(key) + 1) for key in plan[1]))
-    lnum, dl, vnum, dv = w._form
-    total = _map_sum(v, edges, lnum, vnum, plan)
+    lnum, dl, vnum, dv = form = w._form
+    total = _map_sum(v, edges, lnum, vnum, _sum_plan(v, tuple(edges)), _form_tables(form))
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from digraphon import (
     HOLDS,
     VIOLATED,
     BipartiteGraph,
+    CheckWitness,
     OrientedGraph,
     StepGraphon,
     check_asym_sidorenko,
@@ -29,10 +32,10 @@ from digraphon import (
     to_part_oriented,
     w_lambda,
 )
-from digraphon import stepgraphon
+from digraphon import sidorenko, stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
-from oracles import brute_hom_directed
+from oracles import brute_hom_directed, brute_t_bip_step, brute_t_step, reference_integral
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -317,6 +320,50 @@ class TestBridge:
         report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == HOLDS
         assert calls == {"_map_sum": 2}
+
+    def test_violated_reports_both_margins(self, monkeypatch):
+        # A bipartite density off by 2^-20: the witness carries both
+        # margins against (integral W)^e and their gap, computed here by
+        # the brute-force sums.
+        w = StepGraphon([Fraction(3, 16), Fraction(5, 16), Fraction(1, 16), Fraction(7, 16)],
+                        random_graphon(4, seed=9).values)
+        off = Fraction(1, 2**20)
+        real = sidorenko.t_bip_step
+        monkeypatch.setattr(sidorenko, "t_bip_step", lambda pattern, w: real(pattern, w) + off)
+        report = check_equivalence_bridge(C4_BIP, w)
+        d = brute_t_step(to_part_oriented(C4_BIP), w)
+        b = brute_t_bip_step(C4_BIP, w) + off
+        bound = reference_integral(w) ** C4_BIP.edge_count
+        assert report.verdict == VIOLATED
+        assert report.witness == CheckWitness(w, d - bound, b - bound, -abs(d - b))
+        assert report.witness.margin == -off
+
+    def test_holds_never_reads_the_mean(self, monkeypatch):
+        # Equal densities give equal margins, so a bridge that holds
+        # computes neither the mean nor its power.
+        def never(self):
+            raise AssertionError("the mean was computed")
+
+        monkeypatch.setattr(StepGraphon, "integral", never)
+        for pattern in (K2_BIP, C4_BIP, TREE4_BIP):
+            assert check_equivalence_bridge(pattern, random_graphon(3, seed=4)).verdict == HOLDS
+
+    def test_large_sum_warns_once_at_the_caller(self, monkeypatch):
+        # Both densities of K_{5,5} on 8 parts price above the threshold:
+        # the bridge warns once, at its caller's line, as each density
+        # does on its own.
+        monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
+        k55 = BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(5)])
+        w = random_graphon(8, seed=21)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            assert check_equivalence_bridge(k55, w).verdict == HOLDS
+            t_step(to_part_oriented(k55), w)
+            t_bip_step(k55, w)
+            check_equivalence_bridge(k55, w)
+        assert [(x.category, x.filename, x.lineno) for x in caught] \
+            == [(RuntimeWarning, __file__, line + i) for i in range(4)]
 
     def test_part_oriented_pattern_built_once_over_repeated_bridges(self, monkeypatch):
         # Both densities of every bridge share one part-oriented pattern.

@@ -3,6 +3,7 @@ import hashlib
 import random
 import warnings
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -17,9 +18,12 @@ from digraphon import (
     BipartiteGraph,
     OrientedGraph,
     StepGraphon,
+    check_equivalence_bridge,
     cut_distance_upper,
     cut_norm,
     cut_norm_centered,
+    find_lambda0,
+    forcing_witness_search,
     from_bipartite,
     from_oriented,
     random_graphon,
@@ -30,7 +34,7 @@ from digraphon import (
     t_step,
     to_part_oriented,
 )
-from digraphon import stepgraphon
+from digraphon import forcing, stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
 from oracles import (
@@ -590,6 +594,112 @@ class TestMapSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert t_step(path, StepGraphon.constant(p, parts=100)) == p ** 12
+
+    def test_warns_exactly_above_the_priced_threshold(self, monkeypatch):
+        # The plan is priced only where v * k^v, which bounds the priced
+        # work, is above the threshold.  Seeded patterns on up to 10
+        # vertices over 2-12 parts, priced between 10^5 and 3 * 10^8,
+        # mostly where the bound is above the threshold and the work is
+        # not: each warns exactly when the priced work is above 10^7.
+        monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
+        rng = random.Random(24)
+        seen = Counter()
+        for _ in range(150):
+            v = rng.randint(2, 10)
+            p = rng.uniform(0.2, 0.9)
+            pattern = OrientedGraph(v, [(a, b) if rng.random() < 0.5 else (b, a)
+                                        for a, b in combinations(range(v), 2)
+                                        if rng.random() < p])
+            keys = stepgraphon._sum_plan(v, tuple(pattern.sorted_edges()))[1]
+            for k in range(2, 13):
+                priced = sum(k ** (len(key) + 1) for key in keys)
+                if not 10**5 <= priced <= 30 * 10**7:
+                    continue
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    t_step(pattern, StepGraphon.constant(Fraction(1, 2), parts=k))
+                assert len(caught) == (priced > 10**7)
+                seen[v * k ** v > 10**7, priced > 10**7] += 1
+        assert seen[True, False] > 200 and seen[True, True] > 50 and seen[False, False] > 10
+
+
+@st.composite
+def graphon_families(draw, max_parts=4):
+    """Two or three step graphons on the same parts: a base, and one or
+    both of the base's values on other lengths and its lengths with one
+    other value."""
+    k = draw(st.integers(2, max_parts))
+    weights = draw(st.lists(st.integers(1, 16), min_size=k, max_size=k))
+    values = [draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)) for _ in range(k)]
+    # Other lengths: a larger first weight changes every length.
+    other_weights = [weights[0] + draw(st.integers(1, 16))] + weights[1:]
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    other_values = [row[:] for row in values]
+    other_values[i][j] = (values[i][j] + draw(st.integers(1, 8))) % 9
+
+    def graphon(ws, vs):
+        return StepGraphon([Fraction(x, sum(ws)) for x in ws],
+                           [[Fraction(x, 8) for x in row] for row in vs])
+
+    family = [graphon(weights, values)]
+    kinds = draw(st.sampled_from((("lengths",), ("values",), ("lengths", "values"))))
+    if "lengths" in kinds:
+        family.append(graphon(other_weights, values))
+    if "values" in kinds:
+        family.append(graphon(weights, other_values))
+    return family
+
+
+class TestValueTables:
+    @settings(max_examples=60, deadline=None)
+    @given(graphon_families(), st.lists(st.tuples(st.integers(0, 2), oriented_graphs(),
+                                                  bipartite_graphs()), min_size=2, max_size=8))
+    def test_interleaved_densities_match_brute_force(self, family, calls):
+        # The densities keep the tables of the last graphon form they read:
+        # a graphon with the same values on other lengths, or the same
+        # lengths with another value, must not reuse them.
+        for index, pattern, bip in calls:
+            w = family[index % len(family)]
+            assert t_step(pattern, w) == brute_t_step(pattern, w)
+            assert t_bip_step(bip, w) == brute_t_bip_step(bip, w)
+
+    def test_tables_built_once_per_graphon_and_per_cell_list(self, monkeypatch):
+        # A bridge builds W's tables once for both its sums, a second
+        # graphon builds its own, and each sum on plain cell lists (one in
+        # find_lambda0, one per polish step) builds new ones.
+        builds = Counter()
+        real = stepgraphon._value_tables
+
+        def counted(*args):
+            builds["tables"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(stepgraphon, "_value_tables", counted)
+        stepgraphon._form_tables.cache_clear()
+        c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        w1, w2 = random_graphon(4, seed=1), random_graphon(4, seed=2)
+        check_equivalence_bridge(c4, w1)
+        assert builds == {"tables": 1}
+        check_equivalence_bridge(c4, w2)
+        check_equivalence_bridge(c4, w1)
+        assert builds == {"tables": 3}
+
+        builds.clear()
+        find_lambda0(TRIANGLE)
+        find_lambda0(TRIANGLE)
+        assert builds == {"tables": 2}
+
+        sums = Counter()
+        for name in ("_exact_density", "t_step"):
+            def wrapped(*args, _real=getattr(forcing, name), _name=name):
+                sums[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(forcing, name, wrapped)
+        builds.clear()
+        assert forcing_witness_search(TRIANGLE, Fraction(1, 4), parts=2, seed=0,
+                                      restarts=1) is not None
+        assert sums["_exact_density"] > 1
+        assert builds["tables"] == sums["_exact_density"] + sums["t_step"]
 
 
 class TestSwitchingIdentity:
