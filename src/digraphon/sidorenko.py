@@ -8,6 +8,7 @@ always be recomputed from its witness.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -146,6 +147,21 @@ def check_directed_sidorenko_exhaustive(
     return _report("directed-sidorenko", best_margin, witness, checked, complete)
 
 
+@contextmanager
+def _warned_once(pattern: OrientedGraph, parts: int):
+    """Warn once, at the line that called the public check entering this,
+    when the density sums of ``pattern`` on ``parts`` parts price above the
+    threshold, and keep the sums run inside from warning again."""
+    # Frames up from the warning: `_warn_if_large`, this generator, the
+    # context manager's entry, the public check, its caller.
+    warned = _warn_if_large(_priced_terms(pattern, parts), 5) and _WARNED.set(True)
+    try:
+        yield
+    finally:
+        if warned:
+            _WARNED.reset(warned)
+
+
 def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:
     lhs = density(pattern, w)
     rhs = w.integral() ** pattern.edge_count
@@ -154,7 +170,8 @@ def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:
 
 def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
     """Test t(B, W) >= (integral W)^e(B) for a single step graphon."""
-    wit = _graphon_witness(t_step, pattern, w)
+    with _warned_once(pattern, w.num_parts):
+        wit = _graphon_witness(t_step, pattern, w)
     return _report("directed-sidorenko-graphon", wit.margin, wit, 1)
 
 
@@ -183,8 +200,9 @@ def check_directed_sidorenko_random(
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
     """Batch the graphon check over seeded random rational graphons."""
-    return _random_batch("directed-sidorenko-random", t_step, pattern, instances,
-                         parts, seed, denominator)
+    with _warned_once(pattern, parts):
+        return _random_batch("directed-sidorenko-random", t_step, pattern, instances,
+                             parts, seed, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +210,8 @@ def check_directed_sidorenko_random(
 # ---------------------------------------------------------------------------
 
 def check_asym_sidorenko(pattern: BipartiteGraph, w: StepGraphon) -> CheckReport:
-    wit = _graphon_witness(t_bip_step, pattern, w)
+    with _warned_once(_part_oriented(pattern), w.num_parts):
+        wit = _graphon_witness(t_bip_step, pattern, w)
     return _report("asymmetric-sidorenko", wit.margin, wit, 1)
 
 
@@ -204,8 +223,9 @@ def check_asym_sidorenko_random(
     seed: int = DEFAULT_SEED,
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
-    return _random_batch("asymmetric-sidorenko-random", t_bip_step, pattern, instances,
-                         parts, seed, denominator)
+    with _warned_once(_part_oriented(pattern), parts):
+        return _random_batch("asymmetric-sidorenko-random", t_bip_step, pattern, instances,
+                             parts, seed, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +248,9 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     price alike, so a large one is warned of once, at the caller.
     """
     oriented = _part_oriented(pattern)
-    warned = _warn_if_large(_priced_terms(oriented, w.num_parts), 3) and _WARNED.set(True)
-    try:
+    with _warned_once(oriented, w.num_parts):
         d = t_step(oriented, w)
         b = t_bip_step(pattern, w)
-    finally:
-        if warned:
-            _WARNED.reset(warned)
     witness = None
     if d != b:
         bound = w.integral() ** pattern.edge_count

@@ -3,32 +3,24 @@ interval partition, with exact density functionals and cut norms.
 
 All arithmetic is rational.  Every density, mean and rectangle integral
 is a sum of integer numerators over one common denominator, reduced once.
-A density sums over the maps of pattern vertices to parts.  It places
-vertices in a cached order of its own (`_sum_order`) and prunes at zero
-cell values.  It caches suffix sums: the sum over the vertices from
-position i of the order on depends only on the images of position i's
-key, the earlier vertices with an edge to position i or later.  So each
-suffix sum is computed once per image of its key, and the work is at most
-sum_i (#parts)^(|key_i| + 1) steps instead of (#parts)^v(pattern).  Each
-memo is read by the caller before it recurses, so a hit costs no call.  A
-position that no later key holds is detached: its factor is summed over
-its parts first and the next suffix sum multiplied in once.  Every other
-position is in the next key, as its last entry, so that memo keeps one
-row of #parts suffix sums per image of the rest of the key: the caller
-fetches the row once and reads its parts' entries by index.  The order
-places next the vertex that keeps the next key smallest, so a path costs
-about (#parts)^2 steps per vertex.  The hom counters in `counting` keep an
-order chosen for pruning instead.  The keys are computed once per pattern
-(`_sum_plan`).  The value tables depend on W alone
-(`_value_tables`): a density builds them once per graphon form and keeps
-the last form's, so the two densities of a margin bridge share them; a
-caller that passes plain cell lists, which it may change between sums,
-gets new tables every call.  Only the memo is built per call of the sum.
-A position's first back edge selects a table row of nonzero (part,
-weight * value) pairs, parts of weight 0 left out; its loop is chosen by
-its number of further back edges: none (each entry goes straight to the
-memo), one (its value row is read once per call and multiplied in), or
-two and more (a loop over their rows).
+A density sums over the maps of pattern vertices to parts along a cached
+order of its own (`_sum_order`), pruning at zero cell values.  The sum
+over positions i.. of the order depends only on the images of position
+i's key, the earlier vertices with an edge to position i or later, so it
+is memoised on them: the work is at most sum_i (#parts)^(|key_i| + 1)
+steps, not (#parts)^v(pattern).  The order keeps the next key smallest,
+so a path costs about (#parts)^2 steps per vertex; the hom counters in
+`counting` keep an order chosen for pruning.  Each pattern's sum is one
+generated function (`_kernel_source`), compiled once and cached on the
+sorted edges (`_sum_kernel`): a loop per position with the images as
+locals, each memo read before it descends, a detached position (one no
+later key holds) summed inline, and one row of #parts sums per image of
+the rest of an attached position's key.  A plan too deep for one
+function runs as a chain of functions passed the images they read.  Only
+integers of the plan go into the source.  The value tables depend on W
+alone (`_value_tables`): a density keeps the last graphon form's, so the
+two densities of a margin bridge share them; plain cell lists, which a
+caller may change between sums, get new tables on every call.
 The sum returns totals only.  Besides the densities here it gives
 `forcing` its exact residuals; the witness polish ranks its moves by the
 float kernel's gradient, so no gradient is summed exactly.
@@ -51,7 +43,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, permutations
 from math import floor, lcm
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -254,27 +245,26 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
-                         tuple[Optional[Callable], ...], tuple[bool, ...],
-                         tuple[Optional[Callable], ...]]:
-    """The back edges of `_sum_order`, the key of every position, the
-    getter of its key's images where `_map_sum` memoises, whether each
-    position is detached, and the getter of its key prefix's images where
-    `_map_sum` keeps memo rows.
+                         tuple[Optional[tuple[int, ...]], ...], tuple[bool, ...],
+                         tuple[Optional[tuple[int, ...]], ...]]:
+    """The back edges of `_sum_order`, the key of every position, the key
+    where `_map_sum` memoises each position, whether each position is
+    detached, and the key prefix where `_map_sum` keeps memo rows.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
     depends on the earlier images only through them.  A position whose key
-    is every earlier position gets no getter, as no key can repeat there;
-    nor does a position whose key equals that of the detached position
-    before it, as every call of that position brings a new image of the
-    key.
+    is every earlier position is not memoised (None), as no key can repeat
+    there; nor is a position whose key equals that of the detached
+    position before it, as every sum from that position brings a new image
+    of the key.
     A position is detached when the next key does not hold it (the last
     position always is): no later factor reads its image, so its factor
     summed over its parts multiplies the next suffix sum once.  Otherwise
     the next position is attached: its key ends with this position, and
-    its prefix is that key without its last entry (it gets a prefix getter
-    only where it has a getter).  Callers pass ``edges`` sorted so that
-    equal patterns share a cache entry.
+    its prefix is that key without its last entry (None where the key is
+    not memoised).  Callers pass ``edges`` sorted so that equal patterns
+    share a cache entry.
     """
     back = _back_edges(_sum_order(v, edges), edges)
     reach = list(range(v))  # the latest position each position has an edge to
@@ -283,21 +273,123 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
             reach[j] = i
     keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
     detached = tuple(reach[i] == i for i in range(v))
-    getters = tuple(_images(key) if len(key) < i and not (detached[i - 1] and key == keys[i - 1])
-                    else None for i, key in enumerate(keys))
-    prefixes = tuple(_images(key[:-1]) if getter and not detached[i - 1] else None
-                     for i, (key, getter) in enumerate(zip(keys, getters)))
-    return back, keys, getters, detached, prefixes
+    memos = tuple(key if len(key) < i and not (detached[i - 1] and key == keys[i - 1])
+                  else None for i, key in enumerate(keys))
+    prefixes = tuple(key[:-1] if key is not None and not detached[i - 1] else None
+                     for i, key in enumerate(memos))
+    return back, keys, memos, detached, prefixes
 
 
-def _images(key: tuple[int, ...]) -> Callable:
-    """A getter of the images of ``key``'s positions: a tuple, a single
+# CPython compiles at most 20 nested loops into one function.  A kernel
+# function passes the rest of its plan on once its code is nested this
+# deep, so it holds at most one loop more than this many.
+_KERNEL_DEPTH = 16
+
+
+def _images(key: tuple[int, ...]) -> str:
+    """The source of the images of ``key``'s positions: a tuple, a single
     image for a one-entry key, and () for the empty key."""
-    return itemgetter(*key) if key else _no_key
+    return f"c{key[0]}" if len(key) == 1 else f"({''.join(f'c{j}, ' for j in key)})"
 
 
-def _no_key(img: Sequence[int]) -> tuple[()]:
-    return ()
+def _kernel_source(plan: tuple) -> str:
+    """The source of `_map_sum`'s kernel for a `_sum_plan`: a function
+    ``kernel(k, F, T0, T1, M0, M1)`` of the part count and `_value_tables`
+    (F the first position's pairs, T0 and T1 the table rows of the value
+    matrix and its transpose, M0 and M1 those matrices).
+
+    Position i's code nests in the loop of the position before it and
+    leaves the sum over positions i..v-1 in ``s{i}``.  Its loop binds its
+    image ``c{i}`` and factor ``f{i}`` from the row its first back edge
+    selects; the value rows of its other back edges, fetched before the
+    loop, multiply in.  A detached position's loop only sums its factor.
+    The memo of position i + 1 is keyed on the images of its key after a
+    detached position, and of its prefix after an attached one, where it
+    holds rows of k sums indexed by ``c{i}``.  Once a function's code is
+    nested `_KERNEL_DEPTH` levels deep, position i's sum is a call of a
+    new function ``g{i}`` of the images of its key.
+    """
+    back, keys, memos, detached, prefixes = plan
+    if not back:
+        return "def kernel(k, F, T0, T1, M0, M1):\n    return 1\n"
+    last = len(back) - 1
+    kernel = ["def kernel(k, F, T0, T1, M0, M1):"]
+    done: list[list[str]] = []  # the closed functions, the kernel's body first
+    # The open function's first position, lines and base indentation, the
+    # lines that close each of its positions, innermost last, and how deep
+    # its code is nested.
+    start, body, base, tails, depth = 0, [], 1, [], 0
+    for i, bk in enumerate(back):
+        if depth > _KERNEL_DEPTH:
+            args = ", ".join(f"c{j}" for j in keys[i])
+            body.append(f"{'    ' * (base + depth)}s{i} = g{i}({args})")
+            done.append(_close(body, tails, base, start))
+            start, body, base, tails, depth = i, [f"    def g{i}({args}):"], 2, [], 0
+        pad = "    " * (base + depth)
+        table = f"T{bk[0][1]}[c{bk[0][0]}]" if bk else "F"
+        rows = [f"x{i}_{n}" for n in range(len(bk) - 1)]
+        body += [f"{pad}{x} = M{t}[c{j}]" for x, (j, t) in zip(rows, bk[1:])]
+        factor = "".join(f" * {x}[c{i}]" for x in rows)
+        nxt = i + 1
+        body.append(f"{pad}s{i} = 0")
+        # How the next suffix sum s{nxt} joins s{i}, and the memo slot it
+        # is read from (get) and stored in (put), if any.
+        if detached[i]:
+            body += [f"{pad}for c{i}, f{i} in {table}:", f"{pad}    s{i} += f{i}{factor}"]
+            if i == last:
+                break
+            body.append(f"{pad}if s{i}:")
+            join, get = f"s{i} *=", None
+            if memos[nxt] is not None:
+                key = _images(memos[nxt])
+                kernel.append(f"    m{nxt} = {{}}")
+                get, put = f"m{nxt}.get({key})", f"m{nxt}[{key}]"
+        else:
+            pre = prefixes[nxt]
+            if pre == ():
+                kernel.append(f"    r{nxt} = [None] * k")
+            elif pre is not None:
+                kernel.append(f"    m{nxt} = {{}}")
+                body += [f"{pad}r{nxt} = m{nxt}.get({_images(pre)})", f"{pad}if r{nxt} is None:",
+                         f"{pad}    r{nxt} = m{nxt}[{_images(pre)}] = [None] * k"]
+            body.append(f"{pad}for c{i}, f{i} in {table}:")
+            if rows:
+                body += [f"{pad}    f{i} = f{i}{factor}", f"{pad}    if not f{i}:",
+                         f"{pad}        continue"]
+            join, get = f"s{i} += f{i} *", None
+            if pre is not None:
+                get = put = f"r{nxt}[c{i}]"
+        pad += "    "
+        depth += 1
+        if get is None:
+            tails.append([f"{pad}{join} s{nxt}"])
+        else:
+            body += [f"{pad}u{nxt} = {get}", f"{pad}if u{nxt} is None:"]
+            tails.append([f"{pad}    u{nxt} = {put} = s{nxt}", f"{pad}{join} u{nxt}"])
+            depth += 1
+    done.append(_close(body, tails, base, start))
+    # Each function is defined before the kernel's body calls the first.
+    for lines in done[1:] + done[:1]:
+        kernel += lines
+    return "\n".join(kernel) + "\n"
+
+
+def _close(body: list[str], tails: list[list[str]], base: int, start: int) -> list[str]:
+    """A kernel function's body, closed: its positions' closing lines,
+    innermost first, and the return of its first position's sum."""
+    for tail in reversed(tails):
+        body += tail
+    return body + [f"{'    ' * base}return s{start}"]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _sum_kernel(v: int, edges: tuple[tuple[int, int], ...]) -> Callable:
+    """`_map_sum`'s kernel of the pattern, `_kernel_source` of its plan
+    compiled.  Callers pass ``edges`` sorted so that equal patterns share a
+    cache entry."""
+    scope: dict = {}
+    exec(compile(_kernel_source(_sum_plan(v, edges)), "<density sum>", "exec"), scope)
+    return scope.pop("kernel")
 
 
 def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]
@@ -325,152 +417,38 @@ def _form_tables(form: tuple) -> tuple:
 
 
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
-             values: Sequence[Sequence[int]], plan: Optional[tuple] = None,
+             values: Sequence[Sequence[int]], kernel: Optional[Callable] = None,
              tables: Optional[tuple] = None) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
-    Variable elimination along the pattern's cached order
-    (`_sum_order`): a depth-first search places one vertex at a time,
-    multiplies in its part weight and the values of its edges back to
-    placed vertices, and drops a branch at its first zero factor.  The sum
-    over the positions i..v-1 depends only on the images of position i's
-    key (`_sum_plan`), so it is memoised per call on them.  An attached
-    position's key ends with the position before it, so its memo keeps one
-    row of k suffix sums per image of the key's prefix, indexed by that
-    last image: the caller fetches the row once and reads each part's
-    entry before it recurses, and sets the new image only on a miss.  A
-    detached position, one whose image no later factor reads, sums its
-    factor over its parts first and multiplies the next suffix sum in
-    once, or not at all when that factor sums to 0.  Each position runs
-    one of three loops, attached or detached, by its back edges beyond
-    the first: with none it reads its table's entries as they are, with
-    one it multiplies in that edge's value row, fetched once per call,
-    and with two or more it multiplies in each of their rows and stops at
-    the first 0.  Parts of weight 0 are left out of every table, so no
-    loop places them.  With k parts the work is at most
-    sum_i k^(|key_i| + 1) steps rather than k^v.  ``plan`` is `_sum_plan`
-    of the sorted edges and ``tables`` is `_value_tables` of the weights
-    and values, for a caller that already holds them; only the memo is
-    built on every call.
+    Variable elimination along the pattern's cached order (`_sum_order`),
+    run by its generated kernel (`_kernel_source`), compiled once and
+    cached on the sorted edges (`_sum_kernel`): one nested loop per
+    position multiplies in its part weight and the values of its edges
+    back to placed vertices, and skips a part at a zero factor.  The sum
+    over positions i..v-1 depends only on the images of position i's key
+    (`_sum_plan`), so it is memoised per call on them and read before the
+    loops below run; a detached position is summed inline.  A plan nested
+    deeper than one function may hold runs as a chain of functions, each
+    passed the images it reads, and only integers of the plan go into the
+    source.  Parts of weight 0 are left out of every table.  With k parts
+    the work is at most sum_i k^(|key_i| + 1) steps rather than k^v.
+    ``kernel`` and ``tables`` (`_value_tables` of the weights and values)
+    are for a caller that already holds them; only the memo is built on
+    every call.
     """
-    if v == 0:
-        return 1
-    if plan is None:
-        plan = _sum_plan(v, tuple(sorted(edges)))
-    back, _, getters, detached, prefixes = plan
-    # The first back edge of a position selects a table row; the other
-    # back edges, its extra rows, multiply in.
+    if kernel is None:
+        kernel = _sum_kernel(v, tuple(sorted(edges)))
     matrices, tables, first = tables or _value_tables(weights, values)
-    k = len(weights)
-    last = v - 1
-    memos: list[dict] = [{} for _ in range(v)]
-    # Per position: its first back edge's earlier position and table, its
-    # count of extra rows (0, 1, or 2 for two or more) and their (earlier
-    # position, matrix) pairs (the pair itself when there is one), whether
-    # it is detached, and the next position's memo, getter and prefix
-    # getter.
-    steps = []
-    for i, (bk, det) in enumerate(zip(back, detached)):
-        if bk:
-            j0, table = bk[0][0], tables[bk[0][1]]
-        else:
-            j0, table = -1, first
-        rest = [(j, matrices[t]) for j, t in bk[1:]]
-        extra = min(len(rest), 2)
-        nxt = (memos[i + 1], getters[i + 1], prefixes[i + 1]) if i < last else (None, None, None)
-        steps.append((j0, table, extra, rest[0] if extra == 1 else rest, det) + nxt)
-    img = [0] * v
-
-    def suffix(i: int) -> int:
-        """The sum over the images of positions i..v-1, given the earlier
-        images in ``img``."""
-        j0, table, extra, rest, alone, memo, getter, prefix = steps[i]
-        entries = table[img[j0]] if j0 >= 0 else table
-        total = 0
-        if alone:
-            if not extra:
-                for _, f in entries:
-                    total += f
-            elif extra == 1:
-                r1 = rest[1][img[rest[0]]]
-                for c, f in entries:
-                    total += f * r1[c]
-            else:
-                rows = [mat[img[j]] for j, mat in rest]
-                for c, f in entries:
-                    for row in rows:
-                        f *= row[c]
-                        if not f:
-                            break
-                    total += f
-            if not total or i == last:
-                return total
-            # The next suffix sum, through its memo where it has a getter.
-            if getter is None:
-                return total * suffix(i + 1)
-            key = getter(img)
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = suffix(i + 1)
-            return total * sub
-        # Position i + 1's memo row for the earlier images; a position
-        # whose key is every earlier one gets a fresh row, as no key
-        # repeats there.
-        if prefix is None:
-            subs = [None] * k
-        else:
-            pre = prefix(img)
-            subs = memo.get(pre)
-            if subs is None:
-                subs = memo[pre] = [None] * k
-        if not extra:
-            for c, f in entries:
-                sub = subs[c]
-                if sub is None:
-                    img[i] = c
-                    sub = subs[c] = suffix(i + 1)
-                total += f * sub
-            return total
-        if extra == 1:
-            r1 = rest[1][img[rest[0]]]
-            for c, f in entries:
-                f *= r1[c]
-                if f:
-                    sub = subs[c]
-                    if sub is None:
-                        img[i] = c
-                        sub = subs[c] = suffix(i + 1)
-                    total += f * sub
-            return total
-        rows = [mat[img[j]] for j, mat in rest]
-        for c, f in entries:
-            for row in rows:
-                f *= row[c]
-                if not f:
-                    break
-            if f:
-                sub = subs[c]
-                if sub is None:
-                    img[i] = c
-                    sub = subs[c] = suffix(i + 1)
-                total += f * sub
-        return total
-
-    try:
-        return suffix(0)
-    finally:
-        # suffix refers to itself; unbinding it breaks that cycle, so the
-        # tables and memos go as soon as the call returns instead of
-        # waiting for the cyclic garbage collector.
-        del suffix
+    return kernel(len(weights), first, *tables, *matrices)
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     _warn_if_large(_priced_terms(pattern, w.num_parts))
     v, edges = pattern.vertex_count, pattern.sorted_edges()
     lnum, dl, vnum, dv = form = w._form
-    total = _map_sum(v, edges, lnum, vnum, _sum_plan(v, tuple(edges)), _form_tables(form))
+    total = _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), _form_tables(form))
     return Fraction(total, dl ** v * dv ** pattern.edge_count)
 
 

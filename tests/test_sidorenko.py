@@ -365,6 +365,22 @@ class TestBridge:
         assert [(x.category, x.filename, x.lineno) for x in caught] \
             == [(RuntimeWarning, __file__, line + i) for i in range(4)]
 
+    def test_graphon_checks_warn_once_at_the_caller(self, monkeypatch):
+        # K_{5,5} on 8 parts prices above the threshold: each graphon check
+        # and each 3-instance batch warns once, at its caller's line.
+        monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
+        k55 = BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(5)])
+        oriented, w = to_part_oriented(k55), random_graphon(8, seed=21)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            check_directed_sidorenko_graphon(oriented, w)
+            check_asym_sidorenko(k55, w)
+            check_directed_sidorenko_random(oriented, instances=3, parts=8)
+            check_asym_sidorenko_random(k55, instances=3, parts=8)
+        assert [(x.category, x.filename, x.lineno) for x in caught] \
+            == [(RuntimeWarning, __file__, line + i) for i in range(4)]
+
     def test_part_oriented_pattern_built_once_over_repeated_bridges(self, monkeypatch):
         # Both densities of every bridge share one part-oriented pattern.
         stepgraphon._part_oriented.cache_clear()

@@ -431,6 +431,11 @@ def memo_row_instances(draw, max_maps=4096, bases=MEMO_ROW_BASES):
                                                     values=values)
 
 
+def kernel_source(v, edges) -> str:
+    """The source of the pattern's compiled density-sum kernel."""
+    return stepgraphon._kernel_source(stepgraphon._sum_plan(v, tuple(sorted(edges))))
+
+
 class Counted:
     """An integer that counts the additions made with it, the steps of a
     density sum: one per (position, part) pair the search visits."""
@@ -570,6 +575,69 @@ class TestMapSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert t_step(path, w) == sum(vec) / 8 ** 10
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_path_past_the_nesting_limit_matches_matrix_powers(self, reverse):
+        # 40 nested positions are more than one compiled function may hold,
+        # so the kernel hands the rest of the path to chained functions.
+        # Part 1 has weight 0 and the values hold zeros; a reversed path
+        # reads the transposed values.
+        weights = [3, 0, 2, 5]
+        values = [[1, 2, 0, 4], [3, 1, 1, 0], [0, 2, 4, 1], [2, 0, 3, 3]]
+        edges = [(i + 1, i) if reverse else (i, i + 1) for i in range(39)]
+        step = [list(col) for col in zip(*values)] if reverse else values
+        assert "def g" in kernel_source(40, edges)
+        vec = weights
+        for _ in range(39):
+            vec = [w * sum(x * row[b] for x, row in zip(vec, step))
+                   for b, w in enumerate(weights)]
+        assert sum(vec) and stepgraphon._map_sum(40, edges, weights, values) == sum(vec)
+
+    def test_caterpillar_past_the_nesting_limit_matches_a_tree_sum(self):
+        # A 21-vertex spine, with a pendant leaf on every other one of its
+        # first 17 vertices: each leaf is a detached position, and the
+        # spine nests deeper than one compiled function may.  The edges
+        # point either way, part 2 has weight 0 and the values hold zeros.
+        rng = random.Random(30)
+        tree = [(i, i + 1) for i in range(20)] + [(2 * j, 21 + j) for j in range(9)]
+        edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in tree]
+        weights = [2, 4, 0, 1, 3]
+        values = [[1, 0, 2, 3, 1], [0, 2, 1, 0, 4], [3, 1, 0, 2, 2], [1, 4, 2, 0, 1],
+                  [2, 0, 1, 3, 0]]
+        assert set(stepgraphon._sum_plan(30, tuple(sorted(edges)))[3]) == {False, True}
+        assert "def g" in kernel_source(30, edges)
+        # Bottom-up from the leaves, rooted at spine vertex 0: every child
+        # has a larger label than its parent.
+        below = {x: list(weights) for x in range(30)}
+        for a, b in sorted(tree, key=lambda e: -e[1]):
+            forward = (a, b) in edges
+            below[a] = [h * sum((values[c][d] if forward else values[d][c]) * g
+                                for d, g in enumerate(below[b]))
+                        for c, h in enumerate(below[a])]
+        assert sum(below[0]) and stepgraphon._map_sum(30, edges, weights, values) \
+            == sum(below[0])
+
+    def test_each_plan_compiles_once(self, monkeypatch):
+        # Kernels are cached on the sorted edges: a bridge's two densities,
+        # a later density of the same pattern on another graphon and an
+        # exact sum on its cell list share one.
+        builds = Counter()
+        real = stepgraphon._kernel_source
+
+        def counted(plan):
+            builds["kernel"] += 1
+            return real(plan)
+
+        monkeypatch.setattr(stepgraphon, "_kernel_source", counted)
+        stepgraphon._sum_kernel.cache_clear()
+        c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        check_equivalence_bridge(c4, random_graphon(4, seed=1))
+        assert builds == {"kernel": 1}
+        t_step(to_part_oriented(c4), random_graphon(3, seed=2))
+        forcing._exact_density(to_part_oriented(c4), [[1, 2], [3, 4]])
+        assert builds == {"kernel": 1}
+        t_step(TRIANGLE, random_graphon(3, seed=2))
+        assert builds == {"kernel": 2}
 
     def test_dense_pattern_still_warns(self, monkeypatch):
         # Every key of a transitive tournament is its whole prefix, so the
