@@ -3,8 +3,8 @@
 A pattern has the directed property when t(B,G) >= t(edge,G)^e(B) for every
 oriented host.  Patterns without a homomorphism onto a single edge fail
 immediately: the oriented K_{n,n} hosts contain no copy of them at all.
-The bipartite and directed formulations are two views of one inequality,
-and their margins agree instance by instance.
+The bipartite and directed formulations are two views of one inequality:
+their margins are one number on every graphon, which the bridge decides.
 """
 
 from digraphon import (
@@ -42,7 +42,8 @@ print("\nA star pattern holds on a seeded random-graphon batch:")
 p3 = BipartiteGraph(2, 1, [(0, 0), (1, 0)])
 print(" ", check_asym_sidorenko_random(p3, instances=500, seed=0).verdict)
 
-print("\nThe bridge: directed and bipartite margins agree exactly:")
+print("\nThe bridge: the directed margin of the part-oriented C4 is the bipartite")
+print("margin of C4, one density sum decided against the mean power:")
 c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 for seed in (0, 1, 2):
     w = random_graphon(4, seed=seed)

@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_asym)
 
     p = sub.add_parser("bridge",
-                       help="directed and bipartite margins agree on the same graphon")
+                       help="decide the one directed and asymmetric margin on a graphon")
     p.add_argument("pattern")
     p.add_argument("graphon")
     p.set_defaults(func=_cmd_bridge)

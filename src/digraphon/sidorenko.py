@@ -168,11 +168,20 @@ def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:
     return CheckWitness(w, lhs, rhs, lhs - rhs)
 
 
+def _graphon_check(name: str, density, pattern, w: StepGraphon) -> CheckReport:
+    """Test density(pattern, W) >= (integral W)^e on one graphon: one sum,
+    one mean, and a witness with its margin only for a violation."""
+    lhs = density(pattern, w)
+    rhs = w.integral() ** pattern.edge_count
+    if lhs >= rhs:
+        return CheckReport(name, HOLDS, None, 1)
+    return CheckReport(name, VIOLATED, CheckWitness(w, lhs, rhs, lhs - rhs), 1)
+
+
 def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
     """Test t(B, W) >= (integral W)^e(B) for a single step graphon."""
     with _warned_once(pattern, w.num_parts):
-        wit = _graphon_witness(t_step, pattern, w)
-    return _report("directed-sidorenko-graphon", wit.margin, wit, 1)
+        return _graphon_check("directed-sidorenko-graphon", t_step, pattern, w)
 
 
 def _random_batch(name: str, density, pattern, instances: int, parts: int,
@@ -211,8 +220,7 @@ def check_directed_sidorenko_random(
 
 def check_asym_sidorenko(pattern: BipartiteGraph, w: StepGraphon) -> CheckReport:
     with _warned_once(_part_oriented(pattern), w.num_parts):
-        wit = _graphon_witness(t_bip_step, pattern, w)
-    return _report("asymmetric-sidorenko", wit.margin, wit, 1)
+        return _graphon_check("asymmetric-sidorenko", t_bip_step, pattern, w)
 
 
 def check_asym_sidorenko_random(
@@ -229,38 +237,29 @@ def check_asym_sidorenko_random(
 
 
 # ---------------------------------------------------------------------------
-# Bridge: the directed and bipartite margins agree instance by instance
+# Bridge: the directed margin of the part-oriented pattern is the bipartite
+# margin of the pattern, so one density sum decides both
 # ---------------------------------------------------------------------------
 
 def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckReport:
-    """Assert the directed check on the part-oriented pattern and the
-    bipartite check on the pattern itself produce identical margins on W.
+    """Decide the margin that the directed check of the part-oriented
+    pattern and the asymmetric check of ``pattern`` share on W, with one
+    density sum.
 
-    This evaluates the paper's margin identity on W.  Both margins subtract
-    the same (integral W)^e, so they are equal exactly when the two
-    densities are: the bridge compares the densities, and computes the
-    mean and the margins only for the witness of a violation.  Both sides
-    run through the same exact map-sum engine, so it is not a cross-check
-    of two implementations: the brute-force sums in ``tests/oracles.py``
-    check each.  Both densities read the integer form that W built when it
-    was constructed and share its value tables and one cached
-    part-oriented pattern, so none of them is rebuilt here.  Their sums
-    price alike, so a large one is warned of once, at the caller.
+    The part-oriented pattern H directs every edge of B from part 1 to
+    part 2, so t(H, W) = t_bip(B, W) by definition, and both margins
+    subtract the same (integral W)^e: they are one number.  The bridge sums
+    it once, as `t_bip_step`, and decides it as `check_asym_sidorenko`
+    does: HOLDS with no witness when the margin is at least 0, and
+    VIOLATED with the witness (W, t_bip, (integral W)^e, their difference)
+    when it is negative; the margin is built only for a violation.  The
+    sum reads the integer form that W built when it was constructed and
+    the cached part-oriented pattern, and a large one is warned of once,
+    at the caller.  The brute-force sums in ``tests/oracles.py`` check the
+    density and the mean independently.
     """
-    oriented = _part_oriented(pattern)
-    with _warned_once(oriented, w.num_parts):
-        d = t_step(oriented, w)
-        b = t_bip_step(pattern, w)
-    witness = None
-    if d != b:
-        bound = w.integral() ** pattern.edge_count
-        witness = CheckWitness(w, d - bound, b - bound, -abs(d - b))
-    return CheckReport(
-        property_name="directed-bipartite-margin-bridge",
-        verdict=HOLDS if witness is None else VIOLATED,
-        witness=witness,
-        instances_checked=1,
-    )
+    with _warned_once(_part_oriented(pattern), w.num_parts):
+        return _graphon_check("directed-bipartite-margin-bridge", t_bip_step, pattern, w)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ later key holds) summed inline, and one row of #parts sums per image of
 the rest of an attached position's key.  A plan too deep for one
 function runs as a chain of functions passed the images they read.  Only
 integers of the plan go into the source.  The value tables depend on W
-alone (`_value_tables`): a density keeps the last graphon form's, so the
-two densities of a margin bridge share them; plain cell lists, which a
-caller may change between sums, get new tables on every call.
+alone (`_value_tables`): a density keeps the last graphon form's, so
+densities of several patterns read in a row on one W share them (the
+switching identity of criterion 04 reads each W ten times: five patterns,
+both densities); plain cell lists, which a caller may change between
+sums, get new tables on every call.
 The sum returns totals only.  Besides the densities here it gives
 `forcing` its exact residuals; the witness polish ranks its moves by the
 float kernel's gradient, so no gradient is summed exactly.
@@ -43,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, permutations
 from math import floor, lcm
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -123,8 +126,9 @@ class StepGraphon:
 
     def integral(self) -> Fraction:
         """The mean of the graphon (its single-edge density)."""
-        mass, denom = _signed_numerators(self, _ZERO)
-        return Fraction(sum(map(sum, mass)), denom)
+        lnum, dl, vnum, dv = self._form
+        return Fraction(sum(li * sum(map(mul, row, lnum)) for li, row in zip(lnum, vnum)),
+                        dl * dl * dv)
 
     def scale(self, c) -> "StepGraphon":
         """Pointwise multiply by c in [0,1]."""
@@ -410,8 +414,9 @@ def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]
 @lru_cache(maxsize=1)
 def _form_tables(form: tuple) -> tuple:
     """`_value_tables` of a graphon's integer form.  The last form's are
-    kept: the two densities of a margin bridge read the same W one after
-    the other."""
+    kept for densities read in a row on the same W, such as criterion 04's
+    five patterns, each by `t_step` and `t_bip_step`; a margin bridge sums
+    one density and builds them once."""
     lnum, _, vnum, _ = form
     return _value_tables(lnum, vnum)
 
@@ -473,7 +478,8 @@ def t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
 
 
 # The part-oriented form of each bipartite pattern, built and validated once
-# and shared by `t_bip_step` and the margin bridge.
+# and shared by `t_bip_step` and the warning price of the asymmetric checks
+# and the margin bridge.
 _part_oriented = lru_cache(maxsize=_PLAN_CACHE_SIZE)(to_part_oriented)
 
 

@@ -3,6 +3,7 @@ import random
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from digraphon import (
 from digraphon import sidorenko, stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
-from oracles import brute_hom_directed, brute_t_bip_step, brute_t_step, reference_integral
+from oracles import brute_hom_directed, brute_t_bip_step, reference_integral
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -56,6 +57,28 @@ def step_graphons(draw, parts=3, denominator=8):
     matrix = [[Fraction(vals[i * parts + j], denominator) for j in range(parts)]
               for i in range(parts)]
     return StepGraphon([Fraction(1, parts)] * parts, matrix)
+
+
+@st.composite
+def small_bipartite_graphs(draw, max_part=3):
+    """Bipartite patterns with parts of 0..max_part vertices and any edge
+    set, so some vertices or whole parts may be isolated or empty."""
+    n1, n2 = draw(st.integers(0, max_part)), draw(st.integers(0, max_part))
+    cells = [(i, j) for i in range(n1) for j in range(n2)]
+    return BipartiteGraph(n1, n2, draw(st.lists(st.sampled_from(cells), unique=True))
+                          if cells else [])
+
+
+@st.composite
+def unequal_step_graphons(draw, max_parts=3, denominator=16):
+    """Step graphons on 1..max_parts parts of unequal integer weights."""
+    parts = draw(st.integers(1, max_parts))
+    weights = draw(st.lists(st.integers(1, 8), min_size=parts, max_size=parts))
+    vals = draw(st.lists(st.integers(0, denominator), min_size=parts * parts,
+                         max_size=parts * parts))
+    return StepGraphon([Fraction(x, sum(weights)) for x in weights],
+                       [[Fraction(vals[i * parts + j], denominator) for j in range(parts)]
+                        for i in range(parts)])
 
 
 class TestExhaustive:
@@ -301,9 +324,9 @@ class TestBridge:
             report = check_equivalence_bridge(TREE4_BIP, w_lambda(lam))
             assert report.verdict == HOLDS
 
-    def test_one_conversion_and_two_map_sums_per_bridge(self, monkeypatch):
-        # The mean and both densities read the integer form that W built when
-        # it was constructed, and both map sums still run.
+    def test_one_conversion_and_one_map_sum_per_bridge(self, monkeypatch):
+        # The density and the mean read the integer form that W built when
+        # it was constructed, and the bridge sums its one density once.
         w = random_graphon(4, seed=3)
         calls = Counter()
 
@@ -319,51 +342,65 @@ class TestBridge:
         monkeypatch.setattr(stepgraphon, "_numerators", counted("_numerators"))
         report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == HOLDS
-        assert calls == {"_map_sum": 2}
+        assert calls == {"_map_sum": 1}
 
     def test_violated_reports_both_margins(self, monkeypatch):
-        # A bipartite density off by 2^-20: the witness carries both
-        # margins against (integral W)^e and their gap, computed here by
-        # the brute-force sums.
+        # A density 2^-20 below the bound: the witness carries the one
+        # margin that is both the directed margin of the part-oriented
+        # pattern and the asymmetric margin of C4, against the
+        # brute-force density and mean.
         w = StepGraphon([Fraction(3, 16), Fraction(5, 16), Fraction(1, 16), Fraction(7, 16)],
                         random_graphon(4, seed=9).values)
-        off = Fraction(1, 2**20)
-        real = sidorenko.t_bip_step
-        monkeypatch.setattr(sidorenko, "t_bip_step", lambda pattern, w: real(pattern, w) + off)
-        report = check_equivalence_bridge(C4_BIP, w)
-        d = brute_t_step(to_part_oriented(C4_BIP), w)
-        b = brute_t_bip_step(C4_BIP, w) + off
+        b = brute_t_bip_step(C4_BIP, w)
         bound = reference_integral(w) ** C4_BIP.edge_count
+        off = b - bound + Fraction(1, 2**20)
+        real = sidorenko.t_bip_step
+        monkeypatch.setattr(sidorenko, "t_bip_step", lambda pattern, w: real(pattern, w) - off)
+        report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == VIOLATED
-        assert report.witness == CheckWitness(w, d - bound, b - bound, -abs(d - b))
-        assert report.witness.margin == -off
+        assert report.witness == CheckWitness(w, b - off, bound, b - off - bound)
+        assert report.witness.margin == -Fraction(1, 2**20)
 
-    def test_holds_never_reads_the_mean(self, monkeypatch):
-        # Equal densities give equal margins, so a bridge that holds
-        # computes neither the mean nor its power.
-        def never(self):
-            raise AssertionError("the mean was computed")
+    def test_holds_builds_no_witness(self, monkeypatch):
+        # A margin of at least 0 holds with no witness, so a bridge that
+        # holds builds neither a witness nor its margin; K2's margin is 0.
+        def never(*args, **kwargs):
+            raise AssertionError("a witness was built")
 
-        monkeypatch.setattr(StepGraphon, "integral", never)
+        monkeypatch.setattr(sidorenko, "CheckWitness", never)
         for pattern in (K2_BIP, C4_BIP, TREE4_BIP):
-            assert check_equivalence_bridge(pattern, random_graphon(3, seed=4)).verdict == HOLDS
+            report = check_equivalence_bridge(pattern, random_graphon(3, seed=4))
+            assert report.verdict == HOLDS and report.witness is None
 
     def test_large_sum_warns_once_at_the_caller(self, monkeypatch):
-        # Both densities of K_{5,5} on 8 parts price above the threshold:
-        # the bridge warns once, at its caller's line, as each density
-        # does on its own.
+        # The sum of K_{5,5} on 8 parts prices above the threshold: the
+        # bridge warns once, at its caller's line, as each density does on
+        # its own.  The stubbed density 0 is below the positive bound.
         monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
         k55 = BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(5)])
         w = random_graphon(8, seed=21)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
-            assert check_equivalence_bridge(k55, w).verdict == HOLDS
+            assert check_equivalence_bridge(k55, w).verdict == VIOLATED
             t_step(to_part_oriented(k55), w)
             t_bip_step(k55, w)
             check_equivalence_bridge(k55, w)
         assert [(x.category, x.filename, x.lineno) for x in caught] \
             == [(RuntimeWarning, __file__, line + i) for i in range(4)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_bipartite_graphs(), unequal_step_graphons())
+    def test_bridge_decides_as_the_asymmetric_check(self, pattern, w):
+        # One number is both margins: the bridge's report is the asymmetric
+        # check's under its own name, and its verdict is the sign of the
+        # brute-force margin.  Patterns include isolated vertices and empty
+        # parts.
+        report = check_equivalence_bridge(pattern, w)
+        assert report == replace(check_asym_sidorenko(pattern, w),
+                                 property_name="directed-bipartite-margin-bridge")
+        margin = brute_t_bip_step(pattern, w) - reference_integral(w) ** pattern.edge_count
+        assert report.verdict == (VIOLATED if margin < 0 else HOLDS)
 
     def test_graphon_checks_warn_once_at_the_caller(self, monkeypatch):
         # K_{5,5} on 8 parts prices above the threshold: each graphon check

@@ -618,9 +618,9 @@ class TestMapSum:
             == sum(below[0])
 
     def test_each_plan_compiles_once(self, monkeypatch):
-        # Kernels are cached on the sorted edges: a bridge's two densities,
-        # a later density of the same pattern on another graphon and an
-        # exact sum on its cell list share one.
+        # Kernels are cached on the sorted edges: a bridge's density, a
+        # later density of the same pattern on another graphon and an exact
+        # sum on its cell list share one.
         builds = Counter()
         real = stepgraphon._kernel_source
 
@@ -732,9 +732,10 @@ class TestValueTables:
             assert t_bip_step(bip, w) == brute_t_bip_step(bip, w)
 
     def test_tables_built_once_per_graphon_and_per_cell_list(self, monkeypatch):
-        # A bridge builds W's tables once for both its sums, a second
-        # graphon builds its own, and each sum on plain cell lists (one in
-        # find_lambda0, one per polish step) builds new ones.
+        # A bridge builds W's tables for its one sum, a second graphon
+        # builds its own, and a graphon read again after another builds them
+        # again, since one form's are kept; each sum on plain cell lists
+        # (one in find_lambda0, one per polish step) builds new ones.
         builds = Counter()
         real = stepgraphon._value_tables
 
