@@ -88,6 +88,12 @@ def _report_json(report: sidorenko.CheckReport) -> dict:
     return out
 
 
+def _emit_report(report: sidorenko.CheckReport) -> int:
+    """Print ``report`` as JSON, and exit 1 exactly when it is violated."""
+    _emit(_report_json(report))
+    return EXIT_VIOLATED if report.violated else EXIT_OK
+
+
 def _load(path: str, kind: str):
     """The graph in ``path``, which must have the header letter ``kind``."""
     g = load_graph(path)
@@ -146,23 +152,18 @@ def _cmd_check_sidorenko(args) -> int:
         report = sidorenko.check_directed_sidorenko_graphon(pattern, load_graphon(args.graphon))
     else:
         report = sidorenko.check_second_sidorenko(pattern, _load(args.second, "D"))
-    _emit(_report_json(report))
-    return EXIT_VIOLATED if report.violated else EXIT_OK
+    return _emit_report(report)
 
 
 def _cmd_check_asym(args) -> int:
     pattern = _load(args.pattern, "B")
-    report = sidorenko.check_asym_sidorenko(pattern, load_graphon(args.graphon))
-    _emit(_report_json(report))
-    return EXIT_VIOLATED if report.violated else EXIT_OK
+    return _emit_report(sidorenko.check_asym_sidorenko(pattern, load_graphon(args.graphon)))
 
 
 def _cmd_bridge(args) -> int:
     pattern = _load(args.pattern, "B")
     w = load_graphon(args.graphon)
-    report = sidorenko.check_equivalence_bridge(pattern, w)
-    _emit(_report_json(report))
-    return EXIT_VIOLATED if report.violated else EXIT_OK
+    return _emit_report(sidorenko.check_equivalence_bridge(pattern, w))
 
 
 def _cmd_wlambda(args) -> int:
@@ -242,9 +243,7 @@ def _cmd_impartial(args) -> int:
 
 def _cmd_anti_sidorenko(args) -> int:
     pattern = _load(args.pattern, "D")
-    report = tournaments.anti_sidorenko_check(pattern, args.n)
-    _emit(_report_json(report))
-    return EXIT_VIOLATED if report.violated else EXIT_OK
+    return _emit_report(tournaments.anti_sidorenko_check(pattern, args.n))
 
 
 def _cmd_enumerate(args) -> int:

@@ -8,7 +8,6 @@ always be recomputed from its witness.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,14 +22,12 @@ from .graphs import (
     underlying,
 )
 from .stepgraphon import (
-    _WARNED,
     StepGraphon,
+    _density,
     _part_oriented,
     _priced_terms,
     _warn_if_large,
     random_graphon,
-    t_bip_step,
-    t_step,
 )
 
 HOLDS = "holds-on-family"
@@ -147,31 +144,13 @@ def check_directed_sidorenko_exhaustive(
     return _report("directed-sidorenko", best_margin, witness, checked, complete)
 
 
-@contextmanager
-def _warned_once(pattern: OrientedGraph, parts: int):
-    """Warn once, at the line that called the public check entering this,
-    when the density sums of ``pattern`` on ``parts`` parts price above the
-    threshold, and keep the sums run inside from warning again."""
-    # Frames up from the warning: `_warn_if_large`, this generator, the
-    # context manager's entry, the public check, its caller.
-    warned = _warn_if_large(_priced_terms(pattern, parts), 5) and _WARNED.set(True)
-    try:
-        yield
-    finally:
-        if warned:
-            _WARNED.reset(warned)
-
-
-def _graphon_witness(density, pattern, w: StepGraphon) -> CheckWitness:
-    lhs = density(pattern, w)
-    rhs = w.integral() ** pattern.edge_count
-    return CheckWitness(w, lhs, rhs, lhs - rhs)
-
-
-def _graphon_check(name: str, density, pattern, w: StepGraphon) -> CheckReport:
-    """Test density(pattern, W) >= (integral W)^e on one graphon: one sum,
+def _graphon_check(name: str, pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
+    """Test t(pattern, W) >= (integral W)^e on one graphon: one priced sum,
     one mean, and a witness with its margin only for a violation."""
-    lhs = density(pattern, w)
+    # Frames up from the warning: `_warn_if_large`, this, the public
+    # check, its caller.
+    _warn_if_large(_priced_terms(pattern, w.num_parts), 4)
+    lhs = _density(pattern, w)
     rhs = w.integral() ** pattern.edge_count
     if lhs >= rhs:
         return CheckReport(name, HOLDS, None, 1)
@@ -180,24 +159,25 @@ def _graphon_check(name: str, density, pattern, w: StepGraphon) -> CheckReport:
 
 def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
     """Test t(B, W) >= (integral W)^e(B) for a single step graphon."""
-    with _warned_once(pattern, w.num_parts):
-        return _graphon_check("directed-sidorenko-graphon", t_step, pattern, w)
+    return _graphon_check("directed-sidorenko-graphon", pattern, w)
 
 
-def _random_batch(name: str, density, pattern, instances: int, parts: int,
+def _random_batch(name: str, pattern: OrientedGraph, instances: int, parts: int,
                   seed: int, denominator: int) -> CheckReport:
-    """The graphon check over seeded random rational graphons, reporting
-    the minimal margin (earliest graphon on ties)."""
+    """The graphon check over seeded random rational graphons, its sums
+    priced once, reporting the minimal margin (earliest graphon on ties)."""
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    _warn_if_large(_priced_terms(pattern, parts), 4)
     rng = random.Random(seed)
     best: Optional[CheckWitness] = None
     for _ in range(instances):
         w = random_graphon(parts, rng=rng, denominator=denominator)
-        wit = _graphon_witness(density, pattern, w)
-        if best is None or wit.margin < best.margin:
-            best = wit
-    return _report(name, None if best is None else best.margin, best, instances)
+        lhs = _density(pattern, w)
+        rhs = w.integral() ** pattern.edge_count
+        if best is None or lhs - rhs < best.margin:
+            best = CheckWitness(w, lhs, rhs, lhs - rhs)
+    return _report(name, best.margin, best, instances)
 
 
 def check_directed_sidorenko_random(
@@ -209,9 +189,8 @@ def check_directed_sidorenko_random(
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
     """Batch the graphon check over seeded random rational graphons."""
-    with _warned_once(pattern, parts):
-        return _random_batch("directed-sidorenko-random", t_step, pattern, instances,
-                             parts, seed, denominator)
+    return _random_batch("directed-sidorenko-random", pattern, instances, parts, seed,
+                         denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +198,7 @@ def check_directed_sidorenko_random(
 # ---------------------------------------------------------------------------
 
 def check_asym_sidorenko(pattern: BipartiteGraph, w: StepGraphon) -> CheckReport:
-    with _warned_once(_part_oriented(pattern), w.num_parts):
-        return _graphon_check("asymmetric-sidorenko", t_bip_step, pattern, w)
+    return _graphon_check("asymmetric-sidorenko", _part_oriented(pattern), w)
 
 
 def check_asym_sidorenko_random(
@@ -231,9 +209,8 @@ def check_asym_sidorenko_random(
     seed: int = DEFAULT_SEED,
     denominator: int = DEFAULT_BATCH_DENOMINATOR,
 ) -> CheckReport:
-    with _warned_once(_part_oriented(pattern), parts):
-        return _random_batch("asymmetric-sidorenko-random", t_bip_step, pattern, instances,
-                             parts, seed, denominator)
+    return _random_batch("asymmetric-sidorenko-random", _part_oriented(pattern), instances,
+                         parts, seed, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +226,17 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     The part-oriented pattern H directs every edge of B from part 1 to
     part 2, so t(H, W) = t_bip(B, W) by definition, and both margins
     subtract the same (integral W)^e: they are one number.  The bridge sums
-    it once, as `t_bip_step`, and decides it as `check_asym_sidorenko`
-    does: HOLDS with no witness when the margin is at least 0, and
-    VIOLATED with the witness (W, t_bip, (integral W)^e, their difference)
-    when it is negative; the margin is built only for a violation.  The
-    sum reads the integer form that W built when it was constructed and
-    the cached part-oriented pattern, and a large one is warned of once,
-    at the caller.  The brute-force sums in ``tests/oracles.py`` check the
-    density and the mean independently.
+    it once, as the density of H (the sum `t_bip_step` runs), and decides
+    it as `check_asym_sidorenko` does: HOLDS with no witness when the
+    margin is at least 0, and VIOLATED with the witness (W, t_bip,
+    (integral W)^e, their difference) when it is negative; the margin is
+    built only for a violation.  The sum reads the integer form that W
+    built when it was constructed and the cached part-oriented pattern,
+    and a large one is warned of once, at the caller.  The brute-force
+    sums in ``tests/oracles.py`` check the density and the mean
+    independently.
     """
-    with _warned_once(_part_oriented(pattern), w.num_parts):
-        return _graphon_check("directed-bipartite-margin-bridge", t_bip_step, pattern, w)
+    return _graphon_check("directed-bipartite-margin-bridge", _part_oriented(pattern), w)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,16 @@ later key holds) summed inline, and one row of #parts sums per image of
 the rest of an attached position's key.  A plan too deep for one
 function runs as a chain of functions passed the images they read.  Only
 integers of the plan go into the source.  The value tables depend on W
-alone (`_value_tables`): a density keeps the last graphon form's, so
+alone (`_value_tables`): a density keeps the last two graphon forms', so
 densities of several patterns read in a row on one W share them (the
 switching identity of criterion 04 reads each W ten times: five patterns,
-both densities); plain cell lists, which a caller may change between
-sums, get new tables on every call.
+both densities), and so do densities that alternate between two graphons
+(criterion 13 reads W/2 and W per pattern); plain cell lists, which a
+caller may change between sums, get new tables on every call.
+`_density` never warns.  Each public entry (`t_step`, `t_bip_step` and
+the graphon checks in `sidorenko`) prices its sums once with
+`_priced_terms` and warns at its caller's line, through `_warn_if_large`,
+when the price is above `TERM_WARNING_THRESHOLD`.
 The sum returns totals only.  Besides the densities here it gives
 `forcing` its exact residuals; the witness polish ranks its moves by the
 float kernel's gradient, so no gradient is summed exactly.
@@ -39,7 +44,6 @@ from __future__ import annotations
 import random
 import warnings
 from bisect import bisect_right
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -186,22 +190,16 @@ def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-# True while a caller that has already warned of its large sums runs them.
-_WARNED = ContextVar("_WARNED", default=False)
-
-
-def _warn_if_large(terms: int, stacklevel: int = 4) -> bool:
+def _warn_if_large(terms: int, stacklevel: int = 3) -> None:
     """Warn, ``stacklevel`` frames up, that a density sum prices at
-    ``terms`` steps when that is above the threshold, unless a caller has
-    already warned of it (`_WARNED`); return whether it is above."""
-    large = terms > TERM_WARNING_THRESHOLD
-    if large and not _WARNED.get():
+    ``terms`` steps when that is above the threshold.  The default names
+    the caller of a public entry that calls this itself."""
+    if terms > TERM_WARNING_THRESHOLD:
         warnings.warn(
             f"density sum has {terms} terms; expect a long exact computation",
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-    return large
 
 
 def _priced_terms(pattern: OrientedGraph, k: int) -> int:
@@ -411,12 +409,14 @@ def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]
     return matrices, tables, [(c, weights[c]) for c in parts]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _form_tables(form: tuple) -> tuple:
-    """`_value_tables` of a graphon's integer form.  The last form's are
-    kept for densities read in a row on the same W, such as criterion 04's
-    five patterns, each by `t_step` and `t_bip_step`; a margin bridge sums
-    one density and builds them once."""
+    """`_value_tables` of a graphon's integer form.  The last two forms'
+    are kept, for densities read in a row on one W, such as criterion 04's
+    five patterns, each by `t_step` and `t_bip_step`, and for densities
+    that alternate between two graphons, such as criterion 13's
+    t(B, W/2) and t(B, W) per pattern; a margin bridge sums one density
+    and builds them once."""
     lnum, _, vnum, _ = form
     return _value_tables(lnum, vnum)
 
@@ -450,7 +450,8 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
-    _warn_if_large(_priced_terms(pattern, w.num_parts))
+    """t(pattern, W), unpriced: each public entry warns of its sums once,
+    before it runs them."""
     v, edges = pattern.vertex_count, pattern.sorted_edges()
     lnum, dl, vnum, dv = form = w._form
     total = _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), _form_tables(form))
@@ -463,6 +464,7 @@ def t_step(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     Sums, over all maps g of pattern vertices to parts, the product of the
     part lengths of the images times the product of W over the edge cells.
     """
+    _warn_if_large(_priced_terms(pattern, w.num_parts))
     return _density(pattern, w)
 
 
@@ -474,12 +476,13 @@ def t_bip_step(pattern: BipartiteGraph, w: StepGraphon) -> Fraction:
     cell (image of i, image of j).  That is the density of the pattern with
     every edge directed from part 1 to part 2.
     """
-    return _density(_part_oriented(pattern), w)
+    oriented = _part_oriented(pattern)
+    _warn_if_large(_priced_terms(oriented, w.num_parts))
+    return _density(oriented, w)
 
 
 # The part-oriented form of each bipartite pattern, built and validated once
-# and shared by `t_bip_step` and the warning price of the asymmetric checks
-# and the margin bridge.
+# and shared by `t_bip_step`, the asymmetric checks and the margin bridge.
 _part_oriented = lru_cache(maxsize=_PLAN_CACHE_SIZE)(to_part_oriented)
 
 

@@ -354,8 +354,8 @@ class TestBridge:
         b = brute_t_bip_step(C4_BIP, w)
         bound = reference_integral(w) ** C4_BIP.edge_count
         off = b - bound + Fraction(1, 2**20)
-        real = sidorenko.t_bip_step
-        monkeypatch.setattr(sidorenko, "t_bip_step", lambda pattern, w: real(pattern, w) - off)
+        real = sidorenko._density
+        monkeypatch.setattr(sidorenko, "_density", lambda pattern, w: real(pattern, w) - off)
         report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == VIOLATED
         assert report.witness == CheckWitness(w, b - off, bound, b - off - bound)
@@ -373,21 +373,24 @@ class TestBridge:
             assert report.verdict == HOLDS and report.witness is None
 
     def test_large_sum_warns_once_at_the_caller(self, monkeypatch):
-        # The sum of K_{5,5} on 8 parts prices above the threshold: the
-        # bridge warns once, at its caller's line, as each density does on
-        # its own.  The stubbed density 0 is below the positive bound.
+        # The sum of K_{5,5} prices at 19,698,248 steps on 8 parts, above
+        # the threshold: the bridge warns once, at its caller's line, as
+        # each density does on its own.  On 7 parts it prices at 6,960,898,
+        # below it, and nothing warns.  The stubbed density 0 is below the
+        # positive bound.
         monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
         k55 = BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(5)])
-        w = random_graphon(8, seed=21)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            line = sys._getframe().f_lineno + 1
-            assert check_equivalence_bridge(k55, w).verdict == VIOLATED
-            t_step(to_part_oriented(k55), w)
-            t_bip_step(k55, w)
-            check_equivalence_bridge(k55, w)
-        assert [(x.category, x.filename, x.lineno) for x in caught] \
-            == [(RuntimeWarning, __file__, line + i) for i in range(4)]
+        for parts, warns in ((7, False), (8, True)):
+            w = random_graphon(parts, seed=21)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                assert check_equivalence_bridge(k55, w).verdict == VIOLATED
+                t_step(to_part_oriented(k55), w)
+                t_bip_step(k55, w)
+                check_equivalence_bridge(k55, w)
+            assert [(x.category, x.filename, x.lineno) for x in caught] \
+                == [(RuntimeWarning, __file__, line + i) for i in range(4 if warns else 0)]
 
     @settings(max_examples=60, deadline=None)
     @given(small_bipartite_graphs(), unequal_step_graphons())
@@ -404,19 +407,22 @@ class TestBridge:
 
     def test_graphon_checks_warn_once_at_the_caller(self, monkeypatch):
         # K_{5,5} on 8 parts prices above the threshold: each graphon check
-        # and each 3-instance batch warns once, at its caller's line.
+        # and each 3-instance batch warns once, at its caller's line.  On 7
+        # parts it prices below the threshold, and nothing warns.
         monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
         k55 = BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(5)])
-        oriented, w = to_part_oriented(k55), random_graphon(8, seed=21)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            line = sys._getframe().f_lineno + 1
-            check_directed_sidorenko_graphon(oriented, w)
-            check_asym_sidorenko(k55, w)
-            check_directed_sidorenko_random(oriented, instances=3, parts=8)
-            check_asym_sidorenko_random(k55, instances=3, parts=8)
-        assert [(x.category, x.filename, x.lineno) for x in caught] \
-            == [(RuntimeWarning, __file__, line + i) for i in range(4)]
+        oriented = to_part_oriented(k55)
+        for parts, warns in ((7, False), (8, True)):
+            w = random_graphon(parts, seed=21)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                check_directed_sidorenko_graphon(oriented, w)
+                check_asym_sidorenko(k55, w)
+                check_directed_sidorenko_random(oriented, instances=3, parts=parts)
+                check_asym_sidorenko_random(k55, instances=3, parts=parts)
+            assert [(x.category, x.filename, x.lineno) for x in caught] \
+                == [(RuntimeWarning, __file__, line + i) for i in range(4 if warns else 0)]
 
     def test_part_oriented_pattern_built_once_over_repeated_bridges(self, monkeypatch):
         # Both densities of every bridge share one part-oriented pattern.

@@ -723,7 +723,7 @@ class TestValueTables:
     @given(graphon_families(), st.lists(st.tuples(st.integers(0, 2), oriented_graphs(),
                                                   bipartite_graphs()), min_size=2, max_size=8))
     def test_interleaved_densities_match_brute_force(self, family, calls):
-        # The densities keep the tables of the last graphon form they read:
+        # The densities keep the tables of the last two graphon forms they read:
         # a graphon with the same values on other lengths, or the same
         # lengths with another value, must not reuse them.
         for index, pattern, bip in calls:
@@ -731,11 +731,9 @@ class TestValueTables:
             assert t_step(pattern, w) == brute_t_step(pattern, w)
             assert t_bip_step(bip, w) == brute_t_bip_step(bip, w)
 
-    def test_tables_built_once_per_graphon_and_per_cell_list(self, monkeypatch):
-        # A bridge builds W's tables for its one sum, a second graphon
-        # builds its own, and a graphon read again after another builds them
-        # again, since one form's are kept; each sum on plain cell lists
-        # (one in find_lambda0, one per polish step) builds new ones.
+    @pytest.fixture
+    def builds(self, monkeypatch) -> Counter:
+        """A count of `_value_tables` calls, from an empty `_form_tables`."""
         builds = Counter()
         real = stepgraphon._value_tables
 
@@ -745,13 +743,26 @@ class TestValueTables:
 
         monkeypatch.setattr(stepgraphon, "_value_tables", counted)
         stepgraphon._form_tables.cache_clear()
+        return builds
+
+    def test_tables_built_once_per_graphon_and_per_cell_list(self, monkeypatch, builds):
+        # A bridge builds W's tables for its one sum, a second graphon
+        # builds its own, and a graphon read again after one other is
+        # still kept, since two forms' are kept; a third graphon evicts
+        # the form read least recently.  Each sum on plain cell lists (one
+        # in find_lambda0, one per polish step) builds new ones.
         c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        w1, w2 = random_graphon(4, seed=1), random_graphon(4, seed=2)
+        w1, w2, w3 = (random_graphon(4, seed=seed) for seed in (1, 2, 3))
         check_equivalence_bridge(c4, w1)
         assert builds == {"tables": 1}
         check_equivalence_bridge(c4, w2)
         check_equivalence_bridge(c4, w1)
+        assert builds == {"tables": 2}
+        check_equivalence_bridge(c4, w3)
+        check_equivalence_bridge(c4, w1)
         assert builds == {"tables": 3}
+        check_equivalence_bridge(c4, w2)
+        assert builds == {"tables": 4}
 
         builds.clear()
         find_lambda0(TRIANGLE)
@@ -769,6 +780,20 @@ class TestValueTables:
                                       restarts=1) is not None
         assert sums["_exact_density"] > 1
         assert builds["tables"] == sums["_exact_density"] + sums["t_step"]
+
+    def test_tables_built_twice_per_graphon_in_criterion_13_order(self, builds):
+        # Criterion 13 reads t(B, W/2) and then t(B, W) for each pattern:
+        # the two forms' tables are both kept, so each graphon builds 2
+        # table sets, not one per density.
+        rng = random.Random(0)
+        graphons = [random_graphon(4, rng=rng) for _ in range(20)]
+        patterns = [to_part_oriented(BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])),
+                    TRIANGLE, OrientedGraph(3, [(0, 1), (1, 2)])]
+        for w in graphons:
+            scaled = w.scale(Fraction(1, 2))
+            for b in patterns:
+                assert t_step(b, scaled) == Fraction(1, 2) ** b.edge_count * t_step(b, w)
+        assert builds == {"tables": 2 * len(graphons)}
 
 
 class TestSwitchingIdentity:
