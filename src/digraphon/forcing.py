@@ -24,7 +24,6 @@ from .stepgraphon import (
     _map_sum,
     cut_norm_centered,
     from_oriented,
-    t_step,
 )
 
 LAMBDA_FAMILY_MEAN = Fraction(1, 16)
@@ -502,8 +501,10 @@ def forcing_witness_search(
     remainder: when p * parts^2 is not a multiple of 1/2^16, no matrix on
     the grid has mean exactly p.  A candidate counts as a witness only if, after
     rationalization, |t(B,W) - p^e| <= tol, |mean(W) - p| <= tol, and the
-    centered cut norm is at least 10*tol, all verified with rationals.
-    Returns the lexicographically smallest certified witness across
+    centered cut norm is at least 10*tol, all verified with rationals.  The
+    density is verified first, on the integer cells, and the graphon is
+    built only once it passes, so a returned witness carries no density
+    tables.  Returns the lexicographically smallest certified witness across
     restarts, or None if every restart fails.
 
     The descent indexes the pattern's edge cells under every map of its
@@ -538,10 +539,12 @@ def forcing_witness_search(
             f"witness search is capped at parts^v * e <= {MAX_PGD_INDICES} "
             f"(got {parts}^{v} * {e})")
 
-    target_t = p_exact ** e
     unit = p_exact.denominator // gcd(p_exact.denominator, RATIONALIZE_DENOMINATOR)
     d = unit * RATIONALIZE_DENOMINATOR
     target_sum = int(p_exact * d) * parts * parts
+    # t(B, W) and p^e times d^e * parts^v, both integers.
+    scale = d ** e * parts ** v
+    target = int(p_exact * d) ** e * parts ** v
     separation_floor = 10 * tol_exact
 
     t_and_grad = _float_kernel(_map_cells(pattern, parts), parts, 1.0 / parts ** v)
@@ -553,10 +556,10 @@ def forcing_witness_search(
             continue
         if not _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d):
             continue
+        if abs(_exact_density(pattern, cells) - target) > tol_exact * scale:
+            continue
         w = StepGraphon([Fraction(1, parts)] * parts,
                         [[Fraction(c, d) for c in row] for row in cells])
-        if abs(t_step(pattern, w) - target_t) > tol_exact:
-            continue
         if abs(w.integral() - p_exact) > tol_exact:
             continue
         if cut_norm_centered(w, p_exact).value < separation_floor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .counting import _tally, t_directed, t_undirected
@@ -24,6 +25,8 @@ from .graphs import (
 from .stepgraphon import (
     StepGraphon,
     _density,
+    _density_total,
+    _mean_numerator,
     _part_oriented,
     _priced_terms,
     _warn_if_large,
@@ -144,16 +147,28 @@ def check_directed_sidorenko_exhaustive(
     return _report("directed-sidorenko", best_margin, witness, checked, complete)
 
 
+@lru_cache(maxsize=None)
+def _holding_report(name: str) -> CheckReport:
+    """The one report of a graphon check ``name`` that holds: reports are
+    frozen, so every check that holds returns it."""
+    return CheckReport(name, HOLDS, None, 1)
+
+
 def _graphon_check(name: str, pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
-    """Test t(pattern, W) >= (integral W)^e on one graphon: one priced sum,
-    one mean, and a witness with its margin only for a violation."""
+    """Test t(pattern, W) >= (integral W)^e on one graphon: one priced sum
+    and one mean, decided in integers, and a witness with its margin only
+    for a violation."""
     # Frames up from the warning: `_warn_if_large`, this, the public
     # check, its caller.
     _warn_if_large(_priced_terms(pattern, w.num_parts), 4)
-    lhs = _density(pattern, w)
-    rhs = w.integral() ** pattern.edge_count
-    if lhs >= rhs:
-        return CheckReport(name, HOLDS, None, 1)
+    v, e = pattern.vertex_count, pattern.edge_count
+    _, dl, _, dv = w._form
+    # t = total / (dl^v dv^e) and the mean is mean / (dl^2 dv), so t is at
+    # least the mean to the e exactly when total dl^(2e) >= mean^e dl^v.
+    total, mean = _density_total(pattern, w), _mean_numerator(w._form)
+    if total * dl ** (2 * e) >= mean ** e * dl ** v:
+        return _holding_report(name)
+    lhs, rhs = Fraction(total, dl ** v * dv ** e), Fraction(mean, dl * dl * dv) ** e
     return CheckReport(name, VIOLATED, CheckWitness(w, lhs, rhs, lhs - rhs), 1)
 
 
@@ -227,14 +242,16 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     part 2, so t(H, W) = t_bip(B, W) by definition, and both margins
     subtract the same (integral W)^e: they are one number.  The bridge sums
     it once, as the density of H (the sum `t_bip_step` runs), and decides
-    it as `check_asym_sidorenko` does: HOLDS with no witness when the
-    margin is at least 0, and VIOLATED with the witness (W, t_bip,
-    (integral W)^e, their difference) when it is negative; the margin is
-    built only for a violation.  The sum reads the integer form that W
-    built when it was constructed and the cached part-oriented pattern,
-    and a large one is warned of once, at the caller.  The brute-force
-    sums in ``tests/oracles.py`` check the density and the mean
-    independently.
+    it as `check_asym_sidorenko` does, in integers: the density's and the
+    mean's numerators over W's integer form, cross-multiplied.  A margin
+    of at least 0 HOLDS, and returns the one report that every holding
+    bridge shares, with no witness; a negative one is VIOLATED, and only
+    then are t_bip, (integral W)^e, their difference and the witness
+    built as fractions.  The sum reads the integer form that W built when
+    it was constructed, the tables that W keeps from its first density
+    and the cached part-oriented pattern, and a large one is warned of
+    once, at the caller.  The brute-force sums in ``tests/oracles.py``
+    check the density and the mean independently.
     """
     return _graphon_check("directed-bipartite-margin-bridge", _part_oriented(pattern), w)
 

@@ -13,16 +13,18 @@ so a path costs about (#parts)^2 steps per vertex; the hom counters in
 `counting` keep an order chosen for pruning.  Each pattern's sum is one
 generated function (`_kernel_source`), compiled once and cached on the
 sorted edges (`_sum_kernel`): a loop per position with the images as
-locals, each memo read before it descends, a detached position (one no
-later key holds) summed inline, and one row of #parts sums per image of
-the rest of an attached position's key.  A plan too deep for one
-function runs as a chain of functions passed the images they read.  Only
-integers of the plan go into the source.  The value tables depend on W
-alone (`_value_tables`): a density keeps the last two graphon forms', so
-densities of several patterns read in a row on one W share them (the
-switching identity of criterion 04 reads each W ten times: five patterns,
-both densities), and so do densities that alternate between two graphons
-(criterion 13 reads W/2 and W per pattern); plain cell lists, which a
+locals, each memo read before it descends, and one row of #parts sums
+per image of the rest of an attached position's key.  A detached
+position (one no later key holds) with one back edge reads its sum from
+a table D[c] = sum_x w_x M[c][x], one with two from a table
+P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where M and M' are W's values or
+their transpose by the edges' directions; one with none or more sums its
+loop inline.  A plan too deep for one function runs as a chain of
+functions passed the images they read.  Only integers of the plan go
+into the source.  The tables depend on W alone (`_value_tables`): each
+graphon builds its own at its first density and keeps them, each D or P
+table built at its first read, so every later density on that W reads
+them, whatever graphons were read in between; plain cell lists, which a
 caller may change between sums, get new tables on every call.
 `_density` never warns.  Each public entry (`t_step`, `t_bip_step` and
 the graphon checks in `sidorenko`) prices its sums once with
@@ -46,7 +48,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice, permutations
 from math import floor, lcm
 from operator import mul
@@ -88,7 +90,8 @@ class StepGraphon:
     all values lie in [0,1].  The constructor checks both on the integer
     form it keeps in ``_form``, which is not a field: (the lengths over
     their least common denominator, that denominator, the values over
-    theirs, that denominator).
+    theirs, that denominator).  Its first density builds the tables that
+    every density on it reads, kept in ``_tables``, not a field either.
     """
 
     part_lengths: tuple[Fraction, ...]
@@ -128,11 +131,17 @@ class StepGraphon:
     def num_parts(self) -> int:
         return len(self.part_lengths)
 
+    @cached_property
+    def _tables(self) -> "_ValueTables":
+        """`_value_tables` of the integer form, built at the first density
+        and kept, like ``_form``, on the instance and not as a field."""
+        lnum, _, vnum, _ = self._form
+        return _value_tables(lnum, vnum)
+
     def integral(self) -> Fraction:
         """The mean of the graphon (its single-edge density)."""
-        lnum, dl, vnum, dv = self._form
-        return Fraction(sum(li * sum(map(mul, row, lnum)) for li, row in zip(lnum, vnum)),
-                        dl * dl * dv)
+        _, dl, _, dv = self._form
+        return Fraction(_mean_numerator(self._form), dl * dl * dv)
 
     def scale(self, c) -> "StepGraphon":
         """Pointwise multiply by c in [0,1]."""
@@ -141,6 +150,13 @@ class StepGraphon:
             raise ValueError("scale factor must lie in [0,1]")
         return StepGraphon(self.part_lengths,
                            [[x * c for x in row] for row in self.values])
+
+
+def _mean_numerator(form: tuple) -> int:
+    """The mean of a graphon with integer form ``form`` times dl^2 * dv,
+    for its length denominator dl and value denominator dv."""
+    lnum, _, vnum, _ = form
+    return sum(li * sum(map(mul, row, lnum)) for li, row in zip(lnum, vnum))
 
 
 def from_oriented(graph: OrientedGraph) -> StepGraphon:
@@ -294,28 +310,51 @@ def _images(key: tuple[int, ...]) -> str:
     return f"c{key[0]}" if len(key) == 1 else f"({''.join(f'c{j}, ' for j in key)})"
 
 
+def _table_read(bk: tuple[tuple[int, int], ...]) -> Optional[tuple[str, str]]:
+    """The sum table (`_ValueTables`) a detached position with back edges
+    ``bk`` reads its sum from, and the source of its index: D{t} at
+    [c{j}] for one back edge (j, t), and P{t1}{t2} at [c{j1}][c{j2}] for
+    two, ordered so that t1 <= t2; None for none and for three or more,
+    which keep their loop."""
+    if len(bk) == 1:
+        (j, t), = bk
+        return f"D{t}", f"[c{j}]"
+    if len(bk) == 2:
+        (j1, t1), (j2, t2) = sorted(bk, key=lambda edge: edge[1])
+        return f"P{t1}{t2}", f"[c{j1}][c{j2}]"
+    return None
+
+
 def _kernel_source(plan: tuple) -> str:
     """The source of `_map_sum`'s kernel for a `_sum_plan`: a function
-    ``kernel(k, F, T0, T1, M0, M1)`` of the part count and `_value_tables`
-    (F the first position's pairs, T0 and T1 the table rows of the value
-    matrix and its transpose, M0 and M1 those matrices).
+    ``kernel(k, tables)`` of the part count and `_value_tables`, which it
+    reads by name: F the first position's pairs, T0 and T1 the table rows
+    of the value matrix and its transpose, M0 and M1 those matrices, and
+    the D and P sum tables its detached positions read.
 
     Position i's code nests in the loop of the position before it and
     leaves the sum over positions i..v-1 in ``s{i}``.  Its loop binds its
     image ``c{i}`` and factor ``f{i}`` from the row its first back edge
     selects; the value rows of its other back edges, fetched before the
-    loop, multiply in.  A detached position's loop only sums its factor.
-    The memo of position i + 1 is keyed on the images of its key after a
-    detached position, and of its prefix after an attached one, where it
-    holds rows of k sums indexed by ``c{i}``.  Once a function's code is
-    nested `_KERNEL_DEPTH` levels deep, position i's sum is a call of a
-    new function ``g{i}`` of the images of its key.
+    loop, multiply in.  A detached position with one or two back edges
+    reads its sum from a D or P table (`_table_read`); one with none or
+    more than two only sums its factor.  The memo of position i + 1 is
+    keyed on the images of its key after a detached position, and of its
+    prefix after an attached one, where it holds rows of k sums indexed by
+    ``c{i}``; a last position that reads a table keeps no memo.  Once a
+    function's code is nested `_KERNEL_DEPTH` levels deep, position i's
+    sum is a call of a new function ``g{i}`` of the images of its key.
     """
     back, keys, memos, detached, prefixes = plan
     if not back:
-        return "def kernel(k, F, T0, T1, M0, M1):\n    return 1\n"
+        return "def kernel(k, tables):\n    return 1\n"
     last = len(back) - 1
-    kernel = ["def kernel(k, F, T0, T1, M0, M1):"]
+    reads = [_table_read(bk) if det else None for bk, det in zip(back, detached)]
+    if reads[last]:
+        # A memo would only stand in for one table read.
+        memos, prefixes = memos[:last] + (None,), prefixes[:last] + (None,)
+    kernel = ["def kernel(k, tables):"]
+    names: set[str] = set()  # the tables the kernel reads
     done: list[list[str]] = []  # the closed functions, the kernel's body first
     # The open function's first position, lines and base indentation, the
     # lines that close each of its positions, innermost last, and how deep
@@ -328,16 +367,24 @@ def _kernel_source(plan: tuple) -> str:
             done.append(_close(body, tails, base, start))
             start, body, base, tails, depth = i, [f"    def g{i}({args}):"], 2, [], 0
         pad = "    " * (base + depth)
-        table = f"T{bk[0][1]}[c{bk[0][0]}]" if bk else "F"
-        rows = [f"x{i}_{n}" for n in range(len(bk) - 1)]
-        body += [f"{pad}{x} = M{t}[c{j}]" for x, (j, t) in zip(rows, bk[1:])]
-        factor = "".join(f" * {x}[c{i}]" for x in rows)
         nxt = i + 1
-        body.append(f"{pad}s{i} = 0")
+        if reads[i]:
+            names.add(reads[i][0])
+            body.append(f"{pad}s{i} = {''.join(reads[i])}")
+        else:
+            table = f"T{bk[0][1]}" if bk else "F"
+            rows = [f"x{i}_{n}" for n in range(len(bk) - 1)]
+            names.update([table] + [f"M{t}" for _, t in bk[1:]])
+            if bk:
+                table += f"[c{bk[0][0]}]"
+            body += [f"{pad}{x} = M{t}[c{j}]" for x, (j, t) in zip(rows, bk[1:])]
+            factor = "".join(f" * {x}[c{i}]" for x in rows)
+            body.append(f"{pad}s{i} = 0")
         # How the next suffix sum s{nxt} joins s{i}, and the memo slot it
         # is read from (get) and stored in (put), if any.
         if detached[i]:
-            body += [f"{pad}for c{i}, f{i} in {table}:", f"{pad}    s{i} += f{i}{factor}"]
+            if not reads[i]:
+                body += [f"{pad}for c{i}, f{i} in {table}:", f"{pad}    s{i} += f{i}{factor}"]
             if i == last:
                 break
             body.append(f"{pad}if s{i}:")
@@ -370,6 +417,7 @@ def _kernel_source(plan: tuple) -> str:
             tails.append([f"{pad}    u{nxt} = {put} = s{nxt}", f"{pad}{join} u{nxt}"])
             depth += 1
     done.append(_close(body, tails, base, start))
+    kernel[1:1] = [f"    {name} = tables[{name!r}]" for name in sorted(names)]
     # Each function is defined before the kernel's body calls the first.
     for lines in done[1:] + done[:1]:
         kernel += lines
@@ -394,36 +442,45 @@ def _sum_kernel(v: int, edges: tuple[tuple[int, int], ...]) -> Callable:
     return scope.pop("kernel")
 
 
-def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]
-                  ) -> tuple[tuple, list, list[tuple[int, int]]]:
+class _ValueTables(dict):
+    """`_value_tables`: the tables `_map_sum`'s kernels read, by name.  A
+    D or P sum table is built on its first read and kept with the rest."""
+
+    def __missing__(self, name: str) -> list:
+        # D{t}[a] = sum_c w_c * M{t}[a][c], the sum over T{t}[a]'s factors;
+        # P{t1}{t2}[a][b] = sum_c w_c * M{t1}[a][c] * M{t2}[b][c].
+        rows = self[f"T{name[1]}"]
+        if name[0] == "D":
+            table = [sum(f for _, f in row) for row in rows]
+        else:
+            other = self[f"M{name[2]}"]
+            table = [[sum(f * m[c] for c, f in row) for m in other] for row in rows]
+        self[name] = table
+        return table
+
+
+def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]) -> _ValueTables:
     """The tables `_map_sum` reads, which depend on the weights and values
-    alone: the value matrix and its transpose, each matrix's table rows of
-    nonzero (part, weight * value) pairs, and the (part, weight) pairs of
-    the first position.  Parts of weight 0 are left out of every table."""
+    alone: the value matrix M0 and its transpose M1, each matrix's table
+    rows T0 and T1 of nonzero (part, weight * value) pairs, and the (part,
+    weight) pairs F of the first position.  The sum tables D0, D1, P00,
+    P01 and P11 of detached positions (`_table_read`) are built on their
+    first read, so only the ones a kernel reads are.  Parts of weight 0
+    are left out of every table."""
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
     parts = [c for c in range(len(weights)) if weights[c]]
-    tables = [[[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
-              for m in matrices]
-    return matrices, tables, [(c, weights[c]) for c in parts]
-
-
-@lru_cache(maxsize=2)
-def _form_tables(form: tuple) -> tuple:
-    """`_value_tables` of a graphon's integer form.  The last two forms'
-    are kept, for densities read in a row on one W, such as criterion 04's
-    five patterns, each by `t_step` and `t_bip_step`, and for densities
-    that alternate between two graphons, such as criterion 13's
-    t(B, W/2) and t(B, W) per pattern; a margin bridge sums one density
-    and builds them once."""
-    lnum, _, vnum, _ = form
-    return _value_tables(lnum, vnum)
+    tables = _ValueTables(F=[(c, weights[c]) for c in parts])
+    for t, m in enumerate(matrices):
+        tables[f"M{t}"] = m
+        tables[f"T{t}"] = [[(c, weights[c] * row[c]) for c in parts if row[c]] for row in m]
+    return tables
 
 
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
              values: Sequence[Sequence[int]], kernel: Optional[Callable] = None,
-             tables: Optional[tuple] = None) -> int:
+             tables: Optional[_ValueTables] = None) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
@@ -434,28 +491,36 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     back to placed vertices, and skips a part at a zero factor.  The sum
     over positions i..v-1 depends only on the images of position i's key
     (`_sum_plan`), so it is memoised per call on them and read before the
-    loops below run; a detached position is summed inline.  A plan nested
-    deeper than one function may hold runs as a chain of functions, each
-    passed the images it reads, and only integers of the plan go into the
-    source.  Parts of weight 0 are left out of every table.  With k parts
-    the work is at most sum_i k^(|key_i| + 1) steps rather than k^v.
-    ``kernel`` and ``tables`` (`_value_tables` of the weights and values)
-    are for a caller that already holds them; only the memo is built on
-    every call.
+    loops below run.  A detached position reads its sum from a table of
+    the weights and values when it has one back edge (D) or two (P), and
+    sums its loop inline otherwise.  A plan nested deeper than one
+    function may hold runs as a chain of functions, each passed the images
+    it reads, and only integers of the plan go into the source.  Parts of
+    weight 0 are left out of every table.  With k parts the work is at
+    most sum_i k^(|key_i| + 1) steps rather than k^v.  ``kernel`` and
+    ``tables`` (`_value_tables` of the weights and values) are for a
+    caller that already holds them, such as a graphon's densities; without
+    them the call builds its own tables.  The memo is built on every call.
     """
     if kernel is None:
         kernel = _sum_kernel(v, tuple(sorted(edges)))
-    matrices, tables, first = tables or _value_tables(weights, values)
-    return kernel(len(weights), first, *tables, *matrices)
+    return kernel(len(weights), _value_tables(weights, values) if tables is None else tables)
+
+
+def _density_total(pattern: OrientedGraph, w: StepGraphon) -> int:
+    """t(pattern, W) * dl^v * dv^e, unpriced, for W's integer form with
+    length denominator dl and value denominator dv."""
+    v, edges = pattern.vertex_count, pattern.sorted_edges()
+    lnum, _, vnum, _ = w._form
+    return _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), w._tables)
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     """t(pattern, W), unpriced: each public entry warns of its sums once,
     before it runs them."""
-    v, edges = pattern.vertex_count, pattern.sorted_edges()
-    lnum, dl, vnum, dv = form = w._form
-    total = _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), _form_tables(form))
-    return Fraction(total, dl ** v * dv ** pattern.edge_count)
+    _, dl, _, dv = w._form
+    return Fraction(_density_total(pattern, w),
+                    dl ** pattern.vertex_count * dv ** pattern.edge_count)
 
 
 def t_step(pattern: OrientedGraph, w: StepGraphon) -> Fraction:

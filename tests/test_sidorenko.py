@@ -354,12 +354,36 @@ class TestBridge:
         b = brute_t_bip_step(C4_BIP, w)
         bound = reference_integral(w) ** C4_BIP.edge_count
         off = b - bound + Fraction(1, 2**20)
-        real = sidorenko._density
-        monkeypatch.setattr(sidorenko, "_density", lambda pattern, w: real(pattern, w) - off)
+        # The check decides on the integer total, the density times
+        # dl^v * dv^e; the shifted total is a Fraction, which the decision
+        # and the witness read exactly.
+        _, dl, _, dv = w._form
+        real = sidorenko._density_total
+        monkeypatch.setattr(sidorenko, "_density_total",
+                            lambda pattern, w: real(pattern, w) - off * dl ** 4 * dv ** 4)
         report = check_equivalence_bridge(C4_BIP, w)
         assert report.verdict == VIOLATED
         assert report.witness == CheckWitness(w, b - off, bound, b - off - bound)
         assert report.witness.margin == -Fraction(1, 2**20)
+
+    def test_holding_report_is_shared_per_name(self):
+        # A check that holds returns the one frozen report of its property
+        # name; a violation returns a new report with its witness.
+        ws = [random_graphon(3, seed=seed) for seed in (4, 5)]
+        bridges = [check_equivalence_bridge(p, w) for p in (K2_BIP, C4_BIP) for w in ws]
+        asym = [check_asym_sidorenko(p, w) for p in (K2_BIP, C4_BIP) for w in ws]
+        directed = [check_directed_sidorenko_graphon(EDGE, w) for w in ws]
+        for reports, name in ((bridges, "directed-bipartite-margin-bridge"),
+                              (asym, "asymmetric-sidorenko"),
+                              (directed, "directed-sidorenko-graphon")):
+            assert all(r is reports[0] for r in reports)
+            assert reports[0] == sidorenko.CheckReport(name, HOLDS, None, 1)
+        # The directed 2-path on W: t = 1/16 < (5/16)^2.
+        w = StepGraphon([Fraction(1, 2)] * 2, [[0, 1], [Fraction(1, 4), 0]])
+        first, second = (check_directed_sidorenko_graphon(PATH3, w) for _ in range(2))
+        assert first.verdict == second.verdict == VIOLATED and first is not second
+        assert first.witness == second.witness == CheckWitness(
+            w, Fraction(1, 16), Fraction(25, 256), Fraction(-9, 256))
 
     def test_holds_builds_no_witness(self, monkeypatch):
         # A margin of at least 0 holds with no witness, so a bridge that

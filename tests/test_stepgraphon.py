@@ -691,6 +691,86 @@ class TestMapSum:
         assert seen[True, False] > 200 and seen[True, True] > 50 and seen[False, False] > 10
 
 
+# A detached position with one or two back edges reads its sum from one of
+# W's sum tables, by the orientations t of its back edges in plan order:
+# D0 and D1 for (0,) and (1,), P00 and P11 for (0, 0) and (1, 1), and P01
+# for both (0, 1) and (1, 0), the latter with its two images swapped.
+# Stars have detached leaves with one back edge; K_{2,3} with its three
+# leaves joined to both hubs has two.  Which of (0, 1) and (1, 0) a leaf
+# gets depends on the labels, as back edges follow the sorted edges.
+SIGNATURE_BASES = {
+    "out-star": OrientedGraph(4, [(0, x) for x in (1, 2, 3)]),
+    "in-star": OrientedGraph(4, [(x, 0) for x in (1, 2, 3)]),
+    "k23-out": OrientedGraph(5, [(a, x) for a in (0, 1) for x in (2, 3, 4)]),
+    "k23-in": OrientedGraph(5, [(x, a) for a in (0, 1) for x in (2, 3, 4)]),
+    "k23-through": OrientedGraph(5, [(0, x) for x in (2, 3, 4)] + [(x, 1) for x in (2, 3, 4)]),
+    "k23-through-low": OrientedGraph(5, [(x, 3) for x in (0, 1, 2)]
+                                     + [(4, x) for x in (0, 1, 2)]),
+}
+
+
+def detached_signatures(pattern) -> set:
+    """The back-edge orientations of every detached position of the
+    pattern's plan that reads a sum table."""
+    back, _, _, detached, _ = stepgraphon._sum_plan(pattern.vertex_count,
+                                                    tuple(pattern.sorted_edges()))
+    return {tuple(t for _, t in bk) for bk, det in zip(back, detached) if det and 0 < len(bk) < 3}
+
+
+@st.composite
+def sum_table_cells(draw, max_parts=5, zero_weights=True):
+    """1-``max_parts`` parts, integer weights and values, about half of
+    them 0; every weight positive unless ``zero_weights``."""
+    k = draw(st.integers(1, max_parts))
+    entry = st.one_of(st.just(0), st.integers(0, 4))
+    weights = draw(st.lists(entry if zero_weights else st.integers(1, 4), min_size=k,
+                            max_size=k))
+    values = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+    return SimpleNamespace(num_parts=k, part_lengths=weights, values=values)
+
+
+class TestSumTables:
+    @pytest.mark.parametrize("name,signature", [
+        ("out-star", (0,)), ("in-star", (1,)), ("k23-out", (0, 0)), ("k23-in", (1, 1)),
+        ("k23-through", (0, 1)), ("k23-through-low", (1, 0)),
+    ])
+    def test_signature_bases(self, name, signature):
+        assert detached_signatures(SIGNATURE_BASES[name]) == {signature}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(SIGNATURE_BASES)), sum_table_cells())
+    def test_plain_cells_match_brute_force(self, name, w):
+        # Plain lists build their tables on every call; parts of weight 0
+        # are left out of the sum tables too.
+        pattern = SIGNATURE_BASES[name]
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        assert stepgraphon._map_sum(v, edges, w.part_lengths, w.values) == brute_t_step(pattern, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(sorted(SIGNATURE_BASES)), sum_table_cells(4, zero_weights=False))
+    def test_graphons_match_brute_force(self, names, cells):
+        # Every base on one graphon, in a drawn order and twice each: later
+        # densities read the sum tables that earlier ones built and kept.
+        total = sum(cells.part_lengths)
+        w = StepGraphon([Fraction(x, total) for x in cells.part_lengths],
+                        [[Fraction(x, 4) for x in row] for row in cells.values])
+        for name in names + names:
+            pattern = SIGNATURE_BASES[name]
+            assert t_step(pattern, w) == brute_t_step(pattern, w)
+        assert {"D0", "D1", "P00", "P01", "P11"} <= set(vars(w)["_tables"])
+
+    def test_only_the_tables_a_plan_reads_are_built(self):
+        w = random_graphon(3, seed=8)
+        t_step(SIGNATURE_BASES["out-star"], w)
+        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "T0", "T1"]
+        t_step(SIGNATURE_BASES["k23-through-low"], w)
+        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "P01", "T0", "T1"]
+        # K_{3,3}'s detached positions have three back edges and keep their
+        # loops, so it reads no sum table.
+        t_step(MEMO_ROW_BASES["k33"], w)
+        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "P01", "T0", "T1"]
+
+
 @st.composite
 def graphon_families(draw, max_parts=4):
     """Two or three step graphons on the same parts: a base, and one or
@@ -723,9 +803,10 @@ class TestValueTables:
     @given(graphon_families(), st.lists(st.tuples(st.integers(0, 2), oriented_graphs(),
                                                   bipartite_graphs()), min_size=2, max_size=8))
     def test_interleaved_densities_match_brute_force(self, family, calls):
-        # The densities keep the tables of the last two graphon forms they read:
-        # a graphon with the same values on other lengths, or the same
-        # lengths with another value, must not reuse them.
+        # Each graphon keeps its own tables, sum tables included, and
+        # densities of several patterns read them in turn: a graphon with
+        # the same values on other lengths, or the same lengths with
+        # another value, must not read another's.
         for index, pattern, bip in calls:
             w = family[index % len(family)]
             assert t_step(pattern, w) == brute_t_step(pattern, w)
@@ -733,7 +814,7 @@ class TestValueTables:
 
     @pytest.fixture
     def builds(self, monkeypatch) -> Counter:
-        """A count of `_value_tables` calls, from an empty `_form_tables`."""
+        """A count of `_value_tables` calls."""
         builds = Counter()
         real = stepgraphon._value_tables
 
@@ -742,27 +823,21 @@ class TestValueTables:
             return real(*args)
 
         monkeypatch.setattr(stepgraphon, "_value_tables", counted)
-        stepgraphon._form_tables.cache_clear()
         return builds
 
     def test_tables_built_once_per_graphon_and_per_cell_list(self, monkeypatch, builds):
-        # A bridge builds W's tables for its one sum, a second graphon
-        # builds its own, and a graphon read again after one other is
-        # still kept, since two forms' are kept; a third graphon evicts
-        # the form read least recently.  Each sum on plain cell lists (one
-        # in find_lambda0, one per polish step) builds new ones.
+        # Each graphon builds its tables at its first density and keeps
+        # them, in whatever order graphons are read.  Each sum on plain
+        # cell lists (one in find_lambda0, one per polish step and one to
+        # certify a witness) builds new ones, and a returned witness has
+        # had no density summed on it.
         c4 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         w1, w2, w3 = (random_graphon(4, seed=seed) for seed in (1, 2, 3))
         check_equivalence_bridge(c4, w1)
         assert builds == {"tables": 1}
-        check_equivalence_bridge(c4, w2)
-        check_equivalence_bridge(c4, w1)
-        assert builds == {"tables": 2}
-        check_equivalence_bridge(c4, w3)
-        check_equivalence_bridge(c4, w1)
+        for w in (w2, w1, w3, w1, w2):
+            check_equivalence_bridge(c4, w)
         assert builds == {"tables": 3}
-        check_equivalence_bridge(c4, w2)
-        assert builds == {"tables": 4}
 
         builds.clear()
         find_lambda0(TRIANGLE)
@@ -770,20 +845,31 @@ class TestValueTables:
         assert builds == {"tables": 2}
 
         sums = Counter()
-        for name in ("_exact_density", "t_step"):
-            def wrapped(*args, _real=getattr(forcing, name), _name=name):
-                sums[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(forcing, name, wrapped)
+        real = forcing._exact_density
+
+        def wrapped(*args):
+            sums["_exact_density"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(forcing, "_exact_density", wrapped)
         builds.clear()
-        assert forcing_witness_search(TRIANGLE, Fraction(1, 4), parts=2, seed=0,
-                                      restarts=1) is not None
+        witness = forcing_witness_search(TRIANGLE, Fraction(1, 4), parts=2, seed=0, restarts=1)
+        assert witness is not None and "_tables" not in vars(witness)
         assert sums["_exact_density"] > 1
-        assert builds["tables"] == sums["_exact_density"] + sums["t_step"]
+        assert builds["tables"] == sums["_exact_density"]
+
+    def test_kept_tables_are_not_fields(self):
+        # Equality, hashing and repr read the fields alone, so a graphon
+        # whose densities built tables still equals its twin.
+        w = random_graphon(3, seed=7)
+        twin = StepGraphon(w.part_lengths, w.values)
+        check_equivalence_bridge(BipartiteGraph(1, 2, [(0, 0), (0, 1)]), w)
+        assert "_tables" in vars(w) and "_tables" not in vars(twin)
+        assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
 
     def test_tables_built_twice_per_graphon_in_criterion_13_order(self, builds):
         # Criterion 13 reads t(B, W/2) and then t(B, W) for each pattern:
-        # the two forms' tables are both kept, so each graphon builds 2
+        # W and W/2 each keep their own tables, so each graphon builds 2
         # table sets, not one per density.
         rng = random.Random(0)
         graphons = [random_graphon(4, rng=rng) for _ in range(20)]
