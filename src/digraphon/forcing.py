@@ -21,7 +21,8 @@ from .graphs import OrientedGraph, hom_to_edge_bipartition, underlying_has_cycle
 from .stepgraphon import (
     StepGraphon,
     _as_fraction,
-    _map_sum,
+    _equal_parts_graphon,
+    _exact_density,
     cut_norm_centered,
     from_oriented,
 )
@@ -54,7 +55,7 @@ def w_lambda(lam) -> StepGraphon:
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0,1]")
     values, d = _lambda_numerators(lam)
-    return StepGraphon([Fraction(1, 4)] * 4, [[Fraction(x, d) for x in row] for row in values])
+    return _equal_parts_graphon(values, d)
 
 
 def _homogeneous(poly: Sequence[int], a: int, b: int) -> int:
@@ -372,12 +373,6 @@ def _pgd_candidate(t_and_grad, parts: int, e: int, p: float, seed: int,
     return x
 
 
-def _exact_density(pattern: OrientedGraph, cells: list[list[int]]) -> int:
-    """t(B, W) * d^e * parts^v, for the step graphon W on len(cells) equal
-    parts whose values are the integer numerators ``cells`` over d."""
-    return _map_sum(pattern.vertex_count, pattern.sorted_edges(), [1] * len(cells), cells)
-
-
 def _rationalize(x: np.ndarray, unit: int) -> list[list[int]]:
     """The cells rounded to the 1/2^16 grid, clamped to [0, 1], as
     numerators over d = unit * 2^16."""
@@ -558,8 +553,7 @@ def forcing_witness_search(
             continue
         if abs(_exact_density(pattern, cells) - target) > tol_exact * scale:
             continue
-        w = StepGraphon([Fraction(1, parts)] * parts,
-                        [[Fraction(c, d) for c in row] for row in cells])
+        w = _equal_parts_graphon(cells, d)
         if abs(w.integral() - p_exact) > tol_exact:
             continue
         if cut_norm_centered(w, p_exact).value < separation_floor:

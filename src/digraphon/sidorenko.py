@@ -1,8 +1,16 @@
 """Checkers for the directed and asymmetric Sidorenko properties.
 
-Every comparison is exact rational arithmetic; reports carry the margin
-(how far the instance is from violating the inequality) so a verdict can
-always be recomputed from its witness.
+Every comparison is exact; reports carry the margin (how far the instance
+is from violating the inequality) so a verdict can always be recomputed
+from its witness.  The directed and asymmetric checks are one inequality,
+t(H, W) >= (integral W)^e, decided in one place: `_margin` is its
+integer numerator from a density's and a mean's integer totals over
+their host's denominators, and `_witness` builds the fractions of one
+violating instance.  A graph host on n vertices is the case of n equal
+parts with 0/1 values: its hom count over n^v and its edge count over
+n^2.  The exhaustive scan reads both from its tally keys, the graphon
+checks and the bridge from W's integer form, and the random batches from
+each instance's integer cells, so only a violation builds fractions.
 """
 
 from __future__ import annotations
@@ -24,13 +32,13 @@ from .graphs import (
 )
 from .stepgraphon import (
     StepGraphon,
-    _density,
     _density_total,
-    _mean_numerator,
+    _equal_parts_graphon,
+    _exact_density,
     _part_oriented,
     _priced_terms,
+    _random_cells,
     _warn_if_large,
-    random_graphon,
 )
 
 HOLDS = "holds-on-family"
@@ -70,26 +78,30 @@ class CheckReport:
         return self.verdict == VIOLATED
 
 
-def _report(name: str, min_margin: Optional[Fraction], witness: Optional[CheckWitness],
-            checked: int, complete: bool = True) -> CheckReport:
-    violated = min_margin is not None and min_margin < 0
-    return CheckReport(
-        property_name=name,
-        verdict=VIOLATED if violated else HOLDS,
-        witness=witness if violated else None,
-        instances_checked=checked,
-        complete=complete,
-    )
+def _report(name: str, witness: Optional[CheckWitness], checked: int,
+            complete: bool = True) -> CheckReport:
+    """The report of a check that is violated, by ``witness``, or that
+    holds when ``witness`` is None."""
+    return CheckReport(name, HOLDS if witness is None else VIOLATED, witness, checked, complete)
 
 
 # ---------------------------------------------------------------------------
-# Directed Sidorenko: t(B, G) >= t(edge, G)^e(B)
+# Directed Sidorenko: t(B, G) >= t(edge, G)^e(B) on graphs, and
+# t(B, W) >= (integral W)^e(B) on graphons, decided in integers
 # ---------------------------------------------------------------------------
 
-def directed_sidorenko_margin(pattern: OrientedGraph, host: OrientedGraph) -> CheckWitness:
-    lhs = t_directed(pattern, host)
-    edge_density = Fraction(host.edge_count, host.vertex_count ** 2)
-    rhs = edge_density ** pattern.edge_count
+def _margin(total: int, mean: int, d: int, v: int, e: int) -> int:
+    """The margin t - m^e times d^(v+2e) * dv^e, for a density t = total /
+    (d^v * dv^e) and a mean m = mean / (d^2 * dv): negative exactly when
+    the instance violates.  A graph host on n vertices is d = n, dv = 1,
+    its hom count and its edge count."""
+    return total * d ** (2 * e) - mean ** e * d ** v
+
+
+def _witness(host: object, total: int, mean: int, d: int, dv: int, v: int, e: int) -> CheckWitness:
+    """The witness of the instance whose `_margin` is read from ``total``
+    and ``mean``: t, m^e and their difference as fractions."""
+    lhs, rhs = Fraction(total, d ** v * dv ** e), Fraction(mean, d * d * dv) ** e
     return CheckWitness(host, lhs, rhs, lhs - rhs)
 
 
@@ -117,8 +129,7 @@ def check_directed_sidorenko_exhaustive(
     remaining = instance_cap
     complete = True
     checked = 0
-    best_margin: Optional[Fraction] = None
-    best_host = (0, 0)
+    best = None
     for n in range(1, n_max + 1):
         total = oriented_graph_count(n)
         count = min(total, remaining)
@@ -127,24 +138,24 @@ def check_directed_sidorenko_exhaustive(
         if tally:
             checked += sum(hosts for hosts, _ in tally.values())
             # Every host on n vertices shares the denominator n^(v+2e) of its
-            # margin t(B,G) - (e_G/n^2)^e, so the minimum is taken over the
-            # integer numerators hom*n^(2e) - e_G^e*n^v; ties keep the
-            # earliest index.
-            hom_scale, edge_scale = n ** (2 * e), n ** v
-            numerator, index = min((hom * hom_scale - edges ** e * edge_scale, first)
-                                   for (hom, edges), (_, first) in tally.items())
+            # margin, so the minimum is taken over the `_margin` numerators;
+            # ties keep the earliest index.
+            numerator, index, hom, edges = min(
+                (_margin(hom, edges, n, v, e), first, hom, edges)
+                for (hom, edges), (_, first) in tally.items())
             margin = Fraction(numerator, n ** (v + 2 * e))
-            if best_margin is None or margin < best_margin:
-                best_margin = margin
-                best_host = (n, index)
+            if best is None or margin < best[0]:
+                best = (margin, n, index, hom, edges)
         if count < total:
             # The cap cut this size short; larger sizes are not even counted.
             complete = False
             break
     witness = None
-    if best_margin is not None and best_margin < 0:
-        witness = directed_sidorenko_margin(pattern, oriented_graph_from_index(*best_host))
-    return _report("directed-sidorenko", best_margin, witness, checked, complete)
+    if best is not None and best[0] < 0:
+        # The tally key holds the witness's hom and edge counts.
+        _, n, index, hom, edges = best
+        witness = _witness(oriented_graph_from_index(n, index), hom, edges, n, 1, v, e)
+    return _report("directed-sidorenko", witness, checked, complete)
 
 
 @lru_cache(maxsize=None)
@@ -155,21 +166,18 @@ def _holding_report(name: str) -> CheckReport:
 
 
 def _graphon_check(name: str, pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
-    """Test t(pattern, W) >= (integral W)^e on one graphon: one priced sum
-    and one mean, decided in integers, and a witness with its margin only
-    for a violation."""
+    """Test t(pattern, W) >= (integral W)^e on one graphon: one priced sum,
+    W's kept mean and the sign of their `_margin`, with a witness only for
+    a violation."""
     # Frames up from the warning: `_warn_if_large`, this, the public
     # check, its caller.
     _warn_if_large(_priced_terms(pattern, w.num_parts), 4)
     v, e = pattern.vertex_count, pattern.edge_count
     _, dl, _, dv = w._form
-    # t = total / (dl^v dv^e) and the mean is mean / (dl^2 dv), so t is at
-    # least the mean to the e exactly when total dl^(2e) >= mean^e dl^v.
-    total, mean = _density_total(pattern, w), _mean_numerator(w._form)
-    if total * dl ** (2 * e) >= mean ** e * dl ** v:
+    total, mean = _density_total(pattern, w), w._mean
+    if _margin(total, mean, dl, v, e) >= 0:
         return _holding_report(name)
-    lhs, rhs = Fraction(total, dl ** v * dv ** e), Fraction(mean, dl * dl * dv) ** e
-    return CheckReport(name, VIOLATED, CheckWitness(w, lhs, rhs, lhs - rhs), 1)
+    return _report(name, _witness(w, total, mean, dl, dv, v, e), 1)
 
 
 def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
@@ -179,20 +187,30 @@ def check_directed_sidorenko_graphon(pattern: OrientedGraph, w: StepGraphon) -> 
 
 def _random_batch(name: str, pattern: OrientedGraph, instances: int, parts: int,
                   seed: int, denominator: int) -> CheckReport:
-    """The graphon check over seeded random rational graphons, its sums
-    priced once, reporting the minimal margin (earliest graphon on ties)."""
+    """The graphon check over seeded random graphons on equal parts, its
+    sums priced once.  Each instance is the integer cells that
+    `random_graphon` would draw from the same stream, summed without
+    building a graphon; all instances share d = parts and dv =
+    denominator, so the least `_margin` numerator is the least margin
+    (earliest instance on ties), and only a violated batch builds a
+    graphon, for its witness."""
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     _warn_if_large(_priced_terms(pattern, parts), 4)
+    v, e = pattern.vertex_count, pattern.edge_count
     rng = random.Random(seed)
-    best: Optional[CheckWitness] = None
+    best = None
     for _ in range(instances):
-        w = random_graphon(parts, rng=rng, denominator=denominator)
-        lhs = _density(pattern, w)
-        rhs = w.integral() ** pattern.edge_count
-        if best is None or lhs - rhs < best.margin:
-            best = CheckWitness(w, lhs, rhs, lhs - rhs)
-    return _report(name, best.margin, best, instances)
+        cells = _random_cells(parts, denominator, rng)
+        total, mean = _exact_density(pattern, cells), sum(map(sum, cells))
+        margin = _margin(total, mean, parts, v, e)
+        if best is None or margin < best[0]:
+            best = (margin, cells, total, mean)
+    margin, cells, total, mean = best
+    if margin >= 0:
+        return _report(name, None, instances)
+    w = _equal_parts_graphon(cells, denominator)
+    return _report(name, _witness(w, total, mean, parts, denominator, v, e), instances)
 
 
 def check_directed_sidorenko_random(
@@ -242,16 +260,16 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
     part 2, so t(H, W) = t_bip(B, W) by definition, and both margins
     subtract the same (integral W)^e: they are one number.  The bridge sums
     it once, as the density of H (the sum `t_bip_step` runs), and decides
-    it as `check_asym_sidorenko` does, in integers: the density's and the
-    mean's numerators over W's integer form, cross-multiplied.  A margin
-    of at least 0 HOLDS, and returns the one report that every holding
-    bridge shares, with no witness; a negative one is VIOLATED, and only
-    then are t_bip, (integral W)^e, their difference and the witness
-    built as fractions.  The sum reads the integer form that W built when
-    it was constructed, the tables that W keeps from its first density
-    and the cached part-oriented pattern, and a large one is warned of
-    once, at the caller.  The brute-force sums in ``tests/oracles.py``
-    check the density and the mean independently.
+    it as `check_asym_sidorenko` does, by the sign of its `_margin`: the
+    density's numerator over W's integer form against the mean's, which W
+    keeps.  A margin of at least 0 HOLDS, and returns the one report that
+    every holding bridge shares, with no witness; a negative one is
+    VIOLATED, and only then are t_bip, (integral W)^e, their difference
+    and the witness built as fractions.  The sum reads the integer form
+    that W built when it was constructed, the tables that W keeps from
+    its first density and the cached part-oriented pattern, and a large
+    one is warned of once, at the caller.  The brute-force sums in
+    ``tests/oracles.py`` check the density and the mean independently.
     """
     return _graphon_check("directed-bipartite-margin-bridge", _part_oriented(pattern), w)
 
@@ -264,4 +282,4 @@ def check_second_sidorenko(pattern: OrientedGraph, host: OrientedGraph) -> Check
     lhs = t_directed(pattern, host)
     rhs = Fraction(1, 2) ** pattern.edge_count * t_undirected(underlying(pattern), underlying(host))
     wit = CheckWitness(host, lhs, rhs, lhs - rhs)
-    return _report("second-directed-sidorenko", wit.margin, wit, 1)
+    return _report("second-directed-sidorenko", wit if wit.margin < 0 else None, 1)

@@ -91,7 +91,8 @@ class StepGraphon:
     form it keeps in ``_form``, which is not a field: (the lengths over
     their least common denominator, that denominator, the values over
     theirs, that denominator).  Its first density builds the tables that
-    every density on it reads, kept in ``_tables``, not a field either.
+    every density on it reads, kept in ``_tables``, and its first mean the
+    mean's numerator, kept in ``_mean``; neither is a field.
     """
 
     part_lengths: tuple[Fraction, ...]
@@ -138,10 +139,18 @@ class StepGraphon:
         lnum, _, vnum, _ = self._form
         return _value_tables(lnum, vnum)
 
+    @cached_property
+    def _mean(self) -> int:
+        """The mean's numerator over dl^2 * dv, for the integer form's
+        length denominator dl and value denominator dv, kept like
+        ``_tables``: `integral()` and the graphon checks read it."""
+        lnum, _, vnum, _ = self._form
+        return sum(li * sum(map(mul, row, lnum)) for li, row in zip(lnum, vnum))
+
     def integral(self) -> Fraction:
         """The mean of the graphon (its single-edge density)."""
         _, dl, _, dv = self._form
-        return Fraction(_mean_numerator(self._form), dl * dl * dv)
+        return Fraction(self._mean, dl * dl * dv)
 
     def scale(self, c) -> "StepGraphon":
         """Pointwise multiply by c in [0,1]."""
@@ -152,21 +161,13 @@ class StepGraphon:
                            [[x * c for x in row] for row in self.values])
 
 
-def _mean_numerator(form: tuple) -> int:
-    """The mean of a graphon with integer form ``form`` times dl^2 * dv,
-    for its length denominator dl and value denominator dv."""
-    lnum, _, vnum, _ = form
-    return sum(li * sum(map(mul, row, lnum)) for li, row in zip(lnum, vnum))
-
-
 def from_oriented(graph: OrientedGraph) -> StepGraphon:
     """Edge-indicator step graphon on v(G) equal parts."""
     n = graph.vertex_count
     if n == 0:
         raise ValueError("empty graph has no step graphon")
-    values = [[_ONE if (i, j) in graph.edges else _ZERO for j in range(n)]
-              for i in range(n)]
-    return StepGraphon([Fraction(1, n)] * n, values)
+    return _equal_parts_graphon([[int((i, j) in graph.edges) for j in range(n)]
+                                 for i in range(n)], 1)
 
 
 def from_bipartite(graph: BipartiteGraph) -> StepGraphon:
@@ -515,6 +516,14 @@ def _density_total(pattern: OrientedGraph, w: StepGraphon) -> int:
     return _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), w._tables)
 
 
+def _exact_density(pattern: OrientedGraph, cells: Sequence[Sequence[int]]) -> int:
+    """t(pattern, W) * d^e * parts^v, for the step graphon W on len(cells)
+    equal parts whose values are the integer numerators ``cells`` over d.
+    Its tables are built for the call, as the cells may change between
+    calls."""
+    return _map_sum(pattern.vertex_count, pattern.sorted_edges(), [1] * len(cells), cells)
+
+
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:
     """t(pattern, W), unpriced: each public entry warns of its sums once,
     before it runs them."""
@@ -787,12 +796,23 @@ def random_graphon(parts: int, *, seed: Optional[int] = None,
                    rng: Optional[random.Random] = None,
                    denominator: int = 64) -> StepGraphon:
     """Seeded random step graphon on equal parts with values r/denominator."""
+    cells = _random_cells(parts, denominator, random.Random(seed) if rng is None else rng)
+    return _equal_parts_graphon(cells, denominator)
+
+
+def _random_cells(parts: int, denominator: int, rng: random.Random) -> list[list[int]]:
+    """The value numerators over ``denominator`` of one random graphon on
+    ``parts`` equal parts, drawn row by row from ``rng``: the one stream
+    that `random_graphon` and the random Sidorenko batches read."""
     if parts < 1:
         raise ValueError(f"parts must be at least 1, got {parts}")
     if denominator < 1:
         raise ValueError(f"denominator must be at least 1, got {denominator}")
-    if rng is None:
-        rng = random.Random(seed)
-    values = [[Fraction(rng.randint(0, denominator), denominator)
-               for _ in range(parts)] for _ in range(parts)]
-    return StepGraphon([Fraction(1, parts)] * parts, values)
+    return [[rng.randint(0, denominator) for _ in range(parts)] for _ in range(parts)]
+
+
+def _equal_parts_graphon(cells: Sequence[Sequence[int]], d: int) -> StepGraphon:
+    """The step graphon on len(cells) equal parts with values ``cells``
+    over d."""
+    return StepGraphon([Fraction(1, len(cells))] * len(cells),
+                       [[Fraction(c, d) for c in row] for row in cells])

@@ -43,6 +43,7 @@ from digraphon.forcing import (
 from digraphon.stepgraphon import _map_sum
 
 import digraphon.forcing as forcing
+import digraphon.stepgraphon as stepgraphon
 from oracles import (
     brute_t_gradient,
     brute_t_step,
@@ -205,7 +206,7 @@ class TestFindLambda0:
         def no_map_sum(*args, **kwargs):
             raise AssertionError("a density was summed")
 
-        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        monkeypatch.setattr(stepgraphon, "_map_sum", no_map_sum)
         with pytest.raises(ValueError, match=f"grid must be at most {MAX_LAMBDA_GRID}"):
             find_lambda0(TRIANGLE, PRECISION, grid=MAX_LAMBDA_GRID + 1)
 
@@ -220,7 +221,7 @@ class TestFindLambda0:
         def no_map_sum(*args, **kwargs):
             raise AssertionError("a density was summed")
 
-        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        monkeypatch.setattr(stepgraphon, "_map_sum", no_map_sum)
         with pytest.raises(ValueError, match="precision must be at least MIN_PRECISION"):
             find_lambda0(pattern, MIN_PRECISION / 2)
 
@@ -243,7 +244,7 @@ class TestFindLambda0:
         def no_map_sum(*args, **kwargs):
             raise AssertionError("a density was summed")
 
-        monkeypatch.setattr(forcing, "_map_sum", no_map_sum)
+        monkeypatch.setattr(stepgraphon, "_map_sum", no_map_sum)
         with pytest.raises(ValueError, match="precision must be positive"):
             find_lambda0(pattern, precision)
 
@@ -310,7 +311,7 @@ class TestLambdaPolynomial:
             calls.append(args)
             return _map_sum(*args, **kwargs)
 
-        monkeypatch.setattr(forcing, "_map_sum", counted)
+        monkeypatch.setattr(stepgraphon, "_map_sum", counted)
         find_lambda0(pattern)
         assert len(calls) == 1
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digraphon import (
@@ -33,10 +33,10 @@ from digraphon import (
     to_part_oriented,
     w_lambda,
 )
-from digraphon import sidorenko, stepgraphon
+from digraphon import counting, sidorenko, stepgraphon
 from digraphon.graphs import oriented_graph_count, oriented_graph_from_index
 
-from oracles import brute_hom_directed, brute_t_bip_step, reference_integral
+from oracles import brute_hom_directed, brute_t_bip_step, brute_t_step, reference_integral
 
 EDGE = OrientedGraph(2, [(0, 1)])
 PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
@@ -195,6 +195,23 @@ class TestExhaustiveDifferential:
         check_directed_sidorenko_exhaustive(EDGE, 3, workers=workers)
         assert len(decoded) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_witness_runs_no_count_after_the_tally(self, monkeypatch, workers):
+        # The witness reads its hom and edge counts from the tally key, so
+        # no hom count runs once the scan has its minimum.
+        def never(*args, **kwargs):
+            raise AssertionError("a hom count ran after the tally")
+
+        monkeypatch.setattr(sidorenko, "t_directed", never)
+        monkeypatch.setattr(counting, "hom_count_directed", never)
+        report = check_directed_sidorenko_exhaustive(PATH3, 4, workers=workers)
+        host = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        lhs = Fraction(brute_hom_directed(PATH3, host), 4 ** 3)
+        assert report == sidorenko.CheckReport(
+            "directed-sidorenko", VIOLATED,
+            CheckWitness(host, lhs, Fraction(9, 64), lhs - Fraction(9, 64)), 760)
+        assert (lhs, lhs - Fraction(9, 64)) == (Fraction(1, 16), Fraction(-5, 64))
+
     def test_cap_bounds_the_sizes_it_counts(self, monkeypatch):
         asked = []
 
@@ -285,6 +302,88 @@ class TestGraphonCheck:
             original = t_step(pattern, w) - w.integral() ** e
             scaled = t_step(pattern, w.scale(c)) - (c * w.integral()) ** e
             assert scaled == c ** e * original
+
+
+class TestRandomBatch:
+    def test_random_batch_digest(self):
+        # Directed batches (the paths and triangles are violated on some
+        # graphons) and asymmetric ones over seeds 0-2, parts 1-4 and
+        # denominators up to 2^70; the digest was taken when each instance
+        # was a StepGraphon decided on Fractions.
+        directed = (PATH3, TRIANGLE, TRANSITIVE, ALT_C4, to_part_oriented(C4_BIP))
+        asymmetric = (P3_BIP, C4_BIP, TREE4_BIP, BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)]))
+        lines = []
+        for seed in range(3):
+            for parts in range(1, 5):
+                for denominator in (1, 6, 64, 2**70):
+                    reports = [check_directed_sidorenko_random(
+                        p, instances=6, parts=parts, seed=seed, denominator=denominator)
+                        for p in directed]
+                    reports += [check_asym_sidorenko_random(
+                        p, instances=6, parts=parts, seed=seed, denominator=denominator)
+                        for p in asymmetric]
+                    for r in reports:
+                        lines.append(f"{r.property_name} {seed} {parts} {denominator} "
+                                     f"{r.verdict} {r.instances_checked}")
+                        if r.witness is not None:
+                            wit = r.witness
+                            lines.append(f" {wit.host.part_lengths} {wit.host.values} "
+                                         f"{wit.lhs} {wit.rhs} {wit.margin}")
+                        lines.append("\n")
+        text = "".join(lines)
+        assert text.count(VIOLATED) == 83
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "8ff54892ab352466c94942f1d8aa21d26e22ba80521d1bbe0c0f936a7bd82abb"
+
+    def test_violated_batch_builds_one_graphon(self, monkeypatch):
+        # The instances are integer cells; only the witness of a violated
+        # batch is built as a graphon, and no density is summed on it, so
+        # it keeps no tables.  A batch that holds builds none.
+        built = Counter()
+        real = StepGraphon.__init__
+
+        def counted(self, *args, **kwargs):
+            built["StepGraphon"] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepGraphon, "__init__", counted)
+        report = check_directed_sidorenko_random(PATH3, instances=5, parts=3)
+        assert report.verdict == VIOLATED and built == {"StepGraphon": 1}
+        assert "_tables" not in vars(report.witness.host)
+        built.clear()
+        report = check_asym_sidorenko_random(C4_BIP, instances=5, parts=3)
+        assert report.verdict == HOLDS and not built
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_patterns(max_n=4), small_bipartite_graphs(max_part=2)),
+           st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32),
+           st.sampled_from((1, 2, 6, 64)))
+    @example(PATH3, 5, 2, 0, 1)
+    def test_batch_matches_brute_force(self, pattern, instances, parts, seed, denominator):
+        # Each instance drawn cell by cell from the seeded stream, summed by
+        # brute force; the batch keeps the least margin, earliest on ties.
+        # In the example, instances 1 and 4 are distinct graphons that
+        # share the least margin -1/16.
+        if isinstance(pattern, BipartiteGraph):
+            check, density = check_asym_sidorenko_random, brute_t_bip_step
+        else:
+            check, density = check_directed_sidorenko_random, brute_t_step
+        rng = random.Random(seed)
+        best = None
+        for _ in range(instances):
+            w = StepGraphon([Fraction(1, parts)] * parts,
+                            [[Fraction(rng.randint(0, denominator), denominator)
+                              for _ in range(parts)] for _ in range(parts)])
+            lhs, rhs = density(pattern, w), reference_integral(w) ** pattern.edge_count
+            if best is None or lhs - rhs < best.margin:
+                best = CheckWitness(w, lhs, rhs, lhs - rhs)
+        report = check(pattern, instances=instances, parts=parts, seed=seed,
+                       denominator=denominator)
+        assert report.instances_checked == instances
+        if best.margin < 0:
+            assert report.verdict == VIOLATED and report.witness == best
+        else:
+            assert report.verdict == HOLDS and report.witness is None
 
 
 class TestAsymmetric:

@@ -860,12 +860,19 @@ class TestValueTables:
 
     def test_kept_tables_are_not_fields(self):
         # Equality, hashing and repr read the fields alone, so a graphon
-        # whose densities built tables still equals its twin.
+        # whose densities built tables, and whose check kept its mean,
+        # still equals its twin.
         w = random_graphon(3, seed=7)
         twin = StepGraphon(w.part_lengths, w.values)
         check_equivalence_bridge(BipartiteGraph(1, 2, [(0, 0), (0, 1)]), w)
-        assert "_tables" in vars(w) and "_tables" not in vars(twin)
+        assert {"_tables", "_mean"} <= vars(w).keys()
+        assert not {"_tables", "_mean"} & vars(twin).keys()
         assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+        # integral() reads the kept mean, which is the mean's numerator
+        # over dl^2 * dv.
+        _, dl, _, dv = w._form
+        assert w.integral() == twin.integral() == reference_integral(w)
+        assert w._mean == reference_integral(w) * dl * dl * dv
 
     def test_tables_built_twice_per_graphon_in_criterion_13_order(self, builds):
         # Criterion 13 reads t(B, W/2) and then t(B, W) for each pattern:
