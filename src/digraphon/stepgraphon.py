@@ -8,13 +8,15 @@ order of its own (`_sum_order`), pruning at zero cell values.  The sum
 over positions i.. of the order depends only on the images of position
 i's key, the earlier vertices with an edge to position i or later, so it
 is memoised on them: the work is at most sum_i (#parts)^(|key_i| + 1)
-steps, not (#parts)^v(pattern).  The order keeps the next key smallest,
-so a path costs about (#parts)^2 steps per vertex; the hom counters in
-`counting` keep an order chosen for pruning.  Each pattern's sum is one
-generated function (`_kernel_source`), compiled once and cached on the
-sorted edges (`_sum_kernel`): a loop per position with the images as
-locals, each memo read before it descends, and one row of #parts sums
-per image of the rest of an attached position's key.  A detached
+steps, not (#parts)^v(pattern).  The order prices each step as the
+kernel runs it, a table read at one power of #parts less than a loop,
+and then keeps the next key small, so a path costs about (#parts)^2
+steps per vertex; the hom counters in `counting` keep an order chosen
+for pruning.  Each pattern's sum is one generated function
+(`_kernel_source`), compiled once and cached on the sorted edges
+(`_sum_kernel`): a loop per position with the images as locals, each
+memo read before it descends, and one row of #parts sums per image of
+the rest of an attached position's key.  A detached
 position (one no later key holds) with one back edge reads its sum from
 a table D[c] = sum_x w_x M[c][x], one with two from a table
 P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where M and M' are W's values or
@@ -233,31 +235,65 @@ def _priced_terms(pattern: OrientedGraph, k: int) -> int:
 
 
 def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """The density sum's placement order of the vertices 0..v-1, a greedy
-    minimum-boundary order.
+    """The density sum's placement order of the vertices 0..v-1, greedy
+    on the steps its compiled kernel runs (`_kernel_source`).
 
-    Each next vertex x minimises (the number of placed vertices, x
-    included, with a neighbour still unplaced once x is placed; minus the
-    number of x's neighbours already placed; x).  The first term is the
-    size of the next position's key, so the order keeps the priced work
-    sum_i k^(|key_i| + 1) small: a path keeps one earlier vertex in every
-    key.  The second prefers vertices whose back edges prune at zero
-    values.  It costs O(v^3) set operations, once per cached plan.
+    Placing x after the placed set S costs k^a steps at k parts, where a
+    is the step's exponent: x's loop runs once per image of S's key (the
+    vertices of S with a neighbour still unplaced), so a = |key(S)| + 1.
+    A detached x (every neighbour placed) with one or two back edges reads
+    its sum from a D or P table (`_table_read`) instead, so there
+    a = |key(S)|.  Let b be the least exponent of a step after x.  Each
+    next vertex x minimises (max(a, b), min(a, b); the size of the next
+    key; minus the number of x's neighbours already placed; x).
+
+    The exponents are what the kernel pays, so the order trades a loop
+    for a table read where it can.  The lookahead lets it take a dear step
+    when that makes the next one a table read: on the 4-cycle 0-2-1-3 it
+    places 0, then 1, so that 2 and 3 each read a P table, where the next
+    key's size alone places 2 next and loops 1 under the images of 0 and
+    2.  The next key's size then keeps the priced work
+    sum_i k^(|key_i| + 1) small (a path keeps one earlier vertex in every
+    key), and the back edges prune at zero values.  The rank depends on
+    no k.  The exponents count no memo hits, so an order minimising
+    sum k^a over all orders measured slower than this greedy.  Each vertex
+    keeps its count of unplaced neighbours, so no step recomputes a key:
+    the order costs O(v * (v + e)) steps, once per cached plan.
     """
     adj = _neighbours(v, edges)
+    degree = [0] * v
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    # A vertex with one or two edges reads a table once its neighbours are
+    # placed, as its edges are then all back edges.
+    reads = [0 < d <= 2 for d in degree]
+    free = [len(n) for n in adj]  # each vertex's unplaced neighbours
+    placed = [False] * v
     order: list[int] = []
-    placed: set[int] = set()
     rest = list(range(v))
 
-    def rank(x: int) -> tuple[int, int, int]:
-        now = placed | {x}
-        return sum(1 for y in now if not adj[y] <= now), -len(adj[x] & placed), x
+    def rank(x: int) -> tuple[int, int, int, int, int]:
+        # Every exponent and key size less |key(S)|, which all candidates
+        # share.  The next key gains x if it has an unplaced neighbour and
+        # loses each placed neighbour whose last unplaced one x is.
+        a = 1 - (reads[x] and not free[x])
+        grow = (free[x] > 0) - sum(1 for y in adj[x] if placed[y] and free[y] == 1)
+        # Some step after x reads a table: a vertex that reads one now,
+        # or one whose last unplaced neighbour is x.
+        read = ready - (reads[x] and not free[x]) > 0 or any(
+            reads[y] and free[y] == 1 and not placed[y] for y in adj[x])
+        b = grow + 1 - read
+        return max(a, b), min(a, b), grow, free[x] - len(adj[x]), x
 
     while rest:
+        ready = sum(1 for y in rest if reads[y] and not free[y])  # read by rank
         best = min(rest, key=rank)
         order.append(best)
-        placed.add(best)
+        placed[best] = True
         rest.remove(best)
+        for y in adj[best]:
+            free[y] -= 1
     return order
 
 

@@ -338,3 +338,34 @@ def brute_index_edges(n: int, index: int, tournament: bool = False) -> list[tupl
         elif digit == 2:
             edges.append((v, u))
     return sorted(edges)
+
+
+def min_boundary_order(v: int, edges) -> list[int]:
+    """The density sum's former placement order, a greedy minimum-boundary
+    order: each next vertex x minimises (the placed vertices, x included,
+    with a neighbour still unplaced; minus x's placed neighbours; x)."""
+    adj = [{b for a, b in edges if a == x} | {a for a, b in edges if b == x} for x in range(v)]
+    order: list[int] = []
+    while len(order) < v:
+        def rank(x):
+            now = set(order) | {x}
+            return sum(1 for y in now if not adj[y] <= now), -len(adj[x] & set(order)), x
+        order.append(min((x for x in range(v) if x not in order), key=rank))
+    return order
+
+
+def table_credited_cost(v: int, edges, order, k: int) -> int:
+    """The steps a density-sum kernel runs along ``order`` at k parts, with
+    no memo hit: sum over positions of k^(|key| + 1), where the key is the
+    earlier vertices with a neighbour at this position or later, and
+    k^|key| at a position with no later neighbour and one or two back
+    edges, which reads a table instead of looping."""
+    pos = {x: i for i, x in enumerate(order)}
+    total = 0
+    for i, x in enumerate(order):
+        key = {a if pos[a] < i else b for a, b in edges
+               if min(pos[a], pos[b]) < i <= max(pos[a], pos[b])}
+        back = sum(1 for a, b in edges if x in (a, b) and pos[b if a == x else a] < i)
+        later = any(x in (a, b) and pos[b if a == x else a] > i for a, b in edges)
+        total += k ** (len(key) + 1 - (not later and 1 <= back <= 2))
+    return total

@@ -42,12 +42,14 @@ from oracles import (
     brute_cut_norm_centered,
     brute_t_bip_step,
     brute_t_step,
+    min_boundary_order,
     rectangle_sum,
     reference_bilinear_max,
     reference_cut_distance_upper,
     reference_heuristic_bilinear_max,
     reference_integral,
     reference_rectangle_integral,
+    table_credited_cost,
 )
 
 EDGE = OrientedGraph(2, [(0, 1)])
@@ -373,11 +375,13 @@ def detached_instances(draw, max_parts=3):
 # An attached position's key ends with the position before it, and
 # `_map_sum` keeps one memo row per image of the rest of the key, its
 # prefix.  The prefix has no entry on a path, holds the first vertex on a
-# cycle and two vertices on K_{3,3}; every key of a transitive tournament
-# is its whole prefix, so its positions get no getter.
+# 5-cycle and two vertices on K_{3,3}; every key of a transitive
+# tournament is its whole prefix, so its positions get no getter, and
+# neither do a 4-cycle's, whose last two positions read tables.
 MEMO_ROW_BASES = {
     "path": OrientedGraph(5, [(i, i + 1) for i in range(4)]),
     "cycle": OrientedGraph(4, [(i, (i + 1) % 4) for i in range(4)]),
+    "cycle5": OrientedGraph(5, [(i, (i + 1) % 5) for i in range(5)]),
     "k33": to_part_oriented(BipartiteGraph(3, 3, [(i, j) for i in range(3) for j in range(3)])),
     "tt4": OrientedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
 }
@@ -510,7 +514,8 @@ class TestMapSum:
                                                                   w.values)
 
     @pytest.mark.parametrize("name,sizes", [
-        ("path", {0, "none"}), ("cycle", {1, "none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
+        ("path", {0, "none"}), ("cycle", {"none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
+        ("cycle5", {1, "none"}),
     ])
     def test_memo_row_bases_cover_every_prefix_size(self, name, sizes):
         assert attached_prefix_sizes(MEMO_ROW_BASES[name]) == sizes
@@ -689,6 +694,42 @@ class TestMapSum:
                 assert len(caught) == (priced > 10**7)
                 seen[v * k ** v > 10**7, priced > 10**7] += 1
         assert seen[True, False] > 200 and seen[True, True] > 50 and seen[False, False] > 10
+
+
+# The order's regression sets: every part-oriented 3+3 pattern with no
+# isolated vertex (265), and every oriented pattern on 3 or 4 vertices
+# with none (656).
+ORDER_COST_PATTERNS = {
+    "part-oriented-3+3": [
+        to_part_oriented(BipartiteGraph(3, 3, cells))
+        for e in range(3, 10) for cells in combinations(
+            [(i, j) for i in range(3) for j in range(3)], e)
+        if {i for i, _ in cells} == {j for _, j in cells} == {0, 1, 2}],
+    "oriented-3-4": [
+        g for g in (oriented_graph_from_index(n, i)
+                    for n in (3, 4) for i in range(oriented_graph_count(n)))
+        if {x for edge in g.edges for x in edge} == set(range(g.vertex_count))],
+}
+
+
+class TestSumOrder:
+    @pytest.mark.parametrize("name,count", [("part-oriented-3+3", 265), ("oriented-3-4", 656)])
+    def test_order_costs_no_more_than_minimum_boundary(self, name, count):
+        # The steps the kernel runs with no memo hit, a table read at one
+        # power of k less than a loop: never more than along the former
+        # order on any pattern, and fewer in total, at every k.
+        patterns = ORDER_COST_PATTERNS[name]
+        assert len(patterns) == count
+        orders = []
+        for g in patterns:
+            v, edges = g.vertex_count, tuple(g.sorted_edges())
+            orders.append((v, edges, stepgraphon._sum_order(v, edges),
+                           min_boundary_order(v, edges)))
+        for k in (2, 4, 6, 8):
+            costs = [(table_credited_cost(v, edges, new, k), table_credited_cost(v, edges, old, k))
+                     for v, edges, new, old in orders]
+            assert all(new <= old for new, old in costs)
+            assert sum(new for new, _ in costs) < sum(old for _, old in costs)
 
 
 # A detached position with one or two back edges reads its sum from one of
