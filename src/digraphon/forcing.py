@@ -494,11 +494,14 @@ def forcing_witness_search(
     numerator over d = lcm(2^16, denominator of p).  Every cell of a witness
     lies on the 1/2^16 grid except at most one, which absorbs the exact mean
     remainder: when p * parts^2 is not a multiple of 1/2^16, no matrix on
-    the grid has mean exactly p.  A candidate counts as a witness only if, after
-    rationalization, |t(B,W) - p^e| <= tol, |mean(W) - p| <= tol, and the
-    centered cut norm is at least 10*tol, all verified with rationals.  The
-    density is verified first, on the integer cells, and the graphon is
-    built only once it passes, so a returned witness carries no density
+    the grid has mean exactly p.  A candidate counts as a witness only if
+    its mean is p, |t(B,W) - p^e| <= tol and its centered cut norm is at
+    least 10*tol, each certified exactly by one stage: the mean repair
+    makes the cell numerators sum to p * d * parts^2, and every polish
+    move keeps that sum; the polish returns True only when the integer
+    density residual on these cells is within floor(tol * d^e * parts^v);
+    and the cut norm is computed with rationals on the graphon, built only
+    once the polish passes, so a returned witness carries no density
     tables.  Returns the lexicographically smallest certified witness across
     restarts, or None if every restart fails.
 
@@ -537,9 +540,6 @@ def forcing_witness_search(
     unit = p_exact.denominator // gcd(p_exact.denominator, RATIONALIZE_DENOMINATOR)
     d = unit * RATIONALIZE_DENOMINATOR
     target_sum = int(p_exact * d) * parts * parts
-    # t(B, W) and p^e times d^e * parts^v, both integers.
-    scale = d ** e * parts ** v
-    target = int(p_exact * d) ** e * parts ** v
     separation_floor = 10 * tol_exact
 
     t_and_grad = _float_kernel(_map_cells(pattern, parts), parts, 1.0 / parts ** v)
@@ -551,11 +551,7 @@ def forcing_witness_search(
             continue
         if not _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d):
             continue
-        if abs(_exact_density(pattern, cells) - target) > tol_exact * scale:
-            continue
         w = _equal_parts_graphon(cells, d)
-        if abs(w.integral() - p_exact) > tol_exact:
-            continue
         if cut_norm_centered(w, p_exact).value < separation_floor:
             continue
         witnesses.append(w)

@@ -12,22 +12,25 @@ steps, not (#parts)^v(pattern).  The order prices each step as the
 kernel runs it, a table read at one power of #parts less than a loop,
 and then keeps the next key small, so a path costs about (#parts)^2
 steps per vertex; the hom counters in `counting` keep an order chosen
-for pruning.  Each pattern's sum is one generated function
-(`_kernel_source`), compiled once and cached on the sorted edges
-(`_sum_kernel`): a loop per position with the images as locals, each
-memo read before it descends, and one row of #parts sums per image of
-the rest of an attached position's key.  A detached
-position (one no later key holds) with one back edge reads its sum from
-a table D[c] = sum_x w_x M[c][x], one with two from a table
-P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where M and M' are W's values or
-their transpose by the edges' directions; one with none or more sums its
-loop inline.  A plan too deep for one function runs as a chain of
-functions passed the images they read.  Only integers of the plan go
-into the source.  The tables depend on W alone (`_value_tables`): each
-graphon builds its own at its first density and keeps them, each D or P
-table built at its first read, so every later density on that W reads
-them, whatever graphons were read in between; plain cell lists, which a
-caller may change between sums, get new tables on every call.
+for pruning.  Each pattern's plan (`_sum_plan`) decides every
+position's step, its loop or table read, and its memo; its sum is one
+generated function (`_kernel_source`) that only prints the plan,
+compiled once and cached on the sorted edges (`_sum_kernel`): a loop
+per position with the images as locals, each memo read before it
+descends, and one row of #parts sums per image of the rest of an
+attached position's key.  A detached position (one no later key holds)
+with one back edge reads its sum from a table D[c] = sum_x w_x M[c][x],
+one with two from a table P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where
+M and M' are W's values or their transpose by the edges' directions;
+one with none or more sums its loop inline.  No memo is kept from a
+position on whose every position reads a table, as no loop runs there.
+A plan too deep for one function runs as a chain of functions passed
+the images they read.  Only integers of the plan go into the source.
+The tables depend on W alone (`_value_tables`): each graphon builds its
+own at its first density and keeps them, each D or P table built at its
+first read, so every later density on that W reads them, whatever
+graphons were read in between; plain cell lists, which a caller may
+change between sums, get new tables on every call.
 `_density` never warns.  Each public entry (`t_step`, `t_bip_step` and
 the graphon checks in `sidorenko`) prices its sums once with
 `_priced_terms` and warns at its caller's line, through `_warn_if_large`,
@@ -226,7 +229,17 @@ def _priced_terms(pattern: OrientedGraph, k: int) -> int:
     sum_i k^(|key_i| + 1), not the k^v maps it sums over, where it can be
     above the warning threshold, and 0 elsewhere.  Every key i holds at
     most i < v positions, so the bound is at most v * k^v, and below the
-    threshold the plan is not priced."""
+    threshold the plan is not priced.
+
+    The bound covers a graphon's first density, which also builds the D
+    and P tables its plan reads: the back edges of a position that reads
+    a table start in its key, at two positions for a P table, so its term
+    k^(|key_i| + 1) is at least the k^2 additions of a D table or the k^3
+    of a P table.  `_sum_order` ranks a table read one power of k lower,
+    as a graphon keeps its tables once built; pricing those cheaper reads
+    plus the builds would price higher than this bound on 446 of the 656
+    oriented patterns on 3-4 vertices at k = 8, so the price keeps the
+    plain bound."""
     v = pattern.vertex_count
     if v * k ** v <= TERM_WARNING_THRESHOLD:
         return 0
@@ -301,25 +314,28 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
                          tuple[Optional[tuple[int, ...]], ...], tuple[bool, ...],
-                         tuple[Optional[tuple[int, ...]], ...]]:
+                         tuple[Optional[tuple[str, str]], ...]]:
     """The back edges of `_sum_order`, the key of every position, the key
     where `_map_sum` memoises each position, whether each position is
-    detached, and the key prefix where `_map_sum` keeps memo rows.
+    detached, and the table each detached position reads (`_table_read`).
+    `_kernel_source` prints this plan and decides nothing of its own.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
-    depends on the earlier images only through them.  A position whose key
-    is every earlier position is not memoised (None), as no key can repeat
-    there; nor is a position whose key equals that of the detached
-    position before it, as every sum from that position brings a new image
-    of the key.
-    A position is detached when the next key does not hold it (the last
-    position always is): no later factor reads its image, so its factor
-    summed over its parts multiplies the next suffix sum once.  Otherwise
-    the next position is attached: its key ends with this position, and
-    its prefix is that key without its last entry (None where the key is
-    not memoised).  Callers pass ``edges`` sorted so that equal patterns
-    share a cache entry.
+    depends on the earlier images only through them.  A position is
+    detached when the next key does not hold it (the last position always
+    is): no later factor reads its image, so its factor summed over its
+    parts multiplies the next suffix sum once.  A detached position with
+    one or two back edges reads that sum from a table; every other
+    position sums its loop (None).  Otherwise the next position is
+    attached: its key ends with this position, and its memo keeps one row
+    of sums per image of the key without its last entry, its prefix.
+    A position is not memoised (None) when its key is every earlier
+    position, as no key can repeat there; when its key equals that of the
+    detached position before it, as every sum from that position brings a
+    new image of the key; or when it and every later position read a
+    table, as no loop runs there.  Callers pass ``edges`` sorted so that
+    equal patterns share a cache entry.
     """
     back = _back_edges(_sum_order(v, edges), edges)
     reach = list(range(v))  # the latest position each position has an edge to
@@ -328,11 +344,13 @@ def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
             reach[j] = i
     keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
     detached = tuple(reach[i] == i for i in range(v))
-    memos = tuple(key if len(key) < i and not (detached[i - 1] and key == keys[i - 1])
-                  else None for i, key in enumerate(keys))
-    prefixes = tuple(key[:-1] if key is not None and not detached[i - 1] else None
-                     for i, key in enumerate(memos))
-    return back, keys, memos, detached, prefixes
+    reads = tuple(_table_read(bk) if det else None for bk, det in zip(back, detached))
+    # Every position from ``tail`` on reads a table, so no loop runs there.
+    tail = max((i + 1 for i, read in enumerate(reads) if read is None), default=0)
+    memos = tuple(key if i < tail and len(key) < i
+                  and not (detached[i - 1] and key == keys[i - 1]) else None
+                  for i, key in enumerate(keys))
+    return back, keys, memos, detached, reads
 
 
 # CPython compiles at most 20 nested loops into one function.  A kernel
@@ -367,29 +385,27 @@ def _kernel_source(plan: tuple) -> str:
     ``kernel(k, tables)`` of the part count and `_value_tables`, which it
     reads by name: F the first position's pairs, T0 and T1 the table rows
     of the value matrix and its transpose, M0 and M1 those matrices, and
-    the D and P sum tables its detached positions read.
+    the D and P sum tables its detached positions read.  It prints the
+    plan's steps and memos as they are and decides none of them.
 
     Position i's code nests in the loop of the position before it and
     leaves the sum over positions i..v-1 in ``s{i}``.  Its loop binds its
     image ``c{i}`` and factor ``f{i}`` from the row its first back edge
     selects; the value rows of its other back edges, fetched before the
-    loop, multiply in.  A detached position with one or two back edges
-    reads its sum from a D or P table (`_table_read`); one with none or
-    more than two only sums its factor.  The memo of position i + 1 is
-    keyed on the images of its key after a detached position, and of its
-    prefix after an attached one, where it holds rows of k sums indexed by
-    ``c{i}``; a last position that reads a table keeps no memo.  Once a
-    function's code is nested `_KERNEL_DEPTH` levels deep, position i's
-    sum is a call of a new function ``g{i}`` of the images of its key.
+    loop, multiply in.  A detached position for which the plan names a
+    table read (`_table_read`) reads its sum from that D or P table entry;
+    any other detached position only sums its factor.  The memo of
+    position i + 1, where the plan keeps one, is keyed on the images of
+    its key after a detached position, and of its prefix, the key less its
+    last entry i, after an attached one, where it holds rows of k sums
+    indexed by ``c{i}``.  Once a function's code is nested
+    `_KERNEL_DEPTH` levels deep, position i's sum is a call of a new
+    function ``g{i}`` of the images of its key.
     """
-    back, keys, memos, detached, prefixes = plan
+    back, keys, memos, detached, reads = plan
     if not back:
         return "def kernel(k, tables):\n    return 1\n"
     last = len(back) - 1
-    reads = [_table_read(bk) if det else None for bk, det in zip(back, detached)]
-    if reads[last]:
-        # A memo would only stand in for one table read.
-        memos, prefixes = memos[:last] + (None,), prefixes[:last] + (None,)
     kernel = ["def kernel(k, tables):"]
     names: set[str] = set()  # the tables the kernel reads
     done: list[list[str]] = []  # the closed functions, the kernel's body first
@@ -431,7 +447,7 @@ def _kernel_source(plan: tuple) -> str:
                 kernel.append(f"    m{nxt} = {{}}")
                 get, put = f"m{nxt}.get({key})", f"m{nxt}[{key}]"
         else:
-            pre = prefixes[nxt]
+            pre = None if memos[nxt] is None else memos[nxt][:-1]
             if pre == ():
                 kernel.append(f"    r{nxt} = [None] * k")
             elif pre is not None:
@@ -516,8 +532,7 @@ def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]) -> _V
 
 
 def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
-             values: Sequence[Sequence[int]], kernel: Optional[Callable] = None,
-             tables: Optional[_ValueTables] = None) -> int:
+             values: Sequence[Sequence[int]], tables: Optional[_ValueTables] = None) -> int:
     """Sum, over all maps g of the vertices 0..v-1 to parts, of
     prod_x weights[g(x)] * prod_{(a,b) in edges} values[g(a)][g(b)].
 
@@ -526,21 +541,21 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     cached on the sorted edges (`_sum_kernel`): one nested loop per
     position multiplies in its part weight and the values of its edges
     back to placed vertices, and skips a part at a zero factor.  The sum
-    over positions i..v-1 depends only on the images of position i's key
-    (`_sum_plan`), so it is memoised per call on them and read before the
-    loops below run.  A detached position reads its sum from a table of
-    the weights and values when it has one back edge (D) or two (P), and
-    sums its loop inline otherwise.  A plan nested deeper than one
-    function may hold runs as a chain of functions, each passed the images
-    it reads, and only integers of the plan go into the source.  Parts of
-    weight 0 are left out of every table.  With k parts the work is at
-    most sum_i k^(|key_i| + 1) steps rather than k^v.  ``kernel`` and
-    ``tables`` (`_value_tables` of the weights and values) are for a
-    caller that already holds them, such as a graphon's densities; without
-    them the call builds its own tables.  The memo is built on every call.
+    over positions i..v-1 depends only on the images of position i's key,
+    so it is memoised per call on them where the plan (`_sum_plan`) keeps
+    a memo, and read before the loops below run.  A detached position
+    reads its sum from a table of the weights and values when it has one
+    back edge (D) or two (P), and sums its loop inline otherwise.  A plan
+    nested deeper than one function may hold runs as a chain of
+    functions, each passed the images it reads, and only integers of the
+    plan go into the source.  Parts of weight 0 are left out of every
+    table.  With k parts the work is at most sum_i k^(|key_i| + 1) steps
+    rather than k^v.  ``tables`` (`_value_tables` of the weights and
+    values) is for a caller that already holds them, such as a graphon's
+    densities; without it the call builds its own.  The memo is built on
+    every call.
     """
-    if kernel is None:
-        kernel = _sum_kernel(v, tuple(sorted(edges)))
+    kernel = _sum_kernel(v, tuple(sorted(edges)))
     return kernel(len(weights), _value_tables(weights, values) if tables is None else tables)
 
 
@@ -549,7 +564,7 @@ def _density_total(pattern: OrientedGraph, w: StepGraphon) -> int:
     length denominator dl and value denominator dv."""
     v, edges = pattern.vertex_count, pattern.sorted_edges()
     lnum, _, vnum, _ = w._form
-    return _map_sum(v, edges, lnum, vnum, _sum_kernel(v, tuple(edges)), w._tables)
+    return _map_sum(v, edges, lnum, vnum, w._tables)
 
 
 def _exact_density(pattern: OrientedGraph, cells: Sequence[Sequence[int]]) -> int:

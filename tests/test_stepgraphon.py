@@ -375,15 +375,18 @@ def detached_instances(draw, max_parts=3):
 # An attached position's key ends with the position before it, and
 # `_map_sum` keeps one memo row per image of the rest of the key, its
 # prefix.  The prefix has no entry on a path, holds the first vertex on a
-# 5-cycle and two vertices on K_{3,3}; every key of a transitive
-# tournament is its whole prefix, so its positions get no getter, and
-# neither do a 4-cycle's, whose last two positions read tables.
+# 6-cycle and two vertices on K_{3,3}; every key of a transitive
+# tournament is its whole prefix, so its positions get no getter.  Nor do
+# a 4-cycle's attached positions, whose keys hold every earlier position,
+# or a 5-cycle's, whose one shorter key is at its last position, which
+# reads a table.
 MEMO_ROW_BASES = {
     "path": OrientedGraph(5, [(i, i + 1) for i in range(4)]),
     "cycle": OrientedGraph(4, [(i, (i + 1) % 4) for i in range(4)]),
     "cycle5": OrientedGraph(5, [(i, (i + 1) % 5) for i in range(5)]),
     "k33": to_part_oriented(BipartiteGraph(3, 3, [(i, j) for i in range(3) for j in range(3)])),
     "tt4": OrientedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "cycle6": OrientedGraph(6, [(i, (i + 1) % 6) for i in range(6)]),
 }
 
 
@@ -515,7 +518,7 @@ class TestMapSum:
 
     @pytest.mark.parametrize("name,sizes", [
         ("path", {0, "none"}), ("cycle", {"none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
-        ("cycle5", {1, "none"}),
+        ("cycle5", {"none"}), ("cycle6", {1, "none"}),
     ])
     def test_memo_row_bases_cover_every_prefix_size(self, name, sizes):
         assert attached_prefix_sizes(MEMO_ROW_BASES[name]) == sizes
@@ -810,6 +813,30 @@ class TestSumTables:
         # loops, so it reads no sum table.
         t_step(MEMO_ROW_BASES["k33"], w)
         assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "P01", "T0", "T1"]
+
+    @pytest.mark.parametrize("name,tails", [("part-oriented-3+3", 81), ("oriented-3-4", 188)])
+    def test_no_memo_where_every_later_position_reads_a_table(self, name, tails):
+        # No loop runs from such a position on, so a memo there would only
+        # stand in for table reads.  ``tails`` of the set's plans end in
+        # two or more positions that read a table.
+        seen = 0
+        for g in ORDER_COST_PATTERNS[name]:
+            v, edges = g.vertex_count, tuple(g.sorted_edges())
+            _, _, getters, _, reads = stepgraphon._sum_plan(v, edges)
+            source = kernel_source(v, edges)
+            first = next(i for i in range(v + 1) if all(reads[i:]))
+            seen += first < v - 1
+            for i in range(first, v):
+                assert getters[i] is None
+                assert f"m{i} = " not in source and f"r{i} = " not in source
+        assert seen == tails
+
+    def test_repeated_table_read_keeps_no_memo(self):
+        # The last two positions of this 3+3 pattern read the same P11
+        # entry; with no loop below them, neither keeps a memo row.
+        source = kernel_source(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4)])
+        assert source.count("P11[c3][c2]") == 2
+        assert not any(name in source for name in ("m4", "r4", "m5", "r5"))
 
 
 @st.composite
