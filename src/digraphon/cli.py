@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import forcing, sidorenko, tournaments
-from .counting import hom_count_bip, hom_count_directed, t_bip, t_directed
+from .counting import t_bip, t_directed
 from .graphs import (
     BipartiteGraph,
     OrientedGraph,
@@ -110,16 +110,22 @@ def _load(path: str, kind: str):
 def _cmd_density(args) -> int:
     pattern = _load(args.pattern, "D")
     host = _load(args.host, "D")
-    _emit({"t": format_rational(t_directed(pattern, host)),
-           "hom_count": str(hom_count_directed(pattern, host))})
+    # One count of the host: the hom count is the density times n^v.
+    t = t_directed(pattern, host)
+    _emit({"t": format_rational(t),
+           "hom_count": str(t * host.vertex_count ** pattern.vertex_count)})
     return EXIT_OK
 
 
 def _cmd_density_bip(args) -> int:
     pattern = _load(args.pattern, "B")
     host = _load(args.host, "B")
-    _emit({"t_bip": format_rational(t_bip(pattern, host)),
-           "hom_count": str(hom_count_bip(pattern, host))})
+    # One count of the host: the hom count is the density times
+    # n1^a1 * n2^a2.
+    t = t_bip(pattern, host)
+    _emit({"t_bip": format_rational(t),
+           "hom_count": str(t * host.part1_count ** pattern.part1_count
+                            * host.part2_count ** pattern.part2_count)})
     return EXIT_OK
 
 

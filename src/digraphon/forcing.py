@@ -381,17 +381,15 @@ def _rationalize(x: np.ndarray, unit: int) -> list[list[int]]:
             for row in x]
 
 
-def _repair_mean(cells: list[list[int]], target_sum: int, d: int) -> bool:
+def _repair_mean(cells: list[list[int]], target_sum: int, d: int) -> None:
     """Shift cell numerators in place, each within [0, d], until they sum
-    exactly to ``target_sum``."""
+    exactly to ``target_sum``.  It always can: every numerator starts in
+    [0, d], and the target lies in [0, d * parts^2]."""
     deficit = target_sum - sum(map(sum, cells))
     for row in cells:
         for j, c in enumerate(row):
-            if deficit == 0:
-                return True
             row[j] = min(max(c + deficit, 0), d)
             deficit -= row[j] - c
-    return deficit == 0
 
 
 def _scaled_gradient(t_and_grad, cells: list[list[int]], d: int, factor: int) -> list[int]:
@@ -495,8 +493,9 @@ def forcing_witness_search(
     lies on the 1/2^16 grid except at most one, which absorbs the exact mean
     remainder: when p * parts^2 is not a multiple of 1/2^16, no matrix on
     the grid has mean exactly p.  A candidate counts as a witness only if
-    its mean is p, |t(B,W) - p^e| <= tol and its centered cut norm is at
-    least 10*tol, each certified exactly by one stage: the mean repair
+    its mean is p, |t(B,W) - p^e| <= tol and its centered cut norm is
+    positive and at least 10*tol, so that it is not the constant p even at
+    tol = 0, each certified exactly by one stage: the mean repair
     makes the cell numerators sum to p * d * parts^2, and every polish
     move keeps that sum; the polish returns True only when the integer
     density residual on these cells is within floor(tol * d^e * parts^v);
@@ -547,12 +546,12 @@ def forcing_witness_search(
     for r in range(restarts):
         x = _pgd_candidate(t_and_grad, parts, e, float(p_exact), seed + r, max_iterations)
         cells = _rationalize(x, unit)
-        if not _repair_mean(cells, target_sum, d):
-            continue
+        _repair_mean(cells, target_sum, d)
         if not _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d):
             continue
         w = _equal_parts_graphon(cells, d)
-        if cut_norm_centered(w, p_exact).value < separation_floor:
+        separation = cut_norm_centered(w, p_exact).value
+        if separation == 0 or separation < separation_floor:
             continue
         witnesses.append(w)
     if not witnesses:

@@ -174,10 +174,11 @@ def parse_graphon(text: str) -> StepGraphon:
         raise InputFormatError(f"expected {k} part lengths, found {len(lengths)}")
     total = sum(lengths)
     if total != 1:
-        # Decimal inputs may carry rounding; absorb a tiny deficit into the
-        # last part so the exact sum-to-one invariant holds.  Rational
-        # inputs get no such slack.
-        has_decimal = any("." in tok for tok in length_tokens)
+        # Decimal inputs, with a point or an exponent, may carry rounding;
+        # absorb a tiny deficit into the last part so the exact sum-to-one
+        # invariant holds.  Rational inputs get no such slack.
+        has_decimal = any("." in tok or _DECIMAL_EXPONENT_RE.match(tok)
+                          for tok in length_tokens)
         if has_decimal and abs(total - 1) <= DECIMAL_LENGTH_TOLERANCE:
             lengths[-1] += 1 - total
         else:

@@ -67,6 +67,14 @@ class CheckWitness:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The verdict of one check over ``instances_checked`` instances.
+
+    Every report is built by `_report`, so ``verdict`` is VIOLATED exactly
+    when ``witness`` is given and its margin is negative, and HOLDS
+    otherwise.  A report that holds carries no witness, except the
+    anti-Sidorenko scan's, which always carries its densest tournament.
+    """
+
     property_name: str
     verdict: str
     witness: Optional[CheckWitness]
@@ -80,9 +88,11 @@ class CheckReport:
 
 def _report(name: str, witness: Optional[CheckWitness], checked: int,
             complete: bool = True) -> CheckReport:
-    """The report of a check that is violated, by ``witness``, or that
-    holds when ``witness`` is None."""
-    return CheckReport(name, HOLDS if witness is None else VIOLATED, witness, checked, complete)
+    """The report of check ``name``, and the one place a verdict is
+    decided: VIOLATED exactly when ``witness`` is given and its margin is
+    negative, HOLDS otherwise, so a verdict is a function of its witness."""
+    violated = witness is not None and witness.margin < 0
+    return CheckReport(name, VIOLATED if violated else HOLDS, witness, checked, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +172,7 @@ def check_directed_sidorenko_exhaustive(
 def _holding_report(name: str) -> CheckReport:
     """The one report of a graphon check ``name`` that holds: reports are
     frozen, so every check that holds returns it."""
-    return CheckReport(name, HOLDS, None, 1)
+    return _report(name, None, 1)
 
 
 def _graphon_check(name: str, pattern: OrientedGraph, w: StepGraphon) -> CheckReport:
@@ -281,5 +291,5 @@ def check_equivalence_bridge(pattern: BipartiteGraph, w: StepGraphon) -> CheckRe
 def check_second_sidorenko(pattern: OrientedGraph, host: OrientedGraph) -> CheckReport:
     lhs = t_directed(pattern, host)
     rhs = Fraction(1, 2) ** pattern.edge_count * t_undirected(underlying(pattern), underlying(host))
-    wit = CheckWitness(host, lhs, rhs, lhs - rhs)
-    return _report("second-directed-sidorenko", wit if wit.margin < 0 else None, 1)
+    witness = CheckWitness(host, lhs, rhs, lhs - rhs) if lhs < rhs else None
+    return _report("second-directed-sidorenko", witness, 1)

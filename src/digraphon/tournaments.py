@@ -20,7 +20,7 @@ from .graphs import (
     tournament_count,
     tournament_from_index,
 )
-from .sidorenko import HOLDS, VIOLATED, CheckReport, CheckWitness
+from .sidorenko import CheckReport, CheckWitness, _report
 
 DEFAULT_IMPARTIALITY_CAP = 6
 DEFAULT_ANTI_SIDORENKO_CAP = 5
@@ -80,8 +80,8 @@ def anti_sidorenko_check(
 
     The witness always carries the maximizing tournament (earliest index on
     ties), its density as ``lhs``, and the random-orientation bound as
-    ``rhs``; the margin is the slack rhs - lhs, negative exactly on
-    violation.
+    ``rhs``; the margin is the slack rhs - lhs, and `sidorenko._report`
+    reads the verdict from its sign.
     """
     if n > cap:
         raise EnumerationCapExceeded(f"n={n} exceeds anti-Sidorenko cap {cap}")
@@ -89,21 +89,8 @@ def anti_sidorenko_check(
         raise ValueError("need at least one vertex")
     total = tournament_count(n)
     tally = _tally(pattern, n, total, _TOURNAMENT_STATES, False, workers)
-    best = max(hom for hom, _ in tally)
-    best_index = min(first for (hom, _), (_, first) in tally.items() if hom == best)
-    max_density = Fraction(best, n ** pattern.vertex_count)
-    bound = Fraction(1, 2) ** pattern.edge_count
-    margin = bound - max_density
-    witness = CheckWitness(
-        host=tournament_from_index(n, best_index),
-        lhs=max_density,
-        rhs=bound,
-        margin=margin,
-        relation="<=",
-    )
-    return CheckReport(
-        property_name="tournament-anti-sidorenko",
-        verdict=VIOLATED if margin < 0 else HOLDS,
-        witness=witness,
-        instances_checked=total,
-    )
+    # The densest tournament: the most homomorphisms, earliest index on ties.
+    least, first = min((-hom, first) for (hom, _), (_, first) in tally.items())
+    lhs, rhs = Fraction(-least, n ** pattern.vertex_count), Fraction(1, 2) ** pattern.edge_count
+    witness = CheckWitness(tournament_from_index(n, first), lhs, rhs, rhs - lhs, "<=")
+    return _report("tournament-anti-sidorenko", witness, total)

@@ -485,6 +485,12 @@ class TestWitnessSearch:
         w = forcing_witness_search(TRIANGLE, p, 2, 0, restarts=1, max_iterations=0)
         assert w is None or (t_step(TRIANGLE, w) == p ** 3 and w.integral() == p)
 
+    def test_zero_tol_never_returns_a_constant(self):
+        # On one part the only graphon with mean p is the constant p, which
+        # meets every density exactly; its centred cut norm is 0, which is
+        # not a witness even at tol = 0.
+        assert forcing_witness_search(TRIANGLE, Fraction(1, 4), 1, 0, restarts=1) is None
+
     def test_oversized_search_fails_fast(self):
         # 4^12 * 11 edge-cell indices would take gigabytes to build.
         assert 4 ** 12 * 11 > MAX_PGD_INDICES
@@ -645,7 +651,8 @@ class TestIntegerPolish:
                                   min_size=parts * parts, max_size=parts * parts))
         cells = [[m * unit for m in grid[i * parts:(i + 1) * parts]] for i in range(parts)]
         target_sum = int(p * parts * parts * d)
-        assert _repair_mean(cells, target_sum, d)
+        _repair_mean(cells, target_sum, d)
+        assert sum(map(sum, cells)) == target_sum
         t_and_grad = _float_kernel(_map_cells(pattern, parts), parts,
                                    1.0 / parts ** pattern.vertex_count)
         ok = _polish_density(pattern, t_and_grad, cells, p, tol, d)

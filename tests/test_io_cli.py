@@ -13,6 +13,7 @@ from digraphon import (
     UndirectedGraph,
     w_lambda,
 )
+from digraphon import counting
 from digraphon.cli import _graph_json, main
 from digraphon.forcing import MAX_LAMBDA_GRID, MIN_PRECISION
 from digraphon.io import (
@@ -36,6 +37,11 @@ class TestParseRational:
     ])
     def test_forms(self, token, expected):
         assert parse_rational(token) == expected
+
+    def test_zero_base_with_negative_exponent(self):
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_rational("0^-2")
+        assert str(excinfo.value) == "cannot parse '0^-2': zero base with negative exponent"
 
     def test_rejects_garbage(self):
         with pytest.raises(InputFormatError):
@@ -134,6 +140,20 @@ class TestGraphFiles:
             parse_graph(text)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("", "empty graph file", id="empty"),
+        pytest.param("# a comment\n\n", "empty graph file", id="comments-only"),
+        pytest.param("D 2 1\n0\n", "edge line '0' must have two endpoints", id="one-endpoint"),
+        pytest.param("D 3 1\n0 1 2\n", "edge line '0 1 2' must have two endpoints",
+                     id="three-endpoints"),
+        pytest.param("U 2 2\n0 1\n1 0\n",
+                     "header announces 2 edges but 1 distinct edges parsed", id="repeated-edge"),
+    ])
+    def test_body_messages(self, text, message):
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_graph(text)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("graph,text", [
         (OrientedGraph(3, [(2, 1), (0, 1)]), "D 3 2\n0 1\n2 1\n"),
         (UndirectedGraph(3, [(1, 0), (1, 2)]), "U 3 2\n0 1\n1 2\n"),
@@ -175,6 +195,40 @@ class TestGraphonFiles:
         text = "W 3\n0.333333333333 0.333333333333 0.333333333334\n" + "0 0 0\n" * 3
         w = parse_graphon(text)
         assert sum(w.part_lengths) == 1
+
+    @pytest.mark.parametrize("length", [
+        pytest.param("333333333333333e-15", id="exponent"),
+        pytest.param("333333333333333E-15", id="capital-exponent"),
+        pytest.param("3.33333333333333e-1", id="point-and-exponent"),
+    ])
+    def test_exponent_decimal_length_slack_absorbed(self, length):
+        # An exponent makes a token a decimal as a point does, so the three
+        # thirds rounded to 15 digits load, the last part taking the rest.
+        w = parse_graphon(f"W 3\n{length} {length} {length}\n" + "0 0 0\n" * 3)
+        third = parse_rational(length)
+        assert w.part_lengths == (third, third, 1 - 2 * third)
+
+    def test_exponent_decimal_lengths_beyond_slack_rejected(self):
+        with pytest.raises(InputFormatError, match="part lengths sum to 9/10, not 1"):
+            parse_graphon("W 3\n3e-1 3e-1 3e-1\n" + "0 0 0\n" * 3)
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("", "empty graphon file", id="empty"),
+        pytest.param("# a comment\n", "empty graphon file", id="comments-only"),
+        pytest.param("V 1\n1\n0\n", "header 'V 1' must be 'W k'", id="wrong-letter"),
+        pytest.param("W\n", "header 'W' must be 'W k'", id="no-part-count"),
+        pytest.param("W 1 1\n1\n0\n", "header 'W 1 1' must be 'W k'", id="extra-field"),
+        pytest.param("W 2\n1/2 1/4 1/4\n0 0\n0 0\n", "expected 2 part lengths, found 3",
+                     id="three-lengths"),
+        pytest.param("W 2\n1\n0 0\n0 0\n", "expected 2 part lengths, found 1",
+                     id="one-length"),
+        pytest.param("W 2\n1/2 1/2\n0 0\n0\n", "value row '0' must have 2 entries",
+                     id="short-row"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_graphon(text)
+        assert str(excinfo.value) == message
 
     def test_bad_length_sum_rejected(self):
         with pytest.raises(InputFormatError):
@@ -271,6 +325,39 @@ class TestCli:
         assert code == 0
         assert lines[0]["t_bip"] == "5/18"
         assert lines[0]["hom_count"] == "10"
+
+    def test_densities_count_each_host_once(self, capsys, files, tmp_path, monkeypatch):
+        # The hom count is printed from the density, with no second search.
+        calls = []
+        real = counting._count_maps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_count_maps", counted)
+        code, lines = run_cli(capsys, "density", files["path3.graph"], files["tri.graph"])
+        assert (code, lines, len(calls)) == (0, [{"t": "1/9", "hom_count": "3"}], 1)
+        host = tmp_path / "h.graph"
+        host.write_text("B 2 3 4\n0 0\n0 1\n1 1\n1 2\n")
+        code, lines = run_cli(capsys, "density-bip", files["c4.graph"], str(host))
+        assert (code, lines, len(calls)) == (0, [{"t_bip": "5/18", "hom_count": "10"}], 2)
+
+    @pytest.mark.parametrize("command,pattern,host,message", [
+        pytest.param("density", "D 2 1\n0 1\n", "D 0 0\n",
+                     "empty host graph has no density", id="density"),
+        pytest.param("density-bip", "B 1 1 1\n0 0\n", "B 2 0 0\n",
+                     "empty host part has no density", id="density-bip"),
+    ])
+    def test_density_of_empty_host_is_input_error(self, capsys, tmp_path, command, pattern,
+                                                  host, message):
+        (tmp_path / "p.graph").write_text(pattern)
+        (tmp_path / "h.graph").write_text(host)
+        code = main([command, str(tmp_path / "p.graph"), str(tmp_path / "h.graph")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": message}
 
     def test_density_graphon(self, capsys, files, tmp_path):
         code, _ = run_cli(capsys, "wlambda", "--lambda", "1/2",
@@ -410,6 +497,14 @@ class TestCli:
         assert lines[0]["undirected_density_convention_q"] == "1/8"
         emitted = parse_graphon(out.read_text())
         assert emitted.integral() == Fraction(1, 16)
+
+    def test_search_witness_one_part_zero_tol_finds_none(self, capsys, files):
+        # The one graphon on one part with mean p is the constant p, which
+        # is not a witness even when it meets the density exactly.
+        code, lines = run_cli(capsys, "search-witness", files["tri.graph"],
+                              "--p", "1/4", "--parts", "1", "--tol", "0")
+        assert code == 1
+        assert lines == [{"found": False}]
 
     def test_search_witness_zero_parts_is_input_error(self, capsys, files):
         code, lines = run_cli(capsys, "search-witness", files["tri.graph"],

@@ -17,6 +17,7 @@ from digraphon import (
     CheckWitness,
     OrientedGraph,
     StepGraphon,
+    anti_sidorenko_check,
     check_asym_sidorenko,
     check_asym_sidorenko_random,
     check_directed_sidorenko_exhaustive,
@@ -48,6 +49,7 @@ K2_BIP = BipartiteGraph(1, 1, [(0, 0)])
 P3_BIP = BipartiteGraph(2, 1, [(0, 0), (1, 0)])
 C4_BIP = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 TREE4_BIP = BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
+STAR3 = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 @st.composite
@@ -619,3 +621,66 @@ class TestReportShape:
         report = check_directed_sidorenko_exhaustive(EDGE, 2)
         assert report.witness is None
         assert not report.violated
+
+
+class TestVerdictRule:
+    """`_report` decides every verdict: VIOLATED exactly when the report's
+    witness has a negative margin."""
+
+    # Each public check on an input it holds on and one it is violated on.
+    # No small bipartite pattern violates the asymmetric inequality, so
+    # those checks are violated on a density stubbed to 0 below a positive
+    # bound, as in `test_graphon_checks_warn_once_at_the_caller`.
+    @pytest.mark.parametrize("check,verdict,zero_density", [
+        pytest.param(lambda: check_directed_sidorenko_exhaustive(EDGE, 2),
+                     HOLDS, False, id="exhaustive-holds"),
+        pytest.param(lambda: check_directed_sidorenko_exhaustive(PATH3, 2),
+                     VIOLATED, False, id="exhaustive-violated"),
+        pytest.param(lambda: check_directed_sidorenko_graphon(EDGE, random_graphon(4, seed=0)),
+                     HOLDS, False, id="graphon-holds"),
+        pytest.param(lambda: check_directed_sidorenko_graphon(
+                         PATH3, from_oriented(oriented_knn(2))),
+                     VIOLATED, False, id="graphon-violated"),
+        pytest.param(lambda: check_directed_sidorenko_random(EDGE, instances=5, parts=3),
+                     HOLDS, False, id="random-holds"),
+        pytest.param(lambda: check_directed_sidorenko_random(PATH3, instances=5, parts=3),
+                     VIOLATED, False, id="random-violated"),
+        pytest.param(lambda: check_asym_sidorenko(C4_BIP, random_graphon(3, seed=4)),
+                     HOLDS, False, id="asymmetric-holds"),
+        pytest.param(lambda: check_asym_sidorenko(C4_BIP, random_graphon(3, seed=4)),
+                     VIOLATED, True, id="asymmetric-violated"),
+        pytest.param(lambda: check_asym_sidorenko_random(C4_BIP, instances=5, parts=3),
+                     HOLDS, False, id="asymmetric-random-holds"),
+        pytest.param(lambda: check_asym_sidorenko_random(C4_BIP, instances=5, parts=3),
+                     VIOLATED, True, id="asymmetric-random-violated"),
+        pytest.param(lambda: check_equivalence_bridge(C4_BIP, random_graphon(3, seed=4)),
+                     HOLDS, False, id="bridge-holds"),
+        pytest.param(lambda: check_equivalence_bridge(C4_BIP, random_graphon(3, seed=4)),
+                     VIOLATED, True, id="bridge-violated"),
+        pytest.param(lambda: check_second_sidorenko(PATH3, TRIANGLE),
+                     HOLDS, False, id="second-holds"),
+        pytest.param(lambda: check_second_sidorenko(PATH3, TRANSITIVE),
+                     VIOLATED, False, id="second-violated"),
+        pytest.param(lambda: anti_sidorenko_check(PATH3, 3),
+                     HOLDS, False, id="anti-sidorenko-holds"),
+        pytest.param(lambda: anti_sidorenko_check(STAR3, 5),
+                     VIOLATED, False, id="anti-sidorenko-violated"),
+    ])
+    def test_verdict_is_read_from_the_witness(self, check, verdict, zero_density,
+                                              monkeypatch):
+        if zero_density:
+            monkeypatch.setattr(stepgraphon, "_map_sum", lambda *args, **kwargs: 0)
+        report = check()
+        assert report.verdict == verdict
+        assert report.violated == (report.witness is not None and report.witness.margin < 0)
+
+    def test_zero_margin_witness_holds(self):
+        # The margin is the slack of the inequality, so equality holds.
+        witness = CheckWitness(EDGE, Fraction(1, 4), Fraction(1, 4), Fraction(0))
+        report = sidorenko._report("edge", witness, 3)
+        assert report == sidorenko.CheckReport("edge", HOLDS, witness, 3)
+        assert not report.violated
+        below = replace(witness, lhs=Fraction(1, 5), margin=Fraction(-1, 20))
+        report = sidorenko._report("edge", below, 3, complete=False)
+        assert report == sidorenko.CheckReport("edge", VIOLATED, below, 3, False)
+        assert sidorenko._report("edge", None, 3).verdict == HOLDS

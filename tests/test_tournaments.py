@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from digraphon import (
     HOLDS,
+    VIOLATED,
     EnumerationCapExceeded,
     OrientedGraph,
     Tournament,
@@ -29,6 +30,7 @@ PATH3 = OrientedGraph(3, [(0, 1), (1, 2)])
 PATH4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
 TRIANGLE = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
 IMPARTIAL4 = OrientedGraph(4, [(0, 1), (2, 3), (0, 2)])
+STAR3 = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
 
 CYCLIC_T3 = Tournament(3, [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE_T3 = Tournament(3, [(0, 1), (0, 2), (1, 2)])
@@ -121,6 +123,19 @@ class TestAntiSidorenko:
         assert report.verdict == HOLDS
         assert report.witness.lhs == Fraction(1, 4)
         assert report.witness.rhs == Fraction(1, 2)
+
+    def test_out_star_violated_on_five(self):
+        # In the transitive tournament on 5 vertices the out-star with three
+        # leaves has 4^3 + 3^3 + 2^3 + 1^3 = 100 homomorphisms: 100/5^4 =
+        # 4/25 is above 2^-3.  It is index 0, the earliest densest one.
+        report = anti_sidorenko_check(STAR3, 5)
+        assert report.verdict == VIOLATED and report.violated
+        assert report.instances_checked == 1024 and report.complete
+        wit = report.witness
+        assert wit.host == tournament_from_index(5, 0)
+        assert wit.host == Tournament(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        assert (wit.lhs, wit.rhs, wit.margin, wit.relation) == \
+            (Fraction(4, 25), Fraction(1, 8), Fraction(-7, 200), "<=")
 
     def test_witness_is_maximizer(self):
         report = anti_sidorenko_check(PATH3, 3)
