@@ -214,18 +214,20 @@ def _cmd_search_witness(args) -> int:
     pattern = _load(args.pattern, "D")
     p = parse_rational(args.p)
     tol = parse_rational(args.tol)
-    witness = forcing.forcing_witness_search(pattern, p, args.parts, tol, args.seed)
-    if witness is None:
+    found = forcing._witness_search(pattern, p, args.parts, tol, args.seed, forcing._RESTARTS,
+                                    forcing._MAX_ITERATIONS)
+    if found is None:
         _emit({"found": False})
         return EXIT_VIOLATED
+    witness, density, separation = found
     if args.emit:
         save_graphon(witness, args.emit)
     _emit({
         "found": True,
         "witness": _graphon_json(witness),
-        "t": format_rational(t_step(pattern, witness)),
+        "t": format_rational(density),
         "mean": format_rational(witness.integral()),
-        "cut_norm_centered": format_rational(cut_norm_centered(witness, p).value),
+        "cut_norm_centered": format_rational(separation),
         # Mean-of-W convention; under the directed-host reading where the
         # underlying undirected density tends to q, the mean corresponds to
         # q/2, so both numbers are surfaced.

@@ -40,6 +40,10 @@ RATIONALIZE_DENOMINATOR = 2**16
 PGD_STEP_SIZE = 0.05
 # The float descent indexes parts^v x e cells; larger searches are refused.
 MAX_PGD_INDICES = 2**20
+# forcing_witness_search's default restarts and descent steps, which the
+# command line's search also runs.
+_RESTARTS = 16
+_MAX_ITERATIONS = 2000
 
 
 def _lambda_numerators(lam: Fraction) -> tuple[list[list[int]], int]:
@@ -402,9 +406,12 @@ def _scaled_gradient(t_and_grad, cells: list[list[int]], d: int, factor: int) ->
 
 
 def _polish_density(pattern: OrientedGraph, t_and_grad, cells: list[list[int]],
-                    p: Fraction, tol: Fraction, d: int, rounds: int = 60) -> bool:
+                    p: Fraction, tol: Fraction, d: int, rounds: int = 60
+                    ) -> Optional[Fraction]:
     """Drive |t(B, W) - p^e| below ``tol`` with mean-preserving two-cell
     moves on the 1/2^16 grid, for W with cell numerators ``cells`` over d.
+    Returns the density t(B, W) it certified there, or None when the
+    residual stays above ``tol``.
 
     Each move shifts one cell by +delta and another by -delta, so the mean
     stays exact; delta is the linearized correction rounded down or up to a
@@ -427,7 +434,7 @@ def _polish_density(pattern: OrientedGraph, t_and_grad, cells: list[list[int]],
     residual = _exact_density(pattern, cells) - target
     for _ in range(rounds):
         if abs(residual) <= tol_scaled:
-            return True
+            break
         grad = dict(zip(all_cells, _scaled_gradient(t_and_grad, cells, d, scale // d)))
         candidates = []
         for c_up in all_cells:
@@ -449,7 +456,7 @@ def _polish_density(pattern: OrientedGraph, t_and_grad, cells: list[list[int]],
                         continue
                     candidates.append((abs(residual + slope * delta), c_up, c_down, delta))
         if not candidates:
-            return False
+            return None
         candidates.sort()
         improved = False
         for _, c_up, c_down, delta in candidates[:12]:
@@ -463,8 +470,8 @@ def _polish_density(pattern: OrientedGraph, t_and_grad, cells: list[list[int]],
             cells[c_up[0]][c_up[1]] -= delta
             cells[c_down[0]][c_down[1]] += delta
         if not improved:
-            return False
-    return abs(residual) <= tol_scaled
+            return None
+    return Fraction(residual + target, scale) if abs(residual) <= tol_scaled else None
 
 
 def forcing_witness_search(
@@ -474,8 +481,8 @@ def forcing_witness_search(
     tol=Fraction(1, 10**8),
     seed: int = 0,
     *,
-    restarts: int = 16,
-    max_iterations: int = 2000,
+    restarts: int = _RESTARTS,
+    max_iterations: int = _MAX_ITERATIONS,
 ) -> Optional[StepGraphon]:
     """Search for a non-constant step graphon W with mean p whose pattern
     density equals p^e(B), certifying the candidate in exact arithmetic.
@@ -497,8 +504,9 @@ def forcing_witness_search(
     positive and at least 10*tol, so that it is not the constant p even at
     tol = 0, each certified exactly by one stage: the mean repair
     makes the cell numerators sum to p * d * parts^2, and every polish
-    move keeps that sum; the polish returns True only when the integer
-    density residual on these cells is within floor(tol * d^e * parts^v);
+    move keeps that sum; the polish certifies a density only when the
+    integer density residual on these cells is within
+    floor(tol * d^e * parts^v);
     and the cut norm is computed with rationals on the graphon, built only
     once the polish passes, so a returned witness carries no density
     tables.  Returns the lexicographically smallest certified witness across
@@ -510,6 +518,15 @@ def forcing_witness_search(
     do ``restarts < 1``, ``max_iterations < 0``, ``tol < 0`` and a negative
     ``seed``.  Any integer type is accepted as the seed (``operator.index``).
     """
+    found = _witness_search(pattern, p, parts, tol, seed, restarts, max_iterations)
+    return None if found is None else found[0]
+
+
+def _witness_search(pattern: OrientedGraph, p, parts: int, tol, seed: int, restarts: int,
+                    max_iterations: int
+                    ) -> Optional[tuple[StepGraphon, Fraction, Fraction]]:
+    """`forcing_witness_search` with what it certified: the witness, its
+    density t(B, W) and its centred cut norm, or None."""
     p_exact = _as_fraction(p)
     if not 0 < p_exact < 1:
         raise ValueError("p must lie strictly between 0 and 1")
@@ -542,18 +559,17 @@ def forcing_witness_search(
     separation_floor = 10 * tol_exact
 
     t_and_grad = _float_kernel(_map_cells(pattern, parts), parts, 1.0 / parts ** v)
-    witnesses = []
+    found = []
     for r in range(restarts):
         x = _pgd_candidate(t_and_grad, parts, e, float(p_exact), seed + r, max_iterations)
         cells = _rationalize(x, unit)
         _repair_mean(cells, target_sum, d)
-        if not _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d):
+        density = _polish_density(pattern, t_and_grad, cells, p_exact, tol_exact, d)
+        if density is None:
             continue
         w = _equal_parts_graphon(cells, d)
         separation = cut_norm_centered(w, p_exact).value
         if separation == 0 or separation < separation_floor:
             continue
-        witnesses.append(w)
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: tuple(x for row in w.values for x in row))
+        found.append((w, density, separation))
+    return min(found, key=lambda f: tuple(x for row in f[0].values for x in row), default=None)

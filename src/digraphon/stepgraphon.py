@@ -15,22 +15,29 @@ steps per vertex; the hom counters in `counting` keep an order chosen
 for pruning.  Each pattern's plan (`_sum_plan`) decides every
 position's step, its loop or table read, and its memo; its sum is one
 generated function (`_kernel_source`) that only prints the plan,
-compiled once and cached on the sorted edges (`_sum_kernel`): a loop
-per position with the images as locals, each memo read before it
-descends, and one row of #parts sums per image of the rest of an
-attached position's key.  A detached position (one no later key holds)
-with one back edge reads its sum from a table D[c] = sum_x w_x M[c][x],
-one with two from a table P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where
-M and M' are W's values or their transpose by the edges' directions;
-one with none or more sums its loop inline.  No memo is kept from a
-position on whose every position reads a table, as no loop runs there.
+compiled once and cached on the vertex count and edge set
+(`_sum_kernel`): a loop per position with the images as locals, each
+memo read before it descends, and one row of #parts sums per image of
+the rest of an attached position's key.  A detached position (one no
+later key holds) with one back edge reads its sum from a table
+D[c] = sum_x w_x M[c][x], one with two from a table
+P[c][c'] = sum_x w_x M[c][x] M'[c'][x], where M and M' are W's values
+or their transpose by the edges' directions; one with none or more sums
+its loop inline.  A leaf (a vertex with one neighbour) follows the
+vertex it hangs from, and when that vertex reads a table the leaf is no
+step of its own: it weights w_x in the table by its own D table at x,
+as in P00_1[c][c'] = sum_x w_x D1[x] M[c][x] M[c'][x].  A run of
+positions that read one table entry reads it once, raised to the run's
+length.  No memo is kept from a position on whose every position reads
+a table, as no loop runs there, nor where the key holds every earlier
+loop, as no key repeats there.
 A plan too deep for one function runs as a chain of functions passed
 the images they read.  Only integers of the plan go into the source.
 The tables depend on W alone (`_value_tables`): each graphon builds its
-own at its first density and keeps them, each D or P table built at its
-first read, so every later density on that W reads them, whatever
-graphons were read in between; plain cell lists, which a caller may
-change between sums, get new tables on every call.
+own at its first density and keeps them, each D or P table, weighted or
+not, built at its first read, so every later density on that W reads
+them, whatever graphons were read in between; plain cell lists, which a
+caller may change between sums, get new tables on every call.
 `_density` never warns.  Each public entry (`t_step`, `t_bip_step` and
 the graphon checks in `sidorenko`) prices its sums once with
 `_priced_terms` and warns at its caller's line, through `_warn_if_large`,
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, permutations
-from math import floor, lcm
+from math import floor, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -235,11 +242,13 @@ def _priced_terms(pattern: OrientedGraph, k: int) -> int:
     and P tables its plan reads: the back edges of a position that reads
     a table start in its key, at two positions for a P table, so its term
     k^(|key_i| + 1) is at least the k^2 additions of a D table or the k^3
-    of a P table.  `_sum_order` ranks a table read one power of k lower,
-    as a graphon keeps its tables once built; pricing those cheaper reads
-    plus the builds would price higher than this bound on 446 of the 656
-    oriented patterns on 3-4 vertices at k = 8, so the price keeps the
-    plain bound."""
+    of a P table, weighted by leaves or not.  A taken leaf, which runs no
+    step, keeps its vertex as its key, so its term k^2 covers the D table
+    that weights its vertex's table.  `_sum_order` ranks a table read one
+    power of k lower, as a graphon keeps its tables once built; pricing
+    those cheaper reads plus the builds would price higher than this bound
+    on 468 of the 656 oriented patterns on 3-4 vertices at k = 8, so the
+    price keeps the plain bound."""
     v = pattern.vertex_count
     if v * k ** v <= TERM_WARNING_THRESHOLD:
         return 0
@@ -247,18 +256,37 @@ def _priced_terms(pattern: OrientedGraph, k: int) -> int:
     return sum(k ** (len(key) + 1) for key in keys)
 
 
+def _hangs(v: int, edges: Sequence[tuple[int, int]]) -> list[Optional[int]]:
+    """The vertex each leaf of the pattern hangs from, and None for every
+    other vertex: a leaf has one neighbour, and that neighbour has more
+    (so neither end of an isolated edge is a leaf).  A vertex whose every
+    neighbour would hang from it, a star's centre, keeps its least one
+    out of its leaves, so that it has an edge back to read a table with."""
+    adj = _neighbours(v, edges)
+    hangs = [y if len(n) == 1 and len(adj[y := min(n)]) > 1 else None for n in adj]
+    for y, n in enumerate(adj):
+        if n and all(hangs[x] == y for x in n):
+            hangs[min(n)] = None
+    return hangs
+
+
 def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     """The density sum's placement order of the vertices 0..v-1, greedy
-    on the steps its compiled kernel runs (`_kernel_source`).
+    on the steps its compiled kernel runs (`_kernel_source`), with each
+    leaf (`_hangs`) right after the vertex it hangs from.
 
-    Placing x after the placed set S costs k^a steps at k parts, where a
-    is the step's exponent: x's loop runs once per image of S's key (the
-    vertices of S with a neighbour still unplaced), so a = |key(S)| + 1.
-    A detached x (every neighbour placed) with one or two back edges reads
-    its sum from a D or P table (`_table_read`) instead, so there
-    a = |key(S)|.  Let b be the least exponent of a step after x.  Each
-    next vertex x minimises (max(a, b), min(a, b); the size of the next
-    key; minus the number of x's neighbours already placed; x).
+    The greedy places the core, the vertices that are no leaf, by their
+    edges among themselves.  Placing x after the placed set S costs k^a
+    steps at k parts, where a is the step's exponent: x's loop runs once
+    per image of S's key (the vertices of S with a neighbour still
+    unplaced), so a = |key(S)| + 1.  A detached x (every core neighbour
+    placed) with one or two back edges reads its sum from a D or P table
+    (`_table_read`) that takes its leaves in, so there a = |key(S)|.  Let
+    b be the least exponent of a step after x.  Each next vertex x
+    minimises (max(a, b), min(a, b); the size of the next key; minus the
+    number of x's neighbours already placed; x).  A leaf costs no step of
+    its own: its vertex's table takes it in, or it reads a D table at its
+    vertex's image, inside that vertex's loop.
 
     The exponents are what the kernel pays, so the order trades a loop
     for a table read where it can.  The lookahead lets it take a dear step
@@ -273,20 +301,22 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     keeps its count of unplaced neighbours, so no step recomputes a key:
     the order costs O(v * (v + e)) steps, once per cached plan.
     """
-    adj = _neighbours(v, edges)
-    degree = [0] * v
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    # A vertex with one or two edges reads a table once its neighbours are
-    # placed, as its edges are then all back edges.
-    reads = [0 < d <= 2 for d in degree]
-    free = [len(n) for n in adj]  # each vertex's unplaced neighbours
+    hangs = _hangs(v, edges)
+    adj = _neighbours(v, [(a, b) for a, b in edges
+                           if hangs[a] is None and hangs[b] is None])
+    # A core vertex with one or two core edges reads a table once its core
+    # neighbours are placed, as its core edges are then all back edges.
+    reads = [0 < len(n) <= 2 for n in adj]
+    free = [len(n) for n in adj]  # each vertex's unplaced core neighbours
+    leaves: list[list[int]] = [[] for _ in range(v)]
+    for x, y in enumerate(hangs):
+        if y is not None:
+            leaves[y].append(x)
     placed = [False] * v
     order: list[int] = []
-    rest = list(range(v))
+    rest = [x for x in range(v) if hangs[x] is None]
 
-    def rank(x: int) -> tuple[int, int, int, int, int]:
+    def rank(x: int) -> tuple[int, int, int, int, int, int]:
         # Every exponent and key size less |key(S)|, which all candidates
         # share.  The next key gains x if it has an unplaced neighbour and
         # loses each placed neighbour whose last unplaced one x is.
@@ -297,7 +327,7 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         read = ready - (reads[x] and not free[x]) > 0 or any(
             reads[y] and free[y] == 1 and not placed[y] for y in adj[x])
         b = grow + 1 - read
-        return max(a, b), min(a, b), grow, free[x] - len(adj[x]), x
+        return max(a, b), min(a, b), grow, free[x] - len(adj[x]), len(leaves[x]), x
 
     while rest:
         ready = sum(1 for y in rest if reads[y] and not free[y])  # read by rank
@@ -307,50 +337,106 @@ def _sum_order(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         rest.remove(best)
         for y in adj[best]:
             free[y] -= 1
-    return order
+    return [x for y in order for x in (y, *leaves[y])]
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sum_plan(v: int, edges: tuple[tuple[int, int], ...]
               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...],
                          tuple[Optional[tuple[int, ...]], ...], tuple[bool, ...],
-                         tuple[Optional[tuple[str, str]], ...]]:
+                         tuple[Optional[tuple[str, str, int]], ...]]:
     """The back edges of `_sum_order`, the key of every position, the key
     where `_map_sum` memoises each position, whether each position is
-    detached, and the table each detached position reads (`_table_read`).
-    `_kernel_source` prints this plan and decides nothing of its own.
+    detached, and the table read of each position (`_table_read`) with
+    the number of times the kernel takes it there.  `_kernel_source`
+    prints this plan and decides nothing of its own.
 
     The key of position i holds the earlier positions with an edge to
     position i or later: the sum over the images of positions i..v-1
     depends on the earlier images only through them.  A position is
-    detached when the next key does not hold it (the last position always
-    is): no later factor reads its image, so its factor summed over its
-    parts multiplies the next suffix sum once.  A detached position with
-    one or two back edges reads that sum from a table; every other
-    position sums its loop (None).  Otherwise the next position is
-    attached: its key ends with this position, and its memo keeps one row
-    of sums per image of the key without its last entry, its prefix.
-    A position is not memoised (None) when its key is every earlier
-    position, as no key can repeat there; when its key equals that of the
-    detached position before it, as every sum from that position brings a
-    new image of the key; or when it and every later position read a
-    table, as no loop runs there.  Callers pass ``edges`` sorted so that
-    equal patterns share a cache entry.
+    detached when no later key holds it but those of the leaves it takes
+    in (the last position always is): no later step reads its image, so
+    its factor summed over its parts multiplies the next suffix sum once.
+    A detached core position with one or two back edges reads that sum
+    from a table, and takes in the leaves that hang from it, which follow
+    it: its table weights each part by their D tables.  A taken leaf reads
+    its D table 0 times, and its key is its vertex alone, as that table is
+    summed once per image of the vertex; so the price covers it.  A
+    position whose read is the one of the position the kernel runs before
+    it reads it 0 times too, and that position once per position of the
+    run.  The kernel skips a position read 0 times, which keeps no memo.
+    Every other position sums its loop (None).  After an attached
+    position, the next position's key ends with it, and its memo keeps
+    one row of sums per image of the key without its last entry, its
+    prefix.  A position is not memoised (None) when its key holds every
+    earlier attached position, as only their loops run its code again, so
+    no key repeats there; when its key equals that of the detached
+    position the kernel runs before it, as every sum from that position
+    brings a new image of the key; or when it and every later position
+    read a table, as no loop runs there.  Callers pass ``edges`` sorted so
+    that equal patterns share a cache entry.
     """
-    back = _back_edges(_sum_order(v, edges), edges)
-    reach = list(range(v))  # the latest position each position has an edge to
+    order = _sum_order(v, edges)
+    back = _back_edges(order, edges)
+    hangs = _hangs(v, edges)
+    leaf = [hangs[x] is not None for x in order]
+
+    def reach(skip: list[bool]) -> list[int]:
+        # The latest position with an edge to each position, over the
+        # back edges of the positions not skipped.
+        latest = list(range(v))
+        for i, bk in enumerate(back):
+            if not skip[i]:
+                for j, _ in bk:
+                    latest[j] = i
+        return latest
+
+    core = reach(leaf)
+    takes = [core[i] == i and 0 < len(bk) <= 2 for i, bk in enumerate(back)]
+    # A leaf's one back edge comes from the core vertex it hangs from.
+    taken = [leaf[i] and takes[bk[0][0]] for i, bk in enumerate(back)]
+    latest = reach(taken)
+    # A taken leaf's D table is summed once per image of its vertex, so
+    # that vertex alone is its key.
+    keys = tuple((back[i][0][0],) if taken[i] else tuple(j for j in range(i) if latest[j] >= i)
+                 for i in range(v))
+    detached = tuple(latest[i] == i for i in range(v))
+    # The orientations of the leaves each position takes in.
+    leaves: list[list[int]] = [[] for _ in range(v)]
+    for bk, take in zip(back, taken):
+        if take:
+            (j, t), = bk
+            leaves[j].append(t)
+    reads: list[Optional[tuple[str, str, int]]] = []
+    head = 0  # the last position the kernel runs; position 0 has no back edge
     for i, bk in enumerate(back):
-        for j, _ in bk:
-            reach[j] = i
-    keys = tuple(tuple(j for j in range(i) if reach[j] >= i) for i in range(v))
-    detached = tuple(reach[i] == i for i in range(v))
-    reads = tuple(_table_read(bk) if det else None for bk, det in zip(back, detached))
+        read = None
+        if taken[i]:
+            read = (*_table_read(bk, ()), 0)
+        elif detached[i] and 0 < len(bk) <= 2:
+            table = _table_read(bk, leaves[i])
+            if reads[head] and reads[head][:2] == table:
+                reads[head] = (*table, reads[head][2] + 1)
+                read = (*table, 0)
+            else:
+                read = (*table, 1)
+        if not read or read[2]:
+            head = i
+        reads.append(read)
     # Every position from ``tail`` on reads a table, so no loop runs there.
     tail = max((i + 1 for i, read in enumerate(reads) if read is None), default=0)
-    memos = tuple(key if i < tail and len(key) < i
-                  and not (detached[i - 1] and key == keys[i - 1]) else None
-                  for i, key in enumerate(keys))
-    return back, keys, memos, detached, reads
+    memos: list[Optional[tuple[int, ...]]] = []
+    before = None  # the last position the kernel runs before i
+    for i, key in enumerate(keys):
+        if reads[i] and not reads[i][2]:
+            memos.append(None)
+            continue
+        loops = {j for j in range(i) if not detached[j]}
+        repeats = i < tail and not loops <= set(key) and not (
+            before is not None and detached[before] and key == keys[before])
+        memos.append(key if repeats else None)
+        before = i
+    return back, keys, tuple(memos), detached, tuple(reads)
 
 
 # CPython compiles at most 20 nested loops into one function.  A kernel
@@ -365,19 +451,21 @@ def _images(key: tuple[int, ...]) -> str:
     return f"c{key[0]}" if len(key) == 1 else f"({''.join(f'c{j}, ' for j in key)})"
 
 
-def _table_read(bk: tuple[tuple[int, int], ...]) -> Optional[tuple[str, str]]:
-    """The sum table (`_ValueTables`) a detached position with back edges
-    ``bk`` reads its sum from, and the source of its index: D{t} at
-    [c{j}] for one back edge (j, t), and P{t1}{t2} at [c{j1}][c{j2}] for
-    two, ordered so that t1 <= t2; None for none and for three or more,
-    which keep their loop."""
+def _table_read(bk: tuple[tuple[int, int], ...], leaves: Sequence[int]) -> tuple[str, str]:
+    """The sum table (`_ValueTables`) a detached position with one or two
+    back edges ``bk`` reads its sum from, and the source of its index: D{t}
+    at [c{j}] for one back edge (j, t), and P{t1}{t2} at [c{j1}][c{j2}] for
+    two, ordered so that t1 <= t2.  The leaves it takes in, by the
+    orientation t of each leaf's edge as a back edge, name the table's
+    weights after an underscore, in increasing order: P00_1 weights part c
+    by D1[c]."""
+    name = "".join(map(str, sorted(leaves)))
+    name = f"_{name}" if name else ""
     if len(bk) == 1:
         (j, t), = bk
-        return f"D{t}", f"[c{j}]"
-    if len(bk) == 2:
-        (j1, t1), (j2, t2) = sorted(bk, key=lambda edge: edge[1])
-        return f"P{t1}{t2}", f"[c{j1}][c{j2}]"
-    return None
+        return f"D{t}{name}", f"[c{j}]"
+    (j1, t1), (j2, t2) = sorted(bk, key=lambda edge: edge[1])
+    return f"P{t1}{t2}{name}", f"[c{j1}][c{j2}]"
 
 
 def _kernel_source(plan: tuple) -> str:
@@ -385,27 +473,31 @@ def _kernel_source(plan: tuple) -> str:
     ``kernel(k, tables)`` of the part count and `_value_tables`, which it
     reads by name: F the first position's pairs, T0 and T1 the table rows
     of the value matrix and its transpose, M0 and M1 those matrices, and
-    the D and P sum tables its detached positions read.  It prints the
+    the D and P sum tables its detached positions read, weighted by leaves
+    or not.  It prints the
     plan's steps and memos as they are and decides none of them.
 
-    Position i's code nests in the loop of the position before it and
-    leaves the sum over positions i..v-1 in ``s{i}``.  Its loop binds its
-    image ``c{i}`` and factor ``f{i}`` from the row its first back edge
-    selects; the value rows of its other back edges, fetched before the
-    loop, multiply in.  A detached position for which the plan names a
-    table read (`_table_read`) reads its sum from that D or P table entry;
-    any other detached position only sums its factor.  The memo of
-    position i + 1, where the plan keeps one, is keyed on the images of
-    its key after a detached position, and of its prefix, the key less its
-    last entry i, after an attached one, where it holds rows of k sums
-    indexed by ``c{i}``.  Once a function's code is nested
+    The kernel runs every position the plan does not read 0 times.
+    Position i's code nests in the loop of the position the kernel runs
+    before it and leaves the sum over positions i..v-1 in ``s{i}``.  Its
+    loop binds its image ``c{i}`` and factor ``f{i}`` from the row its
+    first back edge selects; the value rows of its other back edges,
+    fetched before the loop, multiply in.  A detached position for which
+    the plan names a table read (`_table_read`) reads its sum from that
+    table entry once, and raises it to the power the plan gives; any
+    other detached position only sums its factor.  The memo of the next
+    position the kernel runs, where the plan keeps one, is keyed on the
+    images of its key after a detached position, and of its prefix, the
+    key less its last entry i, after an attached one, where it holds rows
+    of k sums indexed by ``c{i}``.  Once a function's code is nested
     `_KERNEL_DEPTH` levels deep, position i's sum is a call of a new
     function ``g{i}`` of the images of its key.
     """
     back, keys, memos, detached, reads = plan
     if not back:
         return "def kernel(k, tables):\n    return 1\n"
-    last = len(back) - 1
+    # The positions the kernel runs, each with the next one.
+    runs = [i for i, read in enumerate(reads) if not read or read[2]]
     kernel = ["def kernel(k, tables):"]
     names: set[str] = set()  # the tables the kernel reads
     done: list[list[str]] = []  # the closed functions, the kernel's body first
@@ -413,17 +505,20 @@ def _kernel_source(plan: tuple) -> str:
     # lines that close each of its positions, innermost last, and how deep
     # its code is nested.
     start, body, base, tails, depth = 0, [], 1, [], 0
-    for i, bk in enumerate(back):
+    for i, nxt in zip(runs, runs[1:] + [None]):
+        bk = back[i]
         if depth > _KERNEL_DEPTH:
             args = ", ".join(f"c{j}" for j in keys[i])
             body.append(f"{'    ' * (base + depth)}s{i} = g{i}({args})")
             done.append(_close(body, tails, base, start))
             start, body, base, tails, depth = i, [f"    def g{i}({args}):"], 2, [], 0
         pad = "    " * (base + depth)
-        nxt = i + 1
         if reads[i]:
-            names.add(reads[i][0])
-            body.append(f"{pad}s{i} = {''.join(reads[i])}")
+            name, index, times = reads[i]
+            names.add(name)
+            body.append(f"{pad}s{i} = {name}{index}")
+            if times > 1:
+                body.append(f"{pad}s{i} *= {' * '.join([f's{i}'] * (times - 1))}")
         else:
             table = f"T{bk[0][1]}" if bk else "F"
             rows = [f"x{i}_{n}" for n in range(len(bk) - 1)]
@@ -438,7 +533,7 @@ def _kernel_source(plan: tuple) -> str:
         if detached[i]:
             if not reads[i]:
                 body += [f"{pad}for c{i}, f{i} in {table}:", f"{pad}    s{i} += f{i}{factor}"]
-            if i == last:
+            if nxt is None:
                 break
             body.append(f"{pad}if s{i}:")
             join, get = f"s{i} *=", None
@@ -486,12 +581,14 @@ def _close(body: list[str], tails: list[list[str]], base: int, start: int) -> li
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _sum_kernel(v: int, edges: tuple[tuple[int, int], ...]) -> Callable:
+def _sum_kernel(v: int, edges: frozenset[tuple[int, int]]) -> Callable:
     """`_map_sum`'s kernel of the pattern, `_kernel_source` of its plan
-    compiled.  Callers pass ``edges`` sorted so that equal patterns share a
-    cache entry."""
+    compiled, cached on the vertex count and the edge set.  A pattern
+    keeps its edges as a frozenset, whose hash Python caches, so a density
+    finds its kernel without sorting or hashing the edges again."""
     scope: dict = {}
-    exec(compile(_kernel_source(_sum_plan(v, edges)), "<density sum>", "exec"), scope)
+    source = _kernel_source(_sum_plan(v, tuple(sorted(edges))))
+    exec(compile(source, "<density sum>", "exec"), scope)
     return scope.pop("kernel")
 
 
@@ -501,13 +598,31 @@ class _ValueTables(dict):
 
     def __missing__(self, name: str) -> list:
         # D{t}[a] = sum_c w_c * M{t}[a][c], the sum over T{t}[a]'s factors;
-        # P{t1}{t2}[a][b] = sum_c w_c * M{t1}[a][c] * M{t2}[b][c].
-        rows = self[f"T{name[1]}"]
-        if name[0] == "D":
-            table = [sum(f for _, f in row) for row in rows]
+        # P{t1}{t2}[a][b] = sum_c w_c * M{t1}[a][c] * M{t2}[b][c].  Each
+        # leaf type s after an underscore multiplies w_c by D{s}[c].  Plain
+        # loops build a table about twice as fast as sums of generators.
+        base, _, leaves = name.partition("_")
+        rows = self[f"T{base[1]}"]
+        if leaves:
+            weight = [prod(ds) for ds in zip(*(self[f"D{s}"] for s in leaves))]
+            rows = [[(c, f * weight[c]) for c, f in row if weight[c]] for row in rows]
+        table: list = []
+        if base[0] == "D":
+            for row in rows:
+                total = 0
+                for _, f in row:
+                    total += f
+                table.append(total)
         else:
-            other = self[f"M{name[2]}"]
-            table = [[sum(f * m[c] for c, f in row) for m in other] for row in rows]
+            other = self[f"M{base[2]}"]
+            for row in rows:
+                sums = []
+                for m in other:
+                    total = 0
+                    for c, f in row:
+                        total += f * m[c]
+                    sums.append(total)
+                table.append(sums)
         self[name] = table
         return table
 
@@ -517,9 +632,10 @@ def _value_tables(weights: Sequence[int], values: Sequence[Sequence[int]]) -> _V
     alone: the value matrix M0 and its transpose M1, each matrix's table
     rows T0 and T1 of nonzero (part, weight * value) pairs, and the (part,
     weight) pairs F of the first position.  The sum tables D0, D1, P00,
-    P01 and P11 of detached positions (`_table_read`) are built on their
-    first read, so only the ones a kernel reads are.  Parts of weight 0
-    are left out of every table."""
+    P01 and P11 of detached positions (`_table_read`), and those weighted
+    by the leaves they take in, such as P00_1, are built on their first
+    read, so only the ones a kernel reads are.  Parts of weight 0 are left
+    out of every table."""
     # An edge is checked when its later endpoint is placed: it reads the
     # value matrix at (earlier image, new image), or the transpose there.
     matrices = (values, [list(col) for col in zip(*values)])
@@ -538,14 +654,15 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
 
     Variable elimination along the pattern's cached order (`_sum_order`),
     run by its generated kernel (`_kernel_source`), compiled once and
-    cached on the sorted edges (`_sum_kernel`): one nested loop per
-    position multiplies in its part weight and the values of its edges
-    back to placed vertices, and skips a part at a zero factor.  The sum
-    over positions i..v-1 depends only on the images of position i's key,
-    so it is memoised per call on them where the plan (`_sum_plan`) keeps
-    a memo, and read before the loops below run.  A detached position
-    reads its sum from a table of the weights and values when it has one
-    back edge (D) or two (P), and sums its loop inline otherwise.  A plan
+    cached on the vertex count and edge set (`_sum_kernel`): one nested
+    loop per position multiplies in its part weight and the values of its
+    edges back to placed vertices, and skips a part at a zero factor.  The
+    sum over positions i..v-1 depends only on the images of position i's
+    key, so it is memoised per call on them where the plan (`_sum_plan`)
+    keeps a memo, and read before the loops below run.  A detached
+    position reads its sum from a table of the weights and values when it
+    has one back edge (D) or two (P), weighted by the D tables of the
+    leaves it takes in, and sums its loop inline otherwise.  A plan
     nested deeper than one function may hold runs as a chain of
     functions, each passed the images it reads, and only integers of the
     plan go into the source.  Parts of weight 0 are left out of every
@@ -555,16 +672,16 @@ def _map_sum(v: int, edges: Sequence[tuple[int, int]], weights: Sequence[int],
     densities; without it the call builds its own.  The memo is built on
     every call.
     """
-    kernel = _sum_kernel(v, tuple(sorted(edges)))
+    # frozenset() returns a frozenset argument itself.
+    kernel = _sum_kernel(v, frozenset(edges))
     return kernel(len(weights), _value_tables(weights, values) if tables is None else tables)
 
 
 def _density_total(pattern: OrientedGraph, w: StepGraphon) -> int:
     """t(pattern, W) * dl^v * dv^e, unpriced, for W's integer form with
     length denominator dl and value denominator dv."""
-    v, edges = pattern.vertex_count, pattern.sorted_edges()
     lnum, _, vnum, _ = w._form
-    return _map_sum(v, edges, lnum, vnum, w._tables)
+    return _map_sum(pattern.vertex_count, pattern.edges, lnum, vnum, w._tables)
 
 
 def _exact_density(pattern: OrientedGraph, cells: Sequence[Sequence[int]]) -> int:
@@ -572,7 +689,7 @@ def _exact_density(pattern: OrientedGraph, cells: Sequence[Sequence[int]]) -> in
     equal parts whose values are the integer numerators ``cells`` over d.
     Its tables are built for the call, as the cells may change between
     calls."""
-    return _map_sum(pattern.vertex_count, pattern.sorted_edges(), [1] * len(cells), cells)
+    return _map_sum(pattern.vertex_count, pattern.edges, [1] * len(cells), cells)
 
 
 def _density(pattern: OrientedGraph, w: StepGraphon) -> Fraction:

@@ -358,14 +358,23 @@ def table_credited_cost(v: int, edges, order, k: int) -> int:
     """The steps a density-sum kernel runs along ``order`` at k parts, with
     no memo hit: sum over positions of k^(|key| + 1), where the key is the
     earlier vertices with a neighbour at this position or later, and
-    k^|key| at a position with no later neighbour and one or two back
-    edges, which reads a table instead of looping."""
+    k^|key| at a position with one or two back edges that reads a table
+    instead of looping: one whose later neighbours, if it has any, are
+    leaves (vertices of one neighbour) right after it.  Its table takes
+    those leaves in, and they run no step."""
     pos = {x: i for i, x in enumerate(order)}
-    total = 0
+    adj = [{b for a, b in edges if a == x} | {a for a, b in edges if b == x} for x in range(v)]
+    total, taken = 0, set()
     for i, x in enumerate(order):
+        if x in taken:
+            continue
         key = {a if pos[a] < i else b for a, b in edges
                if min(pos[a], pos[b]) < i <= max(pos[a], pos[b])}
-        back = sum(1 for a, b in edges if x in (a, b) and pos[b if a == x else a] < i)
-        later = any(x in (a, b) and pos[b if a == x else a] > i for a, b in edges)
-        total += k ** (len(key) + 1 - (not later and 1 <= back <= 2))
+        back = sum(1 for y in adj[x] if pos[y] < i)
+        later = sorted(pos[y] for y in adj[x] if pos[y] > i)
+        reads = 1 <= back <= 2 and later == list(range(i + 1, i + 1 + len(later))) \
+            and all(len(adj[order[j]]) == 1 for j in later)
+        if reads:
+            taken.update(order[j] for j in later)
+        total += k ** (len(key) + 1 - reads)
     return total

@@ -655,12 +655,12 @@ class TestIntegerPolish:
         assert sum(map(sum, cells)) == target_sum
         t_and_grad = _float_kernel(_map_cells(pattern, parts), parts,
                                    1.0 / parts ** pattern.vertex_count)
-        ok = _polish_density(pattern, t_and_grad, cells, p, tol, d)
+        density = _polish_density(pattern, t_and_grad, cells, p, tol, d)
         assert sum(map(sum, cells)) == target_sum
         assert all(0 <= c <= d for row in cells for c in row)
-        if ok:
+        if density is not None:
             t = brute_t_step(pattern, _equal_parts(cells, d))
-            assert abs(t - p ** pattern.edge_count) <= tol
+            assert density == t and abs(t - p ** pattern.edge_count) <= tol
 
     def test_gradient_units_past_float_range(self):
         # The 13-vertex transitive tournament at 2 parts: 78 edges, so the

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from digraphon import (
     UndirectedGraph,
     w_lambda,
 )
-from digraphon import counting
+from digraphon import counting, stepgraphon
 from digraphon.cli import _graph_json, main
 from digraphon.forcing import MAX_LAMBDA_GRID, MIN_PRECISION
 from digraphon.io import (
@@ -497,6 +498,24 @@ class TestCli:
         assert lines[0]["undirected_density_convention_q"] == "1/8"
         emitted = parse_graphon(out.read_text())
         assert emitted.integral() == Fraction(1, 16)
+
+    def test_search_witness_prints_what_the_search_certified(self, capsys, files, monkeypatch):
+        # The search certifies each witness's density and centred cut norm,
+        # and the command prints the ones it certified for the witness it
+        # returns: 10 of the 16 restarts pass the polish, each runs one cut
+        # norm, and nothing runs on the witness after the search.
+        calls = Counter()
+        for name in ("_cut_norm_impl", "_density"):
+            def counted(*args, _real=getattr(stepgraphon, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(stepgraphon, name, counted)
+        code, lines = run_cli(capsys, "search-witness", files["tri.graph"],
+                              "--p", "1/4", "--parts", "2", "--seed", "0")
+        assert code == 0
+        assert lines[0]["t"] == "35184360999265/2251799813685248"
+        assert lines[0]["cut_norm_centered"] == "27855/262144"
+        assert calls == {"_cut_norm_impl": 10}
 
     def test_search_witness_one_part_zero_tol_finds_none(self, capsys, files):
         # The one graphon on one part with mean p is the constant p, which

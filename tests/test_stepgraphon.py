@@ -374,14 +374,16 @@ def detached_instances(draw, max_parts=3):
 
 # An attached position's key ends with the position before it, and
 # `_map_sum` keeps one memo row per image of the rest of the key, its
-# prefix.  The prefix has no entry on a path, holds the first vertex on a
-# 6-cycle and two vertices on K_{3,3}; every key of a transitive
-# tournament is its whole prefix, so its positions get no getter.  Nor do
-# a 4-cycle's attached positions, whose keys hold every earlier position,
-# or a 5-cycle's, whose one shorter key is at its last position, which
-# reads a table.
+# prefix.  The prefix has no entry on a 7-vertex path, holds the first
+# vertex on a 6-cycle and two vertices on K_{3,3}; every key of a
+# transitive tournament is its whole prefix, so its positions get no
+# getter.  Nor do a 4-cycle's attached positions, whose keys hold every
+# earlier position, or a 5-cycle's, whose one shorter key is at its last
+# position, which reads a table, or the 5-vertex path's, as both its inner
+# ends read a table that takes their leaves in.
 MEMO_ROW_BASES = {
     "path": OrientedGraph(5, [(i, i + 1) for i in range(4)]),
+    "path7": OrientedGraph(7, [(i, i + 1) for i in range(6)]),
     "cycle": OrientedGraph(4, [(i, (i + 1) % 4) for i in range(4)]),
     "cycle5": OrientedGraph(5, [(i, (i + 1) % 5) for i in range(5)]),
     "k33": to_part_oriented(BipartiteGraph(3, 3, [(i, j) for i in range(3) for j in range(3)])),
@@ -517,8 +519,8 @@ class TestMapSum:
                                                                   w.values)
 
     @pytest.mark.parametrize("name,sizes", [
-        ("path", {0, "none"}), ("cycle", {"none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
-        ("cycle5", {"none"}), ("cycle6", {1, "none"}),
+        ("path", {"none"}), ("cycle", {"none"}), ("k33", {2, "none"}), ("tt4", {"none"}),
+        ("cycle5", {"none"}), ("cycle6", {1, "none"}), ("path7", {0, "none"}),
     ])
     def test_memo_row_bases_cover_every_prefix_size(self, name, sizes):
         assert attached_prefix_sizes(MEMO_ROW_BASES[name]) == sizes
@@ -739,9 +741,11 @@ class TestSumOrder:
 # W's sum tables, by the orientations t of its back edges in plan order:
 # D0 and D1 for (0,) and (1,), P00 and P11 for (0, 0) and (1, 1), and P01
 # for both (0, 1) and (1, 0), the latter with its two images swapped.
-# Stars have detached leaves with one back edge; K_{2,3} with its three
-# leaves joined to both hubs has two.  Which of (0, 1) and (1, 0) a leaf
-# gets depends on the labels, as back edges follow the sorted edges.
+# A star's centre reads from its first leaf, with one back edge: D1 for
+# the out-star, D0 for the in-star, each weighted by the other leaves' D
+# tables.  K_{2,3}'s three vertices joined to both hubs have two.  Which
+# of (0, 1) and (1, 0) a position gets depends on the labels, as back
+# edges follow the sorted edges.
 SIGNATURE_BASES = {
     "out-star": OrientedGraph(4, [(0, x) for x in (1, 2, 3)]),
     "in-star": OrientedGraph(4, [(x, 0) for x in (1, 2, 3)]),
@@ -756,9 +760,9 @@ SIGNATURE_BASES = {
 def detached_signatures(pattern) -> set:
     """The back-edge orientations of every detached position of the
     pattern's plan that reads a sum table."""
-    back, _, _, detached, _ = stepgraphon._sum_plan(pattern.vertex_count,
-                                                    tuple(pattern.sorted_edges()))
-    return {tuple(t for _, t in bk) for bk, det in zip(back, detached) if det and 0 < len(bk) < 3}
+    back, _, _, _, reads = stepgraphon._sum_plan(pattern.vertex_count,
+                                                 tuple(pattern.sorted_edges()))
+    return {tuple(t for _, t in bk) for bk, read in zip(back, reads) if read and read[2]}
 
 
 @st.composite
@@ -775,7 +779,7 @@ def sum_table_cells(draw, max_parts=5, zero_weights=True):
 
 class TestSumTables:
     @pytest.mark.parametrize("name,signature", [
-        ("out-star", (0,)), ("in-star", (1,)), ("k23-out", (0, 0)), ("k23-in", (1, 1)),
+        ("out-star", (1,)), ("in-star", (0,)), ("k23-out", (0, 0)), ("k23-in", (1, 1)),
         ("k23-through", (0, 1)), ("k23-through-low", (1, 0)),
     ])
     def test_signature_bases(self, name, signature):
@@ -805,20 +809,23 @@ class TestSumTables:
 
     def test_only_the_tables_a_plan_reads_are_built(self):
         w = random_graphon(3, seed=8)
+        # The out-star's centre reads D1 weighted by its two other leaves'
+        # D0, which its build reads and keeps.
         t_step(SIGNATURE_BASES["out-star"], w)
-        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "T0", "T1"]
+        assert sorted(vars(w)["_tables"]) == ["D0", "D1_00", "F", "M0", "M1", "T0", "T1"]
         t_step(SIGNATURE_BASES["k23-through-low"], w)
-        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "P01", "T0", "T1"]
+        assert sorted(vars(w)["_tables"]) == ["D0", "D1_00", "F", "M0", "M1", "P01", "T0", "T1"]
         # K_{3,3}'s detached positions have three back edges and keep their
         # loops, so it reads no sum table.
         t_step(MEMO_ROW_BASES["k33"], w)
-        assert sorted(vars(w)["_tables"]) == ["D0", "F", "M0", "M1", "P01", "T0", "T1"]
+        assert sorted(vars(w)["_tables"]) == ["D0", "D1_00", "F", "M0", "M1", "P01", "T0", "T1"]
 
-    @pytest.mark.parametrize("name,tails", [("part-oriented-3+3", 81), ("oriented-3-4", 188)])
+    @pytest.mark.parametrize("name,tails", [("part-oriented-3+3", 225), ("oriented-3-4", 476)])
     def test_no_memo_where_every_later_position_reads_a_table(self, name, tails):
         # No loop runs from such a position on, so a memo there would only
         # stand in for table reads.  ``tails`` of the set's plans end in
-        # two or more positions that read a table.
+        # two or more positions that read a table, or whose read a table
+        # read before them takes: a leaf taken in, or a repeated read.
         seen = 0
         for g in ORDER_COST_PATTERNS[name]:
             v, edges = g.vertex_count, tuple(g.sorted_edges())
@@ -833,10 +840,174 @@ class TestSumTables:
 
     def test_repeated_table_read_keeps_no_memo(self):
         # The last two positions of this 3+3 pattern read the same P11
-        # entry; with no loop below them, neither keeps a memo row.
+        # entry: the first reads it once and squares it, and the kernel
+        # skips the second.  With no loop below them, neither keeps a memo
+        # row.
         source = kernel_source(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4)])
-        assert source.count("P11[c3][c2]") == 2
-        assert not any(name in source for name in ("m4", "r4", "m5", "r5"))
+        assert source.count("P11[c3][c0]") == 1
+        assert "s4 = P11[c3][c0]\n                s4 *= s4\n" in source
+        assert not any(name in source for name in ("m4", "r4", "m5", "r5", "s5"))
+
+
+# Patterns whose plans take leaves into a table read, by the table each
+# such read weights: a vertex with one back edge that takes one leaf
+# (path4) or three of both orientations (broom), one with two back edges
+# that takes one leaf (a 3+3 pattern with two leaves on a 4-cycle) or two
+# of both orientations (a 4-cycle with two leaves on one vertex), and a star
+# with edges both ways, whose centre reads from its first leaf and takes
+# the others in.
+LEAF_BASES = {
+    "path4": OrientedGraph(4, [(0, 1), (1, 2), (2, 3)]),
+    "broom": OrientedGraph(6, [(0, 1), (0, 2), (1, 3), (4, 1), (1, 5)]),
+    "two-leaves-3+3": OrientedGraph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4)]),
+    "cycle-two-leaves": OrientedGraph(6, [(0, 2), (2, 1), (1, 3), (3, 0), (3, 4), (5, 3)]),
+    "star": OrientedGraph(4, [(0, 1), (2, 0), (0, 3)]),
+}
+
+
+# Every part-oriented 3+3 pattern with an edge (511), isolated vertices
+# included, and the oriented patterns on 3-4 vertices with none.
+MEMO_DROP_PATTERNS = {
+    "part-oriented-3+3-all": [
+        to_part_oriented(BipartiteGraph(3, 3, cells)) for e in range(1, 10)
+        for cells in combinations([(i, j) for i in range(3) for j in range(3)], e)],
+    "oriented-3-4": ORDER_COST_PATTERNS["oriented-3-4"],
+}
+
+
+def taken_tables(pattern) -> set:
+    """The tables of the pattern's plan that take leaves in."""
+    reads = stepgraphon._sum_plan(pattern.vertex_count, tuple(pattern.sorted_edges()))[4]
+    return {read[0] for read in reads if read and read[2] and "_" in read[0]}
+
+
+@st.composite
+def leaf_instances(draw, max_v=8):
+    """A leaf base with each edge's direction drawn, beside a drawn few of
+    an isolated edge, a star with two leaves and isolated vertices, up to
+    ``max_v`` vertices in all and its labels shuffled; 1-3 parts (1-4
+    below 7 vertices), and integer weights and values, about half of them
+    0."""
+    base = LEAF_BASES[draw(st.sampled_from(sorted(LEAF_BASES)))]
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in base.sorted_edges()]
+    v = base.vertex_count
+    for extra in draw(st.lists(st.sampled_from(("edge", "star", "isolated")), max_size=3)):
+        size = {"edge": 2, "star": 3, "isolated": 1}[extra]
+        if v + size > max_v:
+            break
+        edges += [(v, v + x) if draw(st.booleans()) else (v + x, v) for x in range(1, size)]
+        v += size
+    label = draw(st.permutations(range(v)))
+    k = draw(st.integers(1, 3 if v > 6 else 4))
+    entry = st.one_of(st.just(0), st.integers(0, 4))
+    weights = draw(st.lists(entry, min_size=k, max_size=k))
+    values = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+    return (OrientedGraph(v, [(label[a], label[b]) for a, b in edges]),
+            SimpleNamespace(num_parts=k, part_lengths=weights, values=values))
+
+
+def positive_graphon(cells) -> StepGraphon:
+    """A step graphon with the cells' values over 4 and lengths in
+    proportion to their weights plus 1."""
+    weights = [x + 1 for x in cells.part_lengths]
+    return StepGraphon([Fraction(x, sum(weights)) for x in weights],
+                       [[Fraction(x, 4) for x in row] for row in cells.values])
+
+
+class TestTakenLeaves:
+    @pytest.mark.parametrize("name,tables", [
+        ("path4", {"D0_0"}), ("broom", {"D0_001"}), ("two-leaves-3+3", {"P00_1"}),
+        ("cycle-two-leaves", {"P01_01"}), ("star", {"D1_01"}),
+    ])
+    def test_leaf_bases(self, name, tables):
+        assert taken_tables(LEAF_BASES[name]) == tables
+
+    def test_two_leaves_on_a_4_cycle_sum_two_loops(self):
+        # Its two leaves used to keep the vertices they hang from out of
+        # every table: the kernel looped over three images around a P00
+        # read.  Now one leaf is read from a D table inside the loops and
+        # the other weights a P00 table, so two loops run.
+        source = kernel_source(6, LEAF_BASES["two-leaves-3+3"].sorted_edges())
+        assert source.count("for c") == 2
+        assert "P00_1[c1][c0]" in source and "P00[c1][c0]" in source
+
+    @settings(max_examples=100, deadline=None)
+    @given(leaf_instances())
+    def test_plain_cells_match_brute_force(self, instance):
+        # Plain lists build their tables, the leaf weights among them, on
+        # every call; parts of weight 0 are left out of every table.
+        pattern, cells = instance
+        v, edges = pattern.vertex_count, pattern.sorted_edges()
+        assert stepgraphon._map_sum(v, edges, cells.part_lengths, cells.values) \
+            == brute_t_step(pattern, cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_instances())
+    def test_graphons_match_brute_force(self, instance):
+        # The second density reads the tables that the first built and kept.
+        pattern, cells = instance
+        w = positive_graphon(cells)
+        for _ in range(2):
+            assert t_step(pattern, w) == brute_t_step(pattern, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.booleans(), min_size=9, max_size=9), sum_table_cells(4))
+    def test_bipartite_densities_match_brute_force(self, keep, cells):
+        # 3+3 patterns, with isolated vertices and leaves of either part,
+        # on a graphon twice, and on plain cells.
+        cells3 = [(i, j) for i in range(3) for j in range(3)]
+        pattern = BipartiteGraph(3, 3, [c for c, b in zip(cells3, keep) if b])
+        w = positive_graphon(cells)
+        for _ in range(2):
+            assert t_bip_step(pattern, w) == brute_t_bip_step(pattern, w)
+        oriented = to_part_oriented(pattern)
+        assert stepgraphon._map_sum(6, oriented.sorted_edges(), cells.part_lengths,
+                                    cells.values) == brute_t_bip_step(pattern, cells)
+
+    @pytest.mark.parametrize("name,kept", [("part-oriented-3+3-all", 111), ("oriented-3-4", 0)])
+    def test_no_memo_whose_key_holds_every_earlier_loop(self, name, kept):
+        # Only the loops of attached positions run a position's code again,
+        # so a memo keyed on all of them never hits, and none is kept.
+        # ``kept`` of the set's plans have such a memo that a rule on every
+        # earlier position would keep: its key misses an earlier position,
+        # a loop runs from it on, and it does not follow a detached
+        # position with its key.
+        seen = 0
+        for g in MEMO_DROP_PATTERNS[name]:
+            v, edges = g.vertex_count, tuple(g.sorted_edges())
+            _, keys, getters, detached, reads = stepgraphon._sum_plan(v, edges)
+            source = kernel_source(v, edges)
+            before, old = None, False  # the last position the kernel runs
+            for i, key in enumerate(keys):
+                if reads[i] and not reads[i][2]:
+                    continue
+                if {j for j in range(i) if not detached[j]} <= set(key):
+                    assert getters[i] is None
+                    assert f"m{i} = " not in source and f"r{i} = " not in source
+                    old |= len(key) < i and not all(reads[i:]) and not (
+                        before is not None and detached[before] and key == keys[before])
+                before = i
+            seen += old
+        assert seen == kept
+
+    @pytest.mark.parametrize("name,runs", [("part-oriented-3+3", 99), ("oriented-3-4", 36)])
+    def test_run_of_equal_reads_reads_once(self, name, runs):
+        # Consecutive detached positions with the same back edges and
+        # leaves read one table entry: the first reads it once and raises
+        # it to the run's length, and the kernel skips the rest.  ``runs``
+        # of the set's plans have such a run.
+        seen = 0
+        for g in ORDER_COST_PATTERNS[name]:
+            v, edges = g.vertex_count, tuple(g.sorted_edges())
+            reads = stepgraphon._sum_plan(v, edges)[4]
+            source = kernel_source(v, edges)
+            heads = [(i, read) for i, read in enumerate(reads) if read and read[2] > 1]
+            for i, (table, index, times) in heads:
+                assert source.count(f"{table}{index}") == 1
+                assert f"s{i} *= {' * '.join([f's{i}'] * (times - 1))}\n" in source
+                assert reads.count((table, index, 0)) >= times - 1
+            seen += bool(heads)
+        assert seen == runs
 
 
 @st.composite
